@@ -7,7 +7,6 @@ from .core import (
     PrivacyModel,
     PrivacyParams,
     QuerySet,
-    Record,
     RecordSet,
     count_gap,
     empirical_accuracy,
@@ -28,23 +27,22 @@ from .geometry import (
     select_queries_uncertainty,
 )
 from .central import (
-    LaplaceNoiseSpec,
     central_laplace_mechanism,
     laplace_accuracy_bound,
     sample_laplace,
 )
 from .local import (
+    MECHANISMS,
     CollisionParams,
-    FlatSparseVector,
     GseParams,
     collision_accuracy_bound,
     collision_encode,
-    collision_estimate,
-    gse_encode,
+    collision_indicator_estimates,
+    gse_encode_batch,
     gse_estimate,
     local_laplace_accuracy_bound,
     rr_accuracy_bound,
-    rr_encode,
+    rr_encode_batch,
     rr_estimate,
     verify_local_dp,
 )
@@ -56,7 +54,7 @@ from .shuffle import (
     multi_message_encode,
     multi_message_pipeline,
     shuffle_messages,
-    single_message_pipeline,
+    single_message_params,
 )
 from .simulate import Partition, PartitionScheme, ProxyStudent, run_algorithm1
 

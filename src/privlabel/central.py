@@ -8,7 +8,6 @@ eta(beta) = 2kr * ln(label_count / beta) / eps per bucket.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -35,22 +34,6 @@ def sample_laplace(scale: float, rng: np.random.Generator, size=None) -> float |
     # rng.random can emit exactly 0.0, which would map to -inf
     u = np.maximum(u, 2.0 ** -53) if size is not None else max(u, 2.0 ** -53)
     return laplace_inverse_cdf(u, scale)
-
-
-@dataclass(frozen=True)
-class LaplaceNoiseSpec:
-    """Per-entry noise shape of the curator mechanism: scale = sensitivity/eps."""
-
-    scale: float
-    sensitivity: int
-
-    def __post_init__(self):
-        if self.scale < 0:
-            raise ValueError("scale cannot be negative")
-
-    @classmethod
-    def for_params(cls, params: PrivacyParams) -> "LaplaceNoiseSpec":
-        return cls(scale=noise_scale(params), sensitivity=params.sensitivity)
 
 
 def noise_scale(params: PrivacyParams) -> float:

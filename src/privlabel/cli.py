@@ -19,7 +19,7 @@ import numpy as np
 from . import analysis, config as config_mod, data as data_mod, local as local_mod
 from . import mse as mse_mod, results as results_mod, seeds as seeds_mod, shuffle as shuffle_mod
 from .core import PrivacyModel
-from .simulate import account_budget, run_algorithm1
+from .simulate import MODEL_MECHANISMS, account_budget, run_algorithm1
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -52,9 +52,11 @@ def build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("simulate", help="run the labeling pipeline over trials")
     sim.add_argument("--config", type=str, default=None, help="flat key=value config file")
     sim.add_argument("--seed", type=int, required=True)
-    for key in ("dataset", "model", "mechanism", "label-mode", "partition",
+    for key in ("dataset", "model", "label-mode", "partition",
                 "csv-priv", "csv-pub", "csv-pub-truth", "out"):
         sim.add_argument(f"--{key}", type=str, default=None)
+    mechanisms = sorted({"auto"}.union(*MODEL_MECHANISMS.values()))
+    sim.add_argument("--mechanism", type=str, default=None, choices=mechanisms)
     for key in ("classes", "per-class", "dim", "pub-per-class", "multilabel-r",
                 "s", "k", "t", "n-clients", "trials", "workers"):
         sim.add_argument(f"--{key}", type=int, default=None)
@@ -167,7 +169,7 @@ def _one_trial(cfg, records, public, params, trial: int) -> dict:
         "acc_proxy": result.proxy_accuracy,
         "max_error": result.max_error,
         "labels": [int(v) for v in final.hard],
-        "_theoretical_eta": final.theoretical_eta,
+        "eta_exceed_rate": final.eta_exceed_rate,
         "_ledger": result.ledger,
     }
 
@@ -191,11 +193,7 @@ def _cmd_simulate(args) -> int:
         rows = [_one_trial(cfg, records, public, params, i) for i in trials]
 
     ledger = rows[-1].pop("_ledger")
-    theoretical_eta = rows[0].get("_theoretical_eta")
-    per_trial = [{k: v for k, v in row.items() if not k.startswith("_")} for row in rows]
-    doc = results_mod.build_results(
-        cfg.as_recorded_dict(), per_trial, account_budget(ledger, cfg.k, cfg.s), theoretical_eta
-    )
+    doc = results_mod.build_results(cfg.as_recorded_dict(), rows, account_budget(ledger, cfg.k, cfg.s))
     if cfg.out:
         results_mod.write_results(doc, cfg.out)
         print(f"wrote results to {cfg.out}")

@@ -15,7 +15,7 @@ import dataclasses
 from dataclasses import dataclass
 
 from .core import PrivacyModel, PrivacyParams
-from .simulate import PartitionScheme
+from .simulate import PartitionScheme, resolve_mechanism
 
 
 @dataclass
@@ -72,7 +72,7 @@ class ExperimentConfig:
         )
 
     def validate(self) -> None:
-        self.privacy_model()
+        resolve_mechanism(self.privacy_model(), self.mechanism)
         self.partition_scheme()
         if self.dataset not in ("synthetic", "csv"):
             raise ValueError(f"dataset must be 'synthetic' or 'csv', got {self.dataset!r}")

@@ -127,15 +127,6 @@ def validate_label_matrix(labels: np.ndarray, r: int | None = None) -> int:
     return found
 
 
-@dataclass(frozen=True)
-class Record:
-    """One private datum: an embedding, a multi-hot label, an opaque id."""
-
-    embedding: np.ndarray
-    label: np.ndarray
-    record_id: int | str = 0
-
-
 @dataclass
 class RecordSet:
     """Column-stacked private dataset.
@@ -162,15 +153,6 @@ class RecordSet:
             self.ids = np.asarray(self.ids)
             if self.ids.shape[0] != self.embeddings.shape[0]:
                 raise ValueError("ids length mismatch")
-
-    @classmethod
-    def from_records(cls, records: Sequence[Record]) -> "RecordSet":
-        if not records:
-            raise ValueError("cannot build a RecordSet from zero records")
-        emb = np.stack([np.asarray(rec.embedding, dtype=np.float64) for rec in records])
-        lab = np.stack([np.asarray(rec.label, dtype=np.uint8) for rec in records])
-        ids = np.asarray([rec.record_id for rec in records])
-        return cls(emb, lab, ids)
 
     @property
     def m(self) -> int:
@@ -259,7 +241,7 @@ class MechanismReport:
     degenerate_buckets: np.ndarray
     empirical_eta: float | None = None
     theoretical_eta: float | None = None
-    eta_exceeded: bool | None = None
+    eta_exceed_rate: float | None = None  # share of buckets whose max error reaches eta
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
 """Local randomizers over a single record's vote matrix.
 
 Every client holds one record (clients with several records sample one), whose
-vote matrix is a binary s x label_count matrix with k*r ones.  Four encoders
-are provided, each with a matching unbiased estimator and max-error bound:
+vote matrix is a binary s x label_count matrix with k*r ones, flattened
+row-major to its support of bucket*label_count + label indices.  ``MECHANISMS``
+maps each of four randomizers to one function that releases n such reports
+and returns the summed unbiased estimate with its max-error bound:
 
 * randomized response -- per-bit flipping at budget eps/(2kr) per bit;
 * local Laplace -- per-entry Laplace(2kr/eps) noise;
@@ -31,6 +33,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
+from .central import noise_scale
 from .core import PrivacyParams
 
 _U64 = np.uint64
@@ -74,48 +77,6 @@ def flatten_support(bucket_indices: np.ndarray, label_indices: np.ndarray, label
     return (buckets[:, None] * label_count + labels[None, :]).ravel()
 
 
-@dataclass(frozen=True)
-class FlatSparseVector:
-    """One record's vote matrix flattened row-major to a support set.
-
-    Domain size is s * label_count; the support has exactly degree * r
-    distinct indices.
-    """
-
-    domain_size: int
-    support: np.ndarray
-
-    def __post_init__(self):
-        support = np.unique(np.asarray(self.support, dtype=np.int64))
-        if support.size != np.asarray(self.support).size:
-            raise ValueError("support indices must be distinct")
-        if support.size == 0:
-            raise ValueError("support cannot be empty")
-        if support.min() < 0 or support.max() >= self.domain_size:
-            raise ValueError("support index out of domain range")
-        object.__setattr__(self, "support", support)
-
-    @classmethod
-    def from_votes(
-        cls, bucket_indices: np.ndarray, label_indices: np.ndarray, s: int, label_count: int
-    ) -> "FlatSparseVector":
-        return cls(
-            domain_size=s * label_count,
-            support=flatten_support(bucket_indices, label_indices, label_count),
-        )
-
-    @property
-    def cardinality(self) -> int:
-        return self.support.size
-
-    def to_matrix(self, s: int, label_count: int) -> np.ndarray:
-        if s * label_count != self.domain_size:
-            raise ValueError("shape does not match the flattened domain")
-        flat = np.zeros(self.domain_size, dtype=np.uint8)
-        flat[self.support] = 1
-        return flat.reshape(s, label_count)
-
-
 # ---------------------------------------------------------------------------
 # randomized response
 
@@ -130,18 +91,9 @@ def rr_flip_probability(epsilon: float, k: int, r: int) -> float:
         return 0.0
 
 
-def rr_encode(answer: np.ndarray, params: PrivacyParams, rng: np.random.Generator) -> np.ndarray:
-    """Flip every bit of a one-record vote matrix independently."""
-    answer = np.asarray(answer)
-    if not np.isin(answer, (0, 1)).all():
-        raise ValueError("randomized response expects a binary vote matrix")
-    p = rr_flip_probability(params.epsilon, params.k, params.r)
-    flips = rng.random(answer.shape) < p
-    return (answer.astype(np.uint8) ^ flips.astype(np.uint8)).astype(np.uint8)
-
-
 def rr_encode_batch(answers: np.ndarray, params: PrivacyParams, rng: np.random.Generator) -> np.ndarray:
-    """Vectorized ``rr_encode`` over an (n, s, label_count) stack."""
+    """Flip every bit of an (n, s, label_count) stack of one-record vote
+    matrices independently: the per-report form of the ``rr`` table entry."""
     answers = np.asarray(answers)
     if not np.isin(answers, (0, 1)).all():
         raise ValueError("randomized response expects binary vote matrices")
@@ -176,25 +128,6 @@ def rr_accuracy_bound(params: PrivacyParams, n: int, beta: float) -> float:
 
 # ---------------------------------------------------------------------------
 # local Laplace
-
-
-def local_laplace_encode(answer: np.ndarray, params: PrivacyParams, rng: np.random.Generator) -> np.ndarray:
-    """Per-entry Laplace(2kr/eps) noise on one client's vote matrix."""
-    from .central import sample_laplace  # local import avoids a module cycle
-
-    answer = np.asarray(answer, dtype=np.float64)
-    if math.isinf(params.epsilon):
-        return answer.copy()
-    scale = params.sensitivity / params.epsilon
-    return answer + sample_laplace(scale, rng, size=answer.shape)
-
-
-def local_laplace_estimate(reports: Sequence[np.ndarray]) -> np.ndarray:
-    """Sum of noisy client matrices; already unbiased for the true aggregate."""
-    reports = list(reports)
-    if not reports:
-        raise ValueError("need at least one report")
-    return np.sum(np.stack(reports), axis=0)
 
 
 def local_laplace_accuracy_bound(params: PrivacyParams, n: int, beta: float) -> float:
@@ -305,16 +238,7 @@ def collision_encode_batch(
     ``support`` may be one index vector shared by every report or an
     (n_reports, c) array giving each report its own support.
     """
-    support = np.asarray(support, dtype=np.int64)
-    if support.ndim == 1:
-        support = _check_support(support, params)[None, :]
-    else:
-        if support.shape != (n_reports, params.support_size):
-            raise ValueError("per-report supports must be (n_reports, c)")
-        if support.min() < 0 or support.max() >= params.domain_size:
-            raise ValueError("support index out of domain range")
-        if support.shape[1] > 1 and not (np.diff(np.sort(support, axis=1), axis=1) > 0).all():
-            raise ValueError("support indices must be distinct within each report")
+    support = _check_support(support, params, n_reports)
     l = params.filter_length
     e_eps = math.exp(params.epsilon)
     seeds = rng.integers(0, 2 ** 63, size=n_reports, dtype=np.uint64)
@@ -372,21 +296,19 @@ def collision_indicator_estimates(
     return (hits - n / l) / denom
 
 
-def collision_estimate(
-    reports: Sequence[CollisionReport], params: CollisionParams, shape: tuple[int, int] | None = None
-) -> np.ndarray:
-    """Aggregate count estimate from collision reports, optionally reshaped to
-    an (s, label_count) matrix."""
-    if not reports:
-        raise ValueError("need at least one report")
-    seeds = np.asarray([rep.hash_seed for rep in reports], dtype=np.uint64)
-    cells = np.asarray([rep.cell for rep in reports], dtype=np.int64)
-    flat = collision_indicator_estimates(seeds, cells, params)
-    if shape is not None:
-        if shape[0] * shape[1] != params.domain_size:
-            raise ValueError("shape does not match the flattened domain")
-        return flat.reshape(shape)
-    return flat
+def collision_report_estimates(seeds: np.ndarray, cells: np.ndarray, params: CollisionParams) -> np.ndarray:
+    """(n_reports, d) unbiased indicator estimates, one row per report.
+
+    Row i holds (1[H_i(v) = z_i] - 1/l) / (e^eps/Omega - 1/l) at every
+    coordinate v; ``collision_indicator_estimates`` is their column sum.
+    """
+    if params.estimator_denominator <= 0:
+        raise ValueError("mis-sized filter: e^eps/Omega must exceed 1/l for estimation")
+    seeds = np.asarray(seeds, dtype=np.uint64)
+    cells = np.asarray(cells, dtype=np.int64)
+    coords = np.arange(params.domain_size, dtype=np.int64)
+    hits = bucket_hash(seeds[:, None], coords[None, :], params.filter_length) == cells[:, None]
+    return (hits - 1.0 / params.filter_length) / params.estimator_denominator
 
 
 def collision_accuracy_bound(params: CollisionParams, n: int, label_count: int, beta: float) -> float:
@@ -502,37 +424,29 @@ def _overlap_pmf(params: GseParams) -> np.ndarray:
     return weights / weights.sum()
 
 
-def gse_encode(support: np.ndarray, params: GseParams, rng: np.random.Generator) -> np.ndarray:
-    """Sample one output subset: draw the overlap size, then uniform members."""
-    support = _check_gse_support(support, params)
-    pmf = _overlap_pmf(params)
-    overlap = int(rng.choice(pmf.size, p=pmf))
-    comp = np.setdiff1d(np.arange(params.domain_size), support, assume_unique=False)
-    inside = rng.choice(support, size=overlap, replace=False) if overlap else np.empty(0, dtype=np.int64)
-    outside_count = params.output_size - overlap
-    outside = rng.choice(comp, size=outside_count, replace=False) if outside_count else np.empty(0, dtype=np.int64)
-    return np.sort(np.concatenate([inside, outside]).astype(np.int64))
-
-
 def gse_encode_batch(
     support: np.ndarray, params: GseParams, rng: np.random.Generator, n_reports: int
 ) -> np.ndarray:
-    """(n_reports, d) boolean membership matrix of sampled output subsets."""
-    support = _check_gse_support(support, params)
-    d = params.domain_size
-    comp = np.setdiff1d(np.arange(d), support)
+    """(n_reports, d) boolean membership matrix of sampled output subsets.
+
+    ``support`` may be one index vector shared by every report or an
+    (n_reports, c) array giving each report its own support.  Each report
+    draws its overlap size i, then a uniform size-i subset of its support and
+    a uniform size-(l - i) subset of the complement.
+    """
+    support = _check_support(support, params, n_reports)
+    d, c, l = params.domain_size, params.support_size, params.output_size
     pmf = _overlap_pmf(params)
-    overlaps = rng.choice(pmf.size, size=n_reports, p=pmf)
-    member = np.zeros((n_reports, d), dtype=bool)
-    # rank columns of a random matrix: the first i entries of each row's
-    # argsort are a uniform size-i subset
-    in_rank = np.argsort(rng.random((n_reports, support.size)), axis=1)
-    out_rank = np.argsort(rng.random((n_reports, comp.size)), axis=1)
-    take_in = in_rank < overlaps[:, None]
-    take_out = out_rank < (params.output_size - overlaps)[:, None]
-    member[:, support] = take_in
-    if comp.size:
-        member[:, comp] = take_out
+    overlaps = rng.choice(pmf.size, size=n_reports, p=pmf)[:, None]
+    outside = np.ones((n_reports, d), dtype=bool)
+    np.put_along_axis(outside, np.broadcast_to(support, (n_reports, c)), False, axis=1)
+    # a uniform random order of each row that lists the support first: its
+    # first i entries and its entries c .. c+l-i-1 are the two uniform subsets
+    order = np.argsort(rng.random((n_reports, d)) + outside, axis=1)
+    pos = np.arange(d)
+    take = (pos < overlaps) | ((pos >= c) & (pos < c + l - overlaps))
+    member = np.empty((n_reports, d), dtype=bool)
+    np.put_along_axis(member, order, take, axis=1)
     return member
 
 
@@ -548,11 +462,67 @@ def gse_estimate(memberships: np.ndarray, params: GseParams) -> np.ndarray:
     return (member.sum(axis=0) - n * params.p_false) / denom
 
 
-def gse_members_to_matrix(subsets: Sequence[np.ndarray], domain_size: int) -> np.ndarray:
-    member = np.zeros((len(subsets), domain_size), dtype=bool)
-    for i, sub in enumerate(subsets):
-        member[i, np.asarray(sub, dtype=np.int64)] = True
-    return member
+# ---------------------------------------------------------------------------
+# the local-mechanism table
+#
+# Every entry releases n one-record reports and returns (flat estimate of the
+# s*label_count counts, eta(beta) bound or None).  ``supports`` is the (n, c)
+# array of each report's flat bucket*label_count + label indices, c = degree*r;
+# ``params`` carries the randomizer's own budget (eps0 under shuffle-single).
+
+_GSE_CHUNK_CELLS = 1 << 19  # membership cells per GSE encoding chunk
+
+
+def _support_counts(supports: np.ndarray, params: PrivacyParams) -> np.ndarray:
+    """How many reports hold each flat coordinate."""
+    counts = np.bincount(np.asarray(supports, dtype=np.int64).ravel(), minlength=params.flat_domain_size)
+    if counts.size != params.flat_domain_size:
+        raise ValueError("support index out of domain range")
+    return counts
+
+
+def _release_rr(supports: np.ndarray, params: PrivacyParams, rng: np.random.Generator, beta: float):
+    """Summed bit reports drawn exactly: Binomial(x, 1-p) + Binomial(n-x, p) per cell."""
+    n, x = len(supports), _support_counts(supports, params)
+    p = rr_flip_probability(params.epsilon, params.k, params.r)
+    sums = rng.binomial(x, 1.0 - p) + rng.binomial(n - x, p)
+    return rr_estimate(sums, params, n), rr_accuracy_bound(params, n, beta)
+
+
+def _release_laplace(supports: np.ndarray, params: PrivacyParams, rng: np.random.Generator, beta: float):
+    """Summed Laplace(2kr/eps) reports drawn exactly: x + Gamma(n, b) - Gamma(n, b) per cell."""
+    n, x = len(supports), _support_counts(supports, params)
+    b = noise_scale(params)
+    noise = rng.gamma(n, b, size=x.size) - rng.gamma(n, b, size=x.size)
+    return x + noise, local_laplace_accuracy_bound(params, n, beta)
+
+
+def _release_collision(supports: np.ndarray, params: PrivacyParams, rng: np.random.Generator, beta: float):
+    n, c = np.shape(supports)
+    cparams = CollisionParams.for_budget(params.flat_domain_size, c, params.epsilon)
+    seeds, cells = collision_encode_batch(supports, cparams, rng, n)
+    estimate = collision_indicator_estimates(seeds, cells, cparams)
+    return estimate, collision_accuracy_bound(cparams, n, params.label_count, beta)
+
+
+def _release_gse(supports: np.ndarray, params: PrivacyParams, rng: np.random.Generator, beta: float):
+    n, c = np.shape(supports)
+    d = params.flat_domain_size
+    gparams = GseParams(d, c, params.epsilon, min(default_filter_length(c, params.epsilon), d - 1))
+    rows = max(1, _GSE_CHUNK_CELLS // d)
+    estimate = np.zeros(d)
+    for start in range(0, n, rows):
+        chunk = supports[start : start + rows]
+        estimate += gse_estimate(gse_encode_batch(chunk, gparams, rng, len(chunk)), gparams)
+    return estimate, None
+
+
+MECHANISMS: dict[str, Callable] = {
+    "rr": _release_rr,
+    "laplace": _release_laplace,
+    "collision": _release_collision,
+    "gse": _release_gse,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -591,20 +561,9 @@ def separation_estimate(
     unbiased estimate of the client's vote matrix.
     """
     bucket_params, label_params = params_pair
-    total = np.zeros((bucket_params.domain_size, label_params.domain_size))
-    for bucket_rep, label_rep in report_pairs:
-        t_hat = collision_indicator_estimates(
-            np.array([bucket_rep.hash_seed], dtype=np.uint64),
-            np.array([bucket_rep.cell]),
-            bucket_params,
-        )
-        y_hat = collision_indicator_estimates(
-            np.array([label_rep.hash_seed], dtype=np.uint64),
-            np.array([label_rep.cell]),
-            label_params,
-        )
-        total += np.outer(t_hat, y_hat)
-    return total
+    t_hat = collision_report_estimates(*_report_arrays(pair[0] for pair in report_pairs), bucket_params)
+    y_hat = collision_report_estimates(*_report_arrays(pair[1] for pair in report_pairs), label_params)
+    return t_hat.T @ y_hat
 
 
 def concatenation_params(s: int, label_count: int, k: int, r: int, epsilon: float) -> CollisionParams:
@@ -635,13 +594,15 @@ def concatenation_estimate(
     truly present carry a systematic offset of -1/(l * (e^eps/Omega - 1/l));
     zero entries are estimated without bias.
     """
-    total = np.zeros((s, label_count))
-    for rep in reports:
-        est = collision_indicator_estimates(
-            np.array([rep.hash_seed], dtype=np.uint64), np.array([rep.cell]), params
-        )
-        total += np.outer(est[:s], est[s:])
-    return total
+    est = collision_report_estimates(*_report_arrays(reports), params)
+    return est[:, :s].T @ est[:, s:]
+
+
+def _report_arrays(reports: Iterable[CollisionReport]) -> tuple[np.ndarray, np.ndarray]:
+    """(hash seeds, cells) of a sequence of collision reports."""
+    reports = list(reports)
+    seeds = np.array([rep.hash_seed for rep in reports], dtype=np.uint64)
+    return seeds, np.array([rep.cell for rep in reports], dtype=np.int64)
 
 
 def separation_entry_mse(
@@ -940,23 +901,22 @@ def _check_beta(beta: float) -> None:
         raise ValueError("beta must lie in (0, 1)")
 
 
-def _check_support(support: np.ndarray, params: CollisionParams) -> np.ndarray:
-    support = np.unique(np.asarray(support, dtype=np.int64))
-    if support.size != params.support_size:
+def _check_support(support: np.ndarray, params, n_reports: int | None = None) -> np.ndarray:
+    """Validate supports against ``params`` (collision or GSE): one index
+    vector, returned sorted and deduplicated, or an (n_reports, c) array
+    giving each report its own support of c distinct indices."""
+    support = np.asarray(support, dtype=np.int64)
+    if support.ndim == 1:
+        support = np.unique(support)
+    if support.shape[-1] != params.support_size:
         raise ValueError(
-            f"support has {support.size} distinct indices, expected {params.support_size}"
+            f"support has {support.shape[-1]} distinct indices, expected {params.support_size}"
         )
     if support.min() < 0 or support.max() >= params.domain_size:
         raise ValueError("support index out of domain range")
-    return support
-
-
-def _check_gse_support(support: np.ndarray, params: GseParams) -> np.ndarray:
-    support = np.unique(np.asarray(support, dtype=np.int64))
-    if support.size != params.support_size:
-        raise ValueError(
-            f"support has {support.size} distinct indices, expected {params.support_size}"
-        )
-    if support.min() < 0 or support.max() >= params.domain_size:
-        raise ValueError("support index out of domain range")
+    if support.ndim == 2:
+        if support.shape[0] != n_reports:
+            raise ValueError("per-report supports must be (n_reports, c)")
+        if support.shape[1] > 1 and not (np.diff(np.sort(support, axis=1), axis=1) > 0).all():
+            raise ValueError("support indices must be distinct within each report")
     return support

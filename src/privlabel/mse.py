@@ -19,6 +19,7 @@ from .local import (
     CollisionParams,
     bucket_hash,
     collision_encode_batch,
+    collision_report_estimates,
     concatenation_params,
     flatten_support,
     separation_params,
@@ -39,16 +40,6 @@ class MseCurves:
             yield float(eps), float(self.collision[i]), float(self.separation[i]), float(
                 self.concatenation[i]
             )
-
-
-def _estimates_for_domain(
-    seeds: np.ndarray, cells: np.ndarray, params: CollisionParams
-) -> np.ndarray:
-    """Per-report indicator estimates over every domain coordinate."""
-    coords = np.arange(params.domain_size, dtype=np.int64)
-    hits = bucket_hash(seeds[:, None], coords[None, :], params.filter_length) == cells[:, None]
-    w = 1.0 / params.filter_length
-    return (hits - w) / params.estimator_denominator
 
 
 def _flat_collision_mse(
@@ -115,8 +106,8 @@ def _separation_mse(
     rows = max(1, _CHUNK_CELLS // (s + label_count))
     for start in range(0, trials, rows):
         stop = min(start + rows, trials)
-        a = _estimates_for_domain(seeds_t[start:stop], cells_t[start:stop], bucket_params)
-        b = _estimates_for_domain(seeds_y[start:stop], cells_y[start:stop], label_params)
+        a = collision_report_estimates(seeds_t[start:stop], cells_t[start:stop], bucket_params)
+        b = collision_report_estimates(seeds_y[start:stop], cells_y[start:stop], label_params)
         total += float(_product_mse(a, b, bucket_support, label_support).sum())
     return total / trials
 
@@ -139,7 +130,7 @@ def _concatenation_mse(
     rows = max(1, _CHUNK_CELLS // (s + label_count))
     for start in range(0, trials, rows):
         stop = min(start + rows, trials)
-        est = _estimates_for_domain(seeds[start:stop], cells[start:stop], params)
+        est = collision_report_estimates(seeds[start:stop], cells[start:stop], params)
         total += float(
             _product_mse(est[:, :s], est[:, s:], bucket_support, label_support).sum()
         )

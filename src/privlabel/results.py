@@ -7,11 +7,14 @@ Layout (insertion order is the stable key order):
      "per_trial": [{"acc_pl", "acc_proxy", "max_error", "labels"}, ...],
      "summary": {"mean": {...}, "std": {...}, "empirical_beta": ...},
      "budget_ledger_summary": {...}}
+
+``empirical_beta`` is the mean over trials of the share of buckets whose max
+error reaches the mechanism's eta(beta) bound, the per-bucket failure rate to
+compare with beta; it is null when the mechanism has no bound.
 """
 from __future__ import annotations
 
 import json
-import math
 
 import numpy as np
 
@@ -32,9 +35,12 @@ def build_results(
     config: dict,
     per_trial: list[dict],
     budget_ledger_summary: dict,
-    theoretical_eta: float | None = None,
 ) -> dict:
-    """Assemble the schema-1 results document from per-trial records."""
+    """Assemble the schema-1 results document from per-trial records.
+
+    A record's optional ``eta_exceed_rate`` feeds ``empirical_beta`` and is
+    not written per trial.
+    """
     if not per_trial:
         raise ValueError("results need at least one trial")
     trials = []
@@ -56,11 +62,8 @@ def build_results(
         else:
             mean[key] = None
             std[key] = None
-    empirical_beta = None
-    if theoretical_eta is not None and not math.isinf(theoretical_eta):
-        errors = [t["max_error"] for t in trials if t["max_error"] is not None]
-        if errors:
-            empirical_beta = float(np.mean([err >= theoretical_eta for err in errors]))
+    rates = [record["eta_exceed_rate"] for record in per_trial if record.get("eta_exceed_rate") is not None]
+    empirical_beta = float(np.mean(rates)) if rates else None
     return {
         "schema": SCHEMA_VERSION,
         "config": {key: _clean(val) for key, val in config.items()},

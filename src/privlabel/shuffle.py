@@ -9,21 +9,21 @@ deviate from a unary "+1 per message" format because negative shares cannot
 be expressed as unit increments -- the aggregate distribution and accuracy
 are unchanged.
 
-Single-message mode: each client runs a pure local randomizer at an enlarged
-budget eps0 and anonymity does the rest; ``amplify_forward`` maps a local
-budget to the central one, ``amplify_invert`` goes the other way.
+Single-message mode: each client runs any local randomizer of
+``local.MECHANISMS`` at an enlarged budget eps0 and anonymity does the rest;
+``amplify_forward`` maps a local budget to the central one, ``amplify_invert``
+goes the other way.
 """
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
 from .core import PrivacyModel, PrivacyParams
-from . import local as local_mod
 
 
 # ---------------------------------------------------------------------------
@@ -278,50 +278,19 @@ def amplify_invert(target_epsilon: float, n: int, delta: float, tol: float = 1e-
     return eps0
 
 
-def single_message_pipeline(
-    answers: np.ndarray,
-    params: PrivacyParams,
-    rng: np.random.Generator,
-    mechanism: str = "rr",
-) -> tuple[np.ndarray, float]:
-    """Run a local randomizer at the amplified budget and estimate the counts.
+def single_message_params(params: PrivacyParams, n: int) -> PrivacyParams:
+    """The randomizer's parameters for n single-message clients: the same
+    shape under the local model at the amplified budget
+    eps0 = amplify_invert(eps, n, delta).
 
-    ``answers`` is an (n, s, label_count) stack of one-record vote matrices.
-    Returns (estimated count matrix, the amplified local budget eps0).
-    Estimation is symmetric in the reports, so shuffling cannot change it;
-    the reports are still permuted to mirror the deployment flow.
+    Any local mechanism run at these parameters and shuffled is
+    (eps, delta)-DP; shuffling cannot change an estimate that is symmetric in
+    the reports, so the estimate is computed as in the local model.
     """
     if params.model is not PrivacyModel.SHUFFLE_SINGLE:
-        raise ValueError("single-message pipeline requires the shuffle-single model")
-    answers = np.asarray(answers)
-    if answers.ndim != 3:
-        raise ValueError("answers must be an (n, s, label_count) stack")
-    n = answers.shape[0]
+        raise ValueError("single-message amplification requires the shuffle-single model")
     eps0 = amplify_invert(params.epsilon, n, params.delta)
-    local_params = PrivacyParams(
-        epsilon=eps0,
-        model=PrivacyModel.LOCAL,
-        k=params.k,
-        r=params.r,
-        s=params.s,
-        label_count=params.label_count,
-    )
-    if mechanism == "rr":
-        encoded = local_mod.rr_encode_batch(answers, local_params, rng)
-        encoded = encoded[rng.permutation(n)]
-        return local_mod.rr_estimate(encoded.sum(axis=0), local_params, n), eps0
-    if mechanism == "collision":
-        cparams = local_mod.CollisionParams.for_budget(
-            params.s * params.label_count, params.k * params.r, eps0
-        )
-        supports = np.asarray(
-            [np.flatnonzero(answers[i].ravel()) for i in range(n)], dtype=np.int64
-        )
-        seeds, cells = local_mod.collision_encode_batch(supports, cparams, rng, n)
-        perm = rng.permutation(n)
-        flat = local_mod.collision_indicator_estimates(seeds[perm], cells[perm], cparams)
-        return flat.reshape(params.s, params.label_count), eps0
-    raise ValueError(f"unknown single-message mechanism {mechanism!r}")
+    return replace(params, epsilon=eps0, model=PrivacyModel.LOCAL, delta=0.0)
 
 
 # ---------------------------------------------------------------------------

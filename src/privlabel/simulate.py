@@ -28,7 +28,6 @@ from .core import (
     degenerate_buckets,
     exact_aggregate,
     hard_labels,
-    max_abs_error,
     soft_labels,
 )
 from .geometry import (
@@ -218,25 +217,38 @@ def _client_answers(
     return answers
 
 
-def _one_record_per_client(
-    partition: Partition, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """(client ids with records, one uniformly chosen record index per such client)."""
+def _one_record_per_client(partition: Partition, rng: np.random.Generator) -> np.ndarray:
+    """One uniformly chosen record index per client that has records."""
     perm = rng.permutation(partition.m)
-    clients, first = np.unique(partition.client_of[perm], return_index=True)
-    return clients, perm[first]
+    _, first = np.unique(partition.client_of[perm], return_index=True)
+    return perm[first]
 
 
-def _single_record_answers(
-    records: RecordSet, connections: ConnectionMap, chosen: np.ndarray
-) -> np.ndarray:
-    """(n, s, label_count) binary vote matrices of the chosen records."""
-    n = chosen.size
-    answers = np.zeros((n, connections.s, records.label_count), dtype=np.uint8)
-    rows = np.arange(n)
-    for col in range(connections.degree):
-        answers[rows, connections.indices[chosen, col], :] |= records.labels[chosen]
-    return answers
+def _record_supports(records: RecordSet, connections: ConnectionMap, chosen: np.ndarray) -> np.ndarray:
+    """(n, degree*r) flat bucket*label_count + label indices of the chosen
+    records' votes, increasing along each row."""
+    labels = np.nonzero(records.labels[chosen])[1].reshape(chosen.size, records.r)
+    flat = connections.indices[chosen][:, :, None] * records.label_count + labels[:, None, :]
+    return flat.reshape(chosen.size, -1)
+
+
+# the mechanisms each model runs; "auto" picks the first
+MODEL_MECHANISMS = {
+    PrivacyModel.CENTRAL: ("laplace",),
+    PrivacyModel.SHUFFLE_MULTI: ("distributed-laplace",),
+    PrivacyModel.LOCAL: tuple(local_mod.MECHANISMS),
+    PrivacyModel.SHUFFLE_SINGLE: tuple(local_mod.MECHANISMS),
+}
+
+
+def resolve_mechanism(model: PrivacyModel, mechanism: str) -> str:
+    """The mechanism a run uses: ``auto`` resolved, anything the model lacks rejected."""
+    allowed = MODEL_MECHANISMS[model]
+    if mechanism not in ("auto", *allowed):
+        raise ValueError(
+            f"the {model.value} model has no mechanism {mechanism!r}; choose auto or {', '.join(allowed)}"
+        )
+    return mechanism if mechanism in allowed else allowed[0]
 
 
 def _privatize(
@@ -248,79 +260,23 @@ def _privatize(
     mechanism: str,
     beta: float,
     rng: np.random.Generator,
-) -> tuple[np.ndarray, str, float | None]:
-    """Dispatch the configured privacy model; returns (noisy, name, eta bound)."""
-    s, y = params.s, params.label_count
+) -> tuple[np.ndarray, float | None]:
+    """Noisy counts and their eta bound under the configured model.
+
+    For the local and shuffle-single models ``params`` is the randomizer's
+    own (local-model) budget, which shuffle-single has already amplified.
+    """
     if params.model is PrivacyModel.CENTRAL:
         noisy = central_mod.central_laplace_mechanism(exact, params, rng)
-        return noisy, "laplace", central_mod.laplace_accuracy_bound(params, beta)
-
+        return noisy, central_mod.laplace_accuracy_bound(params, beta)
     if params.model is PrivacyModel.SHUFFLE_MULTI:
-        answers = _client_answers(records.labels, connections, partition, y)
+        answers = _client_answers(records.labels, connections, partition, params.label_count)
         noisy = shuffle_mod.multi_message_pipeline(list(answers), params, rng)
-        return noisy, "distributed-laplace", shuffle_mod.multi_message_accuracy_bound(params, beta)
-
-    clients, chosen = _one_record_per_client(partition, rng)
-    n = clients.size
-    if params.model is PrivacyModel.SHUFFLE_SINGLE:
-        answers = _single_record_answers(records, connections, chosen)
-        noisy, eps0 = shuffle_mod.single_message_pipeline(answers, params, rng, mechanism=mechanism)
-        local_params = PrivacyParams(eps0, PrivacyModel.LOCAL, params.k, params.r, s, y)
-        if mechanism == "rr":
-            eta = local_mod.rr_accuracy_bound(local_params, n, beta)
-        else:
-            cparams = local_mod.CollisionParams.for_budget(s * y, params.k * params.r, eps0)
-            eta = local_mod.collision_accuracy_bound(cparams, n, y, beta)
-        return noisy, f"shuffled-{mechanism}", eta
-
-    # local model
-    if mechanism == "rr":
-        answers = _single_record_answers(records, connections, chosen)
-        encoded = local_mod.rr_encode_batch(answers, params, rng)
-        noisy = local_mod.rr_estimate(encoded.sum(axis=0), params, n)
-        return noisy, "rr", local_mod.rr_accuracy_bound(params, n, beta)
-    if mechanism == "laplace":
-        answers = _single_record_answers(records, connections, chosen).astype(np.float64)
-        scale = params.sensitivity / params.epsilon
-        noisy = (answers + central_mod.sample_laplace(scale, rng, size=answers.shape)).sum(axis=0)
-        return noisy, "local-laplace", local_mod.local_laplace_accuracy_bound(params, n, beta)
-    if mechanism == "collision":
-        degree = connections.degree
-        supports = np.stack(
-            [
-                local_mod.flatten_support(
-                    connections.indices[j], np.flatnonzero(records.labels[j]), y
-                )
-                for j in chosen
-            ]
-        )
-        cparams = local_mod.CollisionParams.for_budget(s * y, degree * records.r, params.epsilon)
-        seeds, cells = local_mod.collision_encode_batch(supports, cparams, rng, n)
-        noisy = local_mod.collision_indicator_estimates(seeds, cells, cparams).reshape(s, y)
-        return noisy, "collision", local_mod.collision_accuracy_bound(cparams, n, y, beta)
-    if mechanism == "gse":
-        degree = connections.degree
-        c = degree * records.r
-        d = s * y
-        output_size = min(local_mod.default_filter_length(c, params.epsilon), d - 1)
-        gparams = local_mod.GseParams(d, c, params.epsilon, output_size)
-        member = np.zeros((n, s * y), dtype=bool)
-        for row, j in enumerate(chosen):
-            support = local_mod.flatten_support(
-                connections.indices[j], np.flatnonzero(records.labels[j]), y
-            )
-            member[row] = local_mod.gse_members_to_matrix([local_mod.gse_encode(support, gparams, rng)], s * y)[0]
-        noisy = local_mod.gse_estimate(member, gparams).reshape(s, y)
-        return noisy, "gse", None
-    raise ValueError(f"unknown local mechanism {mechanism!r}")
-
-
-def _default_mechanism(model: PrivacyModel) -> str:
-    if model is PrivacyModel.CENTRAL:
-        return "laplace"
-    if model is PrivacyModel.SHUFFLE_MULTI:
-        return "distributed-laplace"
-    return "rr"
+        return noisy, shuffle_mod.multi_message_accuracy_bound(params, beta)
+    chosen = _one_record_per_client(partition, rng)
+    supports = _record_supports(records, connections, chosen)
+    flat, eta = local_mod.MECHANISMS[mechanism](supports, params, rng, beta)
+    return flat.reshape(params.s, params.label_count), eta
 
 
 def run_algorithm1(
@@ -361,8 +317,7 @@ def run_algorithm1(
         raise ValueError("cannot select more queries than public samples")
     if label_mode not in ("hard", "soft"):
         raise ValueError("label_mode must be 'hard' or 'soft'")
-    if mechanism == "auto":
-        mechanism = _default_mechanism(params.model)
+    mechanism = resolve_mechanism(params.model, mechanism)
 
     if partition is None:
         if partition_scheme is PartitionScheme.SINGLE_RECORD:
@@ -379,8 +334,14 @@ def run_algorithm1(
     if partition.m != records.m:
         raise ValueError("partition does not cover the records")
 
-    ledger = BudgetLedger.empty(records.m)
     iter_params = params.per_iteration(T)
+    mech_params, mech_name = iter_params, mechanism
+    if params.model is PrivacyModel.SHUFFLE_SINGLE:
+        reporting = np.unique(partition.client_of).size
+        mech_params = shuffle_mod.single_message_params(iter_params, reporting)
+        mech_name = f"shuffled-{mechanism}"
+
+    ledger = BudgetLedger.empty(records.m)
     iterations: list[IterationOutcome] = []
     cluster_assignment = None
     labeled_embeddings: list[np.ndarray] = []
@@ -406,17 +367,17 @@ def run_algorithm1(
         exact = local_answer(records.labels, connections, records.label_count)
         ledger.charge(iter_params.epsilon, connections.degree)
 
-        noisy, mech_name, eta_bound = _privatize(
+        noisy, eta_bound = _privatize(
             exact,
             records,
             connections,
             partition,
-            iter_params,
+            mech_params,
             mechanism,
             beta,
             seeds_mod.generator(master_seed, "mechanism", t),
         )
-        err = max_abs_error(exact, noisy)
+        bucket_error = np.abs(noisy - exact).max(axis=1)
         report = MechanismReport(
             model=params.model.value,
             mechanism=mech_name,
@@ -424,9 +385,9 @@ def run_algorithm1(
             hard=hard_labels(noisy),
             soft=soft_labels(noisy),
             degenerate_buckets=degenerate_buckets(noisy),
-            empirical_eta=err,
+            empirical_eta=float(bucket_error.max()),
             theoretical_eta=eta_bound,
-            eta_exceeded=None if eta_bound is None else bool(err >= eta_bound),
+            eta_exceed_rate=None if eta_bound is None else float((bucket_error >= eta_bound).mean()),
         )
         iterations.append(IterationOutcome(queries.embeddings, query_indices, exact, report))
 

@@ -157,12 +157,3 @@ class TestSensitivityVerifier:
         ).sum()
         assert diff == 2 * 3 * 2
 
-
-def test_laplace_noise_spec_matches_params():
-    from privlabel.central import LaplaceNoiseSpec
-
-    spec = LaplaceNoiseSpec.for_params(make_params(epsilon=0.1, k=2, r=1))
-    assert spec.scale == pytest.approx(40.0)
-    assert spec.sensitivity == 4
-    with pytest.raises(ValueError):
-        LaplaceNoiseSpec(scale=-1.0, sensitivity=2)

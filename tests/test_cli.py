@@ -140,6 +140,27 @@ class TestGenAndSimulate:
         assert exc.value.code == 2
 
 
+class TestMechanismChecks:
+    def test_unknown_mechanism_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--seed", "1", "--mechanism", "nope"])
+        assert exc.value.code == 2
+
+    def test_mechanism_the_model_lacks_exits_3(self, capsys):
+        code, _, err = run_cli(capsys, "simulate", "--seed", "1", "--model", "central", "--mechanism", "gse")
+        assert code == 3
+        assert "no mechanism 'gse'" in err
+
+    def test_infeasible_shuffle_single_exits_3(self, capsys):
+        code, _, err = run_cli(
+            capsys, "simulate", "--seed", "1", "--model", "shuffle-single", "--mechanism", "gse",
+            "--delta", "1e-6", "--classes", "2", "--per-class", "20", "--dim", "2",
+            "--pub-per-class", "8", "--s", "2",
+        )
+        assert code == 3
+        assert "too small" in err
+
+
 class TestMseCompare:
     def test_writes_csv(self, tmp_path, capsys):
         out = tmp_path / "curves.csv"

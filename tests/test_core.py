@@ -217,7 +217,7 @@ def test_hard_labels_vectorized():
 
 class TestAccuracySpecAndRecords:
     def test_accuracy_spec_validation(self):
-        from privlabel.core import AccuracySpec, Record, RecordSet
+        from privlabel.core import AccuracySpec
 
         spec = AccuracySpec(eta=2.0, beta=0.05)
         assert spec.eta == 2.0
@@ -225,19 +225,6 @@ class TestAccuracySpecAndRecords:
             AccuracySpec(eta=0.0, beta=0.05)
         with pytest.raises(ValueError):
             AccuracySpec(eta=1.0, beta=1.0)
-
-    def test_record_set_from_records(self):
-        from privlabel.core import Record, RecordSet
-
-        records = [
-            Record(np.array([0.0, 1.0]), label_vector([0], 3), record_id="a"),
-            Record(np.array([2.0, 3.0]), label_vector([2], 3), record_id="b"),
-        ]
-        stacked = RecordSet.from_records(records)
-        assert stacked.m == 2 and stacked.dim == 2 and stacked.r == 1
-        assert stacked.ids.tolist() == ["a", "b"]
-        with pytest.raises(ValueError):
-            RecordSet.from_records([])
 
     def test_mixed_cardinality_rejected(self):
         from privlabel.core import RecordSet

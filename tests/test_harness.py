@@ -51,15 +51,16 @@ class TestResults:
         doc = build_results(
             {"epsilon": 1.0},
             [
-                {"acc_pl": 0.9, "acc_proxy": 0.92, "max_error": 3.0, "labels": [0, 1]},
-                {"acc_pl": 0.8, "acc_proxy": 0.90, "max_error": 5.0, "labels": [1, 1]},
+                {"acc_pl": 0.9, "acc_proxy": 0.92, "max_error": 3.0, "labels": [0, 1], "eta_exceed_rate": 0.0},
+                {"acc_pl": 0.8, "acc_proxy": 0.90, "max_error": 5.0, "labels": [1, 1], "eta_exceed_rate": 0.25},
             ],
             {"iterations": 1},
-            theoretical_eta=4.0,
         )
         assert doc["schema"] == 1
         assert doc["summary"]["mean"]["acc_pl"] == pytest.approx(0.85)
-        assert doc["summary"]["empirical_beta"] == pytest.approx(0.5)
+        # the mean over trials of the share of buckets reaching eta
+        assert doc["summary"]["empirical_beta"] == pytest.approx(0.125)
+        assert set(doc["per_trial"][0]) == {"acc_pl", "acc_proxy", "max_error", "labels"}
         assert list(doc.keys()) == ["schema", "config", "per_trial", "summary", "budget_ledger_summary"]
 
     def test_summary_mean_matches_trials(self):

@@ -6,6 +6,7 @@ import pytest
 
 from privlabel.core import PrivacyModel, PrivacyParams
 from privlabel.local import (
+    MECHANISMS,
     CollisionParams,
     CollisionReport,
     GseParams,
@@ -17,10 +18,10 @@ from privlabel.local import (
     collision_cell_pmf,
     collision_encode,
     collision_encode_batch,
-    collision_estimate,
     collision_indicator_estimates,
     collision_indicator_moments,
     collision_pmfs,
+    collision_report_estimates,
     concatenation_encode,
     concatenation_entry_mse,
     concatenation_estimate,
@@ -29,20 +30,17 @@ from privlabel.local import (
     default_filter_length,
     encode_report,
     flatten_support,
-    gse_encode,
     gse_encode_batch,
     gse_estimate,
     gse_pmfs,
     gse_subset_probability,
     local_laplace_accuracy_bound,
-    local_laplace_encode,
-    local_laplace_estimate,
     mechanism_pmfs,
     report_from_json,
     report_to_json,
     rr_accuracy_bound,
     rr_bit_pmfs,
-    rr_encode,
+    rr_encode_batch,
     rr_estimate,
     rr_flip_probability,
     rr_matrix_pmfs,
@@ -73,12 +71,34 @@ class TestRandomizedResponse:
 
     def test_huge_epsilon_keeps_input(self, rng):
         params = local_params(1e6)
-        answer = one_record_answer([0], [1], 2, 2)
-        assert np.array_equal(rr_encode(answer, params, rng), answer)
+        answer = one_record_answer([0], [1], 2, 2)[None]
+        assert np.array_equal(rr_encode_batch(answer, params, rng), answer)
 
     def test_non_binary_rejected(self, rng):
         with pytest.raises(ValueError, match="binary"):
-            rr_encode(np.array([[2, 0]]), local_params(1.0, s=1), rng)
+            rr_encode_batch(np.array([[[2, 0]]]), local_params(1.0, s=1), rng)
+
+    def test_aggregate_sampler_matches_closed_form_and_summed_reports(self, rng):
+        # the rr entry draws the summed bits directly; its estimate is unbiased
+        # with variance n p (1-p) / (1-2p)^2 per cell, and its sums follow the
+        # law of summed per-report rr_encode_batch bits
+        from scipy import stats
+
+        params = local_params(1.0, s=1, labels=2)
+        n, trials = 30, 20_000
+        supports = (np.arange(n) < n // 3).astype(np.int64)[:, None]  # 10 reports vote for cell 1
+        truth = np.array([n - n // 3, n // 3])
+        p = rr_flip_probability(1.0, 1, 1)
+        estimates = np.array([MECHANISMS["rr"](supports, params, rng, 0.05)[0] for _ in range(trials)])
+        var = n * p * (1 - p) / (1 - 2 * p) ** 2
+        assert np.abs(estimates.mean(axis=0) - truth).max() < 5 * math.sqrt(var / trials)
+        assert estimates.var(axis=0) == pytest.approx([var, var], rel=0.05)
+        answers = np.zeros((n, 1, 2), dtype=np.uint8)
+        answers[np.arange(n), 0, supports[:, 0]] = 1
+        summed = np.array([rr_encode_batch(answers, params, rng).sum(axis=0)[0] for _ in range(5000)])
+        drawn = np.rint(estimates * (1 - 2 * p) + n * p)
+        for cell in range(2):
+            assert stats.ks_2samp(drawn[:, cell], summed[:, cell]).pvalue > 0.001
 
     def test_estimate_fixture(self):
         # eps' = ln 3 per bit: p = 1/4, single client
@@ -135,21 +155,20 @@ class TestLocalLaplace:
             )
 
     def test_noise_variance_adds_across_clients(self, rng):
+        # the summed noise of n Laplace(b) reports has mean 0 and variance 2 n b^2
         params = local_params(1.0, s=1, labels=2)
         n, trials = 8, 20_000
-        answer = np.zeros((1, 2))
-        totals = np.empty(trials)
-        for t in range(trials):
-            totals[t] = local_laplace_estimate(
-                [local_laplace_encode(answer, params, rng) for _ in range(n)]
-            )[0, 0]
+        supports = np.zeros((n, 1), dtype=np.int64)  # every report votes for cell 0
+        totals = np.array([MECHANISMS["laplace"](supports, params, rng, 0.05)[0] for _ in range(trials)])
         expected = n * 2.0 * (2.0 / 1.0) ** 2
-        assert totals.var() == pytest.approx(expected, rel=0.05)
+        assert np.abs(totals.mean(axis=0) - [n, 0]).max() < 5 * math.sqrt(expected / trials)
+        assert totals.var(axis=0) == pytest.approx([expected, expected], rel=0.05)
 
     def test_infinite_epsilon_noiseless(self, rng):
         params = local_params(math.inf, s=1, labels=2)
-        answer = np.array([[1.0, 0.0]])
-        assert np.array_equal(local_laplace_encode(answer, params, rng), answer)
+        estimate, eta = MECHANISMS["laplace"](np.array([[0], [0], [1]]), params, rng, 0.05)
+        assert np.array_equal(estimate, [2.0, 1.0])
+        assert eta == 0.0
 
 
 class TestCollisionEncoding:
@@ -211,7 +230,11 @@ class TestCollisionEstimation:
     def test_never_hit_coordinate_estimates_negative(self, rng):
         params = CollisionParams.for_budget(8, 1, math.log(2))
         reports = [collision_encode(np.array([0]), params, rng) for _ in range(20)]
-        est = collision_estimate(reports, params)
+        est = collision_indicator_estimates(
+            np.array([rep.hash_seed for rep in reports], dtype=np.uint64),
+            np.array([rep.cell for rep in reports]),
+            params,
+        )
         missed = [
             v
             for v in range(8)
@@ -361,20 +384,25 @@ class TestGse:
         )
 
     def test_sampler_matches_exact_pmf(self, rng):
+        # per-report supports: alternate rows carry different supports, and
+        # each row's subsets must follow the exact pmf of its own support
         from scipy import stats
 
-        params = GseParams(6, 2, 1.0, 2, 1)
-        support = np.array([1, 4])
-        outputs = list(itertools.combinations(range(6), 2))
-        exact = np.array([gse_subset_probability(z, support, params) for z in outputs])
-        index = {z: i for i, z in enumerate(outputs)}
-        counts = np.zeros(len(outputs))
-        n = 30_000
-        for _ in range(n):
-            z = tuple(gse_encode(support, params, rng).tolist())
-            counts[index[z]] += 1
-        _, pvalue = stats.chisquare(counts, exact * n)
-        assert pvalue > 0.01
+        params = GseParams(6, 2, 1.0, 3, 1)
+        supports = np.array([[1, 4], [0, 5]])
+        outputs = list(itertools.combinations(range(6), 3))
+        index = np.zeros(1 << 6, dtype=np.int64)
+        for i, z in enumerate(outputs):
+            index[sum(1 << v for v in z)] = i
+        n = 40_000
+        member = gse_encode_batch(np.tile(supports, (n // 2, 1)), params, rng, n)
+        assert (member.sum(axis=1) == 3).all()
+        codes = index[member.astype(np.int64) @ (1 << np.arange(6))]
+        for row, support in enumerate(supports):
+            exact = np.array([gse_subset_probability(z, support, params) for z in outputs])
+            counts = np.bincount(codes[row::2], minlength=len(outputs))
+            _, pvalue = stats.chisquare(counts, exact * (n // 2))
+            assert pvalue > 0.001
 
     def test_monte_carlo_sum_tracks_truth(self, rng):
         params = GseParams(8, 2, 1.2, 3, 1)
@@ -438,21 +466,31 @@ class TestSeparationConcatenation:
         s, labels, k, r = 3, 3, 1, 1
         params = concatenation_params(s, labels, k, r, epsilon=1.5)
         n = 80_000
-        reports = [
-            concatenation_encode(np.array([1]), np.array([0]), s, params, rng)
-            for _ in range(n)
-        ]
-        sq_sum = np.zeros((s, labels))
+        seeds, cells = collision_encode_batch(np.array([1, s + 0]), params, rng, n)
+        est = collision_report_estimates(seeds, cells, params)
         truth = np.zeros((s, labels))
         truth[1, 0] = 1.0
-        for rep in reports:
-            one = concatenation_estimate([rep], s, labels, params)
-            sq_sum += (one - truth) ** 2
-        simulated = sq_sum / n
+        simulated = ((est[:, :s, None] * est[:, None, s:] - truth) ** 2).mean(axis=0)
         for in_b, in_l, cell in ((True, True, (1, 0)), (False, False, (0, 1)), (True, False, (1, 1))):
             assert simulated[cell] == pytest.approx(
                 concatenation_entry_mse(params, in_b, in_l), rel=0.15
             )
+
+    def test_vectorized_estimates_equal_per_report_sums(self, rng):
+        # reference: the sum over reports of outer products of each report's
+        # own indicator estimates, as the composites computed them one by one
+        def one(rep, params):
+            return collision_indicator_estimates(np.array([rep.hash_seed], dtype=np.uint64), np.array([rep.cell]), params)
+
+        s, labels = 4, 3
+        pair = separation_params(s, labels, 1, 1, epsilon=2.0)
+        pairs = [separation_encode(np.array([0]), np.array([1]), pair, rng) for _ in range(50)]
+        loop = sum(np.outer(one(b, pair[0]), one(y, pair[1])) for b, y in pairs)
+        assert np.allclose(separation_estimate(pairs, pair), loop, rtol=1e-12, atol=1e-9)
+        params = concatenation_params(s, labels, 1, 1, epsilon=1.0)
+        reports = [concatenation_encode(np.array([0]), np.array([1]), s, params, rng) for _ in range(50)]
+        loop = sum(np.outer(one(rep, params)[:s], one(rep, params)[s:]) for rep in reports)
+        assert np.allclose(concatenation_estimate(reports, s, labels, params), loop, rtol=1e-12, atol=1e-9)
 
     def test_high_budget_mse_decreases(self, rng):
         s, labels, k, r = 4, 3, 1, 1
@@ -544,23 +582,19 @@ def test_collision_error_grows_as_sqrt_n(rng):
     assert 1.8 <= means[1] / means[0] <= 2.2
 
 
-class TestFlatSparseVector:
-    def test_from_votes_round_trip(self):
-        from privlabel.local import FlatSparseVector
-
-        vec = FlatSparseVector.from_votes(np.array([1, 3]), np.array([0, 2]), s=4, label_count=4)
-        assert vec.domain_size == 16 and vec.cardinality == 4
-        matrix = vec.to_matrix(4, 4)
-        assert matrix[1, 0] == matrix[1, 2] == matrix[3, 0] == matrix[3, 2] == 1
-        assert matrix.sum() == 4
-
-    def test_duplicate_and_out_of_range_rejected(self):
-        from privlabel.local import FlatSparseVector
-
-        with pytest.raises(ValueError, match="distinct"):
-            FlatSparseVector(8, np.array([1, 1]))
-        with pytest.raises(ValueError, match="range"):
-            FlatSparseVector(8, np.array([9]))
+@pytest.mark.parametrize("encode, params", [
+    (collision_encode_batch, CollisionParams.for_budget(8, 2, 1.0)),
+    (gse_encode_batch, GseParams(8, 2, 1.0, 3)),
+])
+def test_per_report_supports_validated(encode, params, rng):
+    with pytest.raises(ValueError, match="distinct"):
+        encode(np.array([[1, 2], [3, 3]]), params, rng, 2)
+    with pytest.raises(ValueError, match="range"):
+        encode(np.array([[1, 2], [3, 8]]), params, rng, 2)
+    with pytest.raises(ValueError, match="n_reports"):
+        encode(np.array([[1, 2], [3, 4]]), params, rng, 3)
+    with pytest.raises(ValueError, match="expected 2"):
+        encode(np.array([[1, 2, 3]]), params, rng, 1)
 
 
 class TestSaturatedFilter:

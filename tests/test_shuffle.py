@@ -22,7 +22,7 @@ from privlabel.shuffle import (
     read_shuffled_batch,
     sample_noise_share,
     shuffle_messages,
-    single_message_pipeline,
+    single_message_params,
     write_shuffled_batch,
 )
 
@@ -210,44 +210,45 @@ class TestAmplification:
 
 
 class TestSingleMessage:
-    def test_requires_single_model(self, rng):
-        params = shuffle_params(single=False)
+    def test_requires_single_model(self):
         with pytest.raises(ValueError, match="single"):
-            single_message_pipeline(np.zeros((4, 2, 2), dtype=np.uint8), params, rng)
+            single_message_params(shuffle_params(single=False), 4)
 
-    def test_small_n_rejected(self, rng):
-        params = shuffle_params(single=True)
+    def test_small_n_rejected(self):
         with pytest.raises(ValueError, match="too small"):
-            single_message_pipeline(np.zeros((100, 2, 2), dtype=np.uint8), params, rng)
+            single_message_params(shuffle_params(single=True), 100)
 
     def test_estimate_unbiased_and_within_bound(self, rng):
-        from privlabel.local import rr_accuracy_bound
+        from privlabel.local import MECHANISMS, rr_accuracy_bound
 
         n, s, labels = 3000, 2, 2
         params = shuffle_params(epsilon=1.0, s=s, labels=labels, single=True)
-        answers = np.zeros((n, s, labels), dtype=np.uint8)
-        answers[: n // 2, 0, 0] = 1
-        answers[n // 2 :, 1, 1] = 1
-        truth = answers.sum(axis=0)
+        # half the reports vote (bucket 0, label 0), half (bucket 1, label 1)
+        supports = np.where(np.arange(n) < n // 2, 0, 3)[:, None]
+        truth = np.array([[n // 2, 0], [0, n - n // 2]])
         eps0 = amplify_invert(1.0, n, 1e-6)
-        local = PrivacyParams(eps0, PrivacyModel.LOCAL, 1, 1, s, labels)
+        local = single_message_params(params, n)
+        assert local == PrivacyParams(local.epsilon, PrivacyModel.LOCAL, 1, 1, s, labels)
+        assert local.epsilon == pytest.approx(eps0, abs=1e-9)
         eta = rr_accuracy_bound(local, n, 0.05)
         fails = np.zeros(s)
         trials = 300
         for _ in range(trials):
-            est, got_eps0 = single_message_pipeline(answers, params, rng)
-            assert got_eps0 == pytest.approx(eps0, abs=1e-9)
-            fails += np.abs(est - truth).max(axis=1) >= eta
+            est, got_eta = MECHANISMS["rr"](supports, local, rng, 0.05)
+            assert got_eta == eta
+            fails += np.abs(est.reshape(s, labels) - truth).max(axis=1) >= eta
         assert (fails / trials <= 0.05 + 0.03).all()
 
     def test_collision_mechanism_round_trip(self, rng):
+        from privlabel.local import MECHANISMS
+
         n, s, labels = 500, 2, 3
         params = shuffle_params(epsilon=0.5, s=s, labels=labels, single=True, delta=1e-4)
-        answers = np.zeros((n, s, labels), dtype=np.uint8)
-        answers[:, 0, 1] = 1
-        est, eps0 = single_message_pipeline(answers, params, rng, mechanism="collision")
-        assert est.shape == (s, labels)
-        assert eps0 > params.epsilon  # amplification enlarges the local budget
+        local = single_message_params(params, n)
+        supports = np.ones((n, 1), dtype=np.int64)  # every report votes (bucket 0, label 1)
+        flat, _ = MECHANISMS["collision"](supports, local, rng, 0.05)
+        est = flat.reshape(s, labels)
+        assert local.epsilon > params.epsilon  # amplification enlarges the local budget
         assert est[0, 1] > est[1, 2]
 
     def test_shuffling_cannot_change_rr_estimate(self, rng):

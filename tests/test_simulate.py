@@ -1,14 +1,19 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+from privlabel import simulate as simulate_mod
 from privlabel.core import PrivacyModel, PrivacyParams, QuerySet
+from privlabel.geometry import reverse_knn_connect
 from privlabel.simulate import (
+    MODEL_MECHANISMS,
     BudgetLedger,
     Partition,
     PartitionScheme,
     ProxyStudent,
+    _record_supports,
     account_budget,
     partition_records,
     run_algorithm1,
@@ -170,6 +175,22 @@ class TestRunAlgorithm1:
         assert ledger.per_iteration_epsilon == [5e5, 5e5]
         assert ledger.queries_touched.max() <= 1 * 2
 
+    @pytest.mark.parametrize("model, mechanism, delta, match", [
+        (PrivacyModel.CENTRAL, "gse", 0.0, "no mechanism 'gse'"),
+        (PrivacyModel.SHUFFLE_MULTI, "rr", 1e-6, "no mechanism 'rr'"),
+        (PrivacyModel.LOCAL, "distributed-laplace", 0.0, "no mechanism"),
+        (PrivacyModel.SHUFFLE_SINGLE, "gse", 1e-6, "too small"),  # 4 clients cannot amplify
+    ], ids=["central-gse", "shuffle-multi-rr", "local-distributed-laplace", "shuffle-single-few-clients"])
+    def test_bad_mechanism_fails_before_any_stage(self, monkeypatch, model, mechanism, delta, match):
+        def must_not_run(*args, **kwargs):
+            pytest.fail("query selection ran before the mechanism was checked")
+
+        monkeypatch.setattr(simulate_mod, "select_queries_cluster", must_not_run)
+        records, pub, _ = fixture_world()
+        params = make_params(model, 1.0, delta=delta)
+        with pytest.raises(ValueError, match=match):
+            run_algorithm1(records, pub, params, T=1, s=3, k=1, master_seed=0, mechanism=mechanism)
+
     def test_parameter_consistency_enforced(self):
         records, pub, truth = fixture_world()
         params = make_params(PrivacyModel.CENTRAL, 1.0)
@@ -306,3 +327,57 @@ def test_local_model_multi_record_clients_sample_one_record():
     reporting = np.unique(result.partition.client_of).size
     assert noisy.sum() == pytest.approx(reporting, abs=1e-6)
     assert result.iterations[0].exact.sum() == 9  # the exact pipeline still counts all
+
+
+@pytest.mark.parametrize(
+    "model, mechanism",
+    [(model, mech) for model, mechs in MODEL_MECHANISMS.items() for mech in mechs],
+)
+def test_every_model_mechanism_pair_runs(model, mechanism):
+    rng = np.random.default_rng(12)
+    records = random_record_set(rng, m=3000, dim=2, label_count=3)
+    delta = 1e-6 if model in (PrivacyModel.SHUFFLE_MULTI, PrivacyModel.SHUFFLE_SINGLE) else 0.0
+    params = PrivacyParams(0.9, model, 2, 1, 4, 3, delta=delta)
+    result = run_algorithm1(
+        records, rng.normal(size=(40, 2)), params, T=2, s=4, k=2, master_seed=5, mechanism=mechanism
+    )
+    expected = f"shuffled-{mechanism}" if model is PrivacyModel.SHUFFLE_SINGLE else mechanism
+    for outcome in result.iterations:
+        report = outcome.report
+        assert report.mechanism == expected
+        assert report.noisy_counts.shape == (4, 3) and np.isfinite(report.noisy_counts).all()
+        assert (report.theoretical_eta is None) == (mechanism == "gse")
+        if report.theoretical_eta is not None:
+            assert 0.0 <= report.eta_exceed_rate <= 1.0
+
+
+@pytest.mark.parametrize("k, r, s", itertools.product((1, 2), (1, 2), (3, 1)))
+def test_record_supports_match_dense_votes(k, r, s):
+    # the flat supports equal the nonzero cells of each chosen record's dense
+    # vote matrix, also when s < k caps the degree
+    rng = np.random.default_rng(10 * k + r)
+    records = random_record_set(rng, m=50, dim=2, label_count=4, r=r)
+    connections = reverse_knn_connect(records.embeddings, QuerySet(rng.normal(size=(s, 2))), k)
+    chosen = rng.permutation(50)[:20]
+    dense = np.zeros((20, s, 4), dtype=np.uint8)
+    for col in range(connections.degree):
+        dense[np.arange(20), connections.indices[chosen, col], :] |= records.labels[chosen]
+    expected = np.stack([np.flatnonzero(row) for row in dense.reshape(20, -1)])
+    assert np.array_equal(_record_supports(records, connections, chosen), expected)
+
+
+def test_eta_exceed_rate_is_per_bucket():
+    # eta(beta) bounds each bucket's max error: over 20 seeds x 40 buckets the
+    # share of buckets reaching eta stays within a binomial tolerance of beta
+    from privlabel.data import SyntheticSpec, generate_synthetic
+
+    spec = SyntheticSpec(classes=10, per_class=100, dim=4, separation=10.0, std=1.0, pub_per_class=10)
+    records, public = generate_synthetic(spec, seed=3)
+    params = PrivacyParams(0.1, PrivacyModel.CENTRAL, 1, 1, 40, 10)
+    rates = [
+        run_algorithm1(records, public.embeddings, params, T=1, s=40, k=1, master_seed=seed)
+        .iterations[0].report.eta_exceed_rate
+        for seed in range(20)
+    ]
+    beta, buckets = 0.05, 20 * 40
+    assert np.mean(rates) <= beta + 3.0 * math.sqrt(beta * (1.0 - beta) / buckets)
