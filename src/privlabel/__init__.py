@@ -47,11 +47,9 @@ from .local import (
     verify_local_dp,
 )
 from .shuffle import (
-    AmplificationParams,
     amplify_forward,
     amplify_invert,
     multi_message_decode,
-    multi_message_encode,
     multi_message_pipeline,
     shuffle_messages,
     single_message_params,

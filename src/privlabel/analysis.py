@@ -9,6 +9,19 @@ from . import shuffle as shuffle_mod
 from .core import PrivacyModel, PrivacyParams
 
 
+def _collision_bound(params: PrivacyParams, n: int, beta: float) -> float:
+    cparams = local_mod.CollisionParams.for_budget(params.flat_domain_size, params.k * params.r, params.epsilon)
+    return local_mod.collision_accuracy_bound(cparams, n, params.label_count, beta)
+
+
+# eta(beta) of each bounded local mechanism: (randomizer params, n, beta) -> eta
+_LOCAL_BOUNDS = {
+    "rr": local_mod.rr_accuracy_bound,
+    "laplace": local_mod.local_laplace_accuracy_bound,
+    "collision": _collision_bound,
+}
+
+
 def bounds_table(
     model: str | None,
     epsilon: float,
@@ -22,8 +35,9 @@ def bounds_table(
 ) -> dict[str, float]:
     """Max-error bounds eta(beta) of every mechanism the inputs allow.
 
-    Local and shuffled-single bounds need the client count n; with ``model``
-    set only that model's rows are produced.
+    Local and shuffled-single bounds need the client count n and are named
+    as a run reports its mechanism (``laplace``, ``shuffled-laplace``); with
+    ``model`` set only that model's rows are produced.
     """
     rows: dict[str, float] = {}
 
@@ -37,28 +51,23 @@ def bounds_table(
         dd = delta if delta > 0 else 1e-6
         params = PrivacyParams(epsilon, PrivacyModel.SHUFFLE_MULTI, k, r, s, label_count, delta=dd)
         rows["shuffle-multi"] = shuffle_mod.multi_message_accuracy_bound(params, beta)
+    local_budgets: dict[str, float] = {}
     if want("local"):
         if n is None:
             if model == "local":
                 raise ValueError("local bounds need the client count --n")
         else:
-            params = PrivacyParams(epsilon, PrivacyModel.LOCAL, k, r, s, label_count)
-            rows["rr"] = local_mod.rr_accuracy_bound(params, n, beta)
-            rows["local-laplace"] = local_mod.local_laplace_accuracy_bound(params, n, beta)
-            cparams = local_mod.CollisionParams.for_budget(s * label_count, k * r, epsilon)
-            rows["collision"] = local_mod.collision_accuracy_bound(cparams, n, label_count, beta)
+            local_budgets[""] = epsilon
     if want("shuffle-single"):
         if n is None or delta <= 0:
             if model == "shuffle-single":
                 raise ValueError("shuffle-single bounds need --n and --delta")
         else:
-            eps0 = shuffle_mod.amplify_invert(epsilon, n, delta)
-            params0 = PrivacyParams(eps0, PrivacyModel.LOCAL, k, r, s, label_count)
-            rows["shuffled-rr"] = local_mod.rr_accuracy_bound(params0, n, beta)
-            cparams0 = local_mod.CollisionParams.for_budget(s * label_count, k * r, eps0)
-            rows["shuffled-collision"] = local_mod.collision_accuracy_bound(
-                cparams0, n, label_count, beta
-            )
+            local_budgets["shuffled-"] = shuffle_mod.amplify_invert(epsilon, n, delta)
+    for prefix, eps in local_budgets.items():
+        params = PrivacyParams(eps, PrivacyModel.LOCAL, k, r, s, label_count)
+        for name, bound in _LOCAL_BOUNDS.items():
+            rows[prefix + name] = bound(params, n, beta)
     if not rows:
         raise ValueError(f"no bounds available for model {model!r} with the given inputs")
     return rows

@@ -23,11 +23,8 @@ which only the average MSE forgives -- see ``concatenation_entry_mse``.
 """
 from __future__ import annotations
 
-import enum
 import itertools
-import json
 import math
-import struct
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -271,9 +268,10 @@ def collision_encode_batch(
     return seeds, cells
 
 
-def collision_indicator_estimates(
-    seeds: np.ndarray, cells: np.ndarray, params: CollisionParams, chunk: int = 1 << 22
-) -> np.ndarray:
+_COLLISION_CHUNK_CELLS = 1 << 18  # (report, coordinate) hash cells per estimation chunk
+
+
+def collision_indicator_estimates(seeds: np.ndarray, cells: np.ndarray, params: CollisionParams) -> np.ndarray:
     """Summed unbiased indicator estimates for every domain index.
 
     Each report contributes (1[H(v) = z] - 1/l) / (e^eps/Omega - 1/l) at every
@@ -287,7 +285,7 @@ def collision_indicator_estimates(
         raise ValueError("mis-sized filter: e^eps/Omega must exceed 1/l for estimation")
     coords = np.arange(d, dtype=np.int64)
     hits = np.zeros(d, dtype=np.int64)
-    rows_per_chunk = max(1, chunk // max(d, 1))
+    rows_per_chunk = max(1, _COLLISION_CHUNK_CELLS // max(d, 1))
     for start in range(0, seeds.size, rows_per_chunk):
         stop = min(start + rows_per_chunk, seeds.size)
         h = bucket_hash(seeds[start:stop, None], coords[None, :], l)
@@ -779,117 +777,6 @@ def gse_pmfs(params: GseParams) -> tuple[list[tuple], Callable[[tuple], np.ndarr
         return np.array([gse_subset_probability(z, sup, params) for z in outputs])
 
     return inputs, pmf
-
-
-# ---------------------------------------------------------------------------
-# private report wire format
-
-
-class MechanismId(enum.IntEnum):
-    RR = 1
-    LOCAL_LAPLACE = 2
-    COLLISION = 3
-    GSE = 4
-
-
-@dataclass(frozen=True)
-class RrReport:
-    bits: np.ndarray
-
-
-@dataclass(frozen=True)
-class LocalLaplaceReport:
-    values: np.ndarray
-
-
-@dataclass(frozen=True)
-class GseReport:
-    members: tuple[int, ...]
-
-
-def encode_report(report) -> bytes:
-    """Length-prefixed binary form: mechanism id, hash seed (collision only),
-    then a u32-length payload."""
-    if isinstance(report, RrReport):
-        bits = np.asarray(report.bits, dtype=np.uint8)
-        payload = struct.pack("<HH", *bits.shape) + bits.tobytes()
-        head = struct.pack("<B", MechanismId.RR)
-    elif isinstance(report, LocalLaplaceReport):
-        vals = np.asarray(report.values, dtype="<f8")
-        payload = struct.pack("<HH", *vals.shape) + vals.tobytes()
-        head = struct.pack("<B", MechanismId.LOCAL_LAPLACE)
-    elif isinstance(report, CollisionReport):
-        payload = struct.pack("<I", report.cell)
-        head = struct.pack("<BQ", MechanismId.COLLISION, report.hash_seed)
-    elif isinstance(report, GseReport):
-        payload = struct.pack("<I", len(report.members)) + struct.pack(
-            f"<{len(report.members)}I", *report.members
-        )
-        head = struct.pack("<B", MechanismId.GSE)
-    else:
-        raise ValueError(f"unknown report type {type(report).__name__}")
-    return head + struct.pack("<I", len(payload)) + payload
-
-
-def decode_report(data: bytes):
-    mech = data[0]
-    offset = 1
-    if mech == MechanismId.COLLISION:
-        (seed,) = struct.unpack_from("<Q", data, offset)
-        offset += 8
-    (length,) = struct.unpack_from("<I", data, offset)
-    offset += 4
-    payload = data[offset : offset + length]
-    if len(payload) != length:
-        raise ValueError("truncated report payload")
-    if mech == MechanismId.RR:
-        rows, cols = struct.unpack_from("<HH", payload)
-        bits = np.frombuffer(payload[4:], dtype=np.uint8).reshape(rows, cols)
-        return RrReport(bits.copy())
-    if mech == MechanismId.LOCAL_LAPLACE:
-        rows, cols = struct.unpack_from("<HH", payload)
-        vals = np.frombuffer(payload[4:], dtype="<f8").reshape(rows, cols)
-        return LocalLaplaceReport(vals.copy())
-    if mech == MechanismId.COLLISION:
-        (cell,) = struct.unpack_from("<I", payload)
-        return CollisionReport(hash_seed=seed, cell=cell)
-    if mech == MechanismId.GSE:
-        (count,) = struct.unpack_from("<I", payload)
-        members = struct.unpack_from(f"<{count}I", payload, 4)
-        return GseReport(members=tuple(members))
-    raise ValueError(f"unknown mechanism id {mech}")
-
-
-def report_to_json(report) -> str:
-    if isinstance(report, RrReport):
-        body = {"mechanism_id": int(MechanismId.RR), "payload": np.asarray(report.bits).tolist()}
-    elif isinstance(report, LocalLaplaceReport):
-        body = {"mechanism_id": int(MechanismId.LOCAL_LAPLACE), "payload": np.asarray(report.values).tolist()}
-    elif isinstance(report, CollisionReport):
-        body = {
-            "mechanism_id": int(MechanismId.COLLISION),
-            "hash_seed": int(report.hash_seed),
-            "payload": int(report.cell),
-        }
-    elif isinstance(report, GseReport):
-        body = {"mechanism_id": int(MechanismId.GSE), "payload": list(report.members)}
-    else:
-        raise ValueError(f"unknown report type {type(report).__name__}")
-    return json.dumps(body, sort_keys=True)
-
-
-def report_from_json(text: str):
-    body = json.loads(text)
-    mech = body["mechanism_id"]
-    if mech == MechanismId.RR:
-        return RrReport(np.asarray(body["payload"], dtype=np.uint8))
-    if mech == MechanismId.LOCAL_LAPLACE:
-        return LocalLaplaceReport(np.asarray(body["payload"], dtype=np.float64))
-    if mech == MechanismId.COLLISION:
-        return CollisionReport(hash_seed=int(body["hash_seed"]), cell=int(body["payload"]))
-    if mech == MechanismId.GSE:
-        return GseReport(members=tuple(int(v) for v in body["payload"]))
-    raise ValueError(f"unknown mechanism id {mech}")
 
 
 # ---------------------------------------------------------------------------

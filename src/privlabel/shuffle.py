@@ -7,7 +7,9 @@ total is exactly a two-sided geometric (discrete Laplace) whose scale matches
 Laplace(4kr/eps).  Messages are (index, increment mod M) pairs; increments
 deviate from a unary "+1 per message" format because negative shares cannot
 be expressed as unit increments -- the aggregate distribution and accuracy
-are unchanged.
+are unchanged.  The analyzer sees only the shuffled pool, and every data
+message is a (cell, 1) pair, so the pool is built from the exact aggregate
+and each client's vote total rather than client by client.
 
 Single-message mode: each client runs any local randomizer of
 ``local.MECHANISMS`` at an enlarged budget eps0 and anonymity does the rest;
@@ -16,10 +18,8 @@ goes the other way.
 """
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, replace
-from typing import Sequence
+from dataclasses import replace
 
 import numpy as np
 
@@ -75,41 +75,7 @@ def sample_noise_share(
 # ---------------------------------------------------------------------------
 # multi-message protocol
 
-
-@dataclass(frozen=True)
-class ShuffleMessage:
-    """One anonymous message: a flattened coordinate and a modular increment."""
-
-    index: int
-    increment: int
-
-
-@dataclass(frozen=True)
-class AmplificationParams:
-    """Budgets tied together by shuffling: local eps0 against central (eps, delta).
-
-    Constructing one checks the validity window of the amplification bound.
-    """
-
-    eps0: float
-    epsilon: float
-    delta: float
-    n: int
-
-    def __post_init__(self):
-        limit = amplification_validity_limit(self.n, self.delta)
-        if not 0 < self.eps0 <= limit:
-            raise ValueError(
-                f"eps0 = {self.eps0} outside (0, {limit:.6f}], the bound's validity window"
-            )
-
-    @classmethod
-    def from_local(cls, eps0: float, n: int, delta: float) -> "AmplificationParams":
-        return cls(eps0=eps0, epsilon=amplify_forward(eps0, n, delta), delta=delta, n=n)
-
-    @classmethod
-    def from_central(cls, epsilon: float, n: int, delta: float) -> "AmplificationParams":
-        return cls(eps0=amplify_invert(epsilon, n, delta), epsilon=epsilon, delta=delta, n=n)
+_NOISE_CHUNK_CELLS = 1 << 18  # (client, cell) noise shares drawn per chunk of clients
 
 
 def choose_modulus(total_mass: int, k: int, r: int, epsilon: float) -> int:
@@ -122,41 +88,6 @@ def choose_modulus(total_mass: int, k: int, r: int, epsilon: float) -> int:
     q = discrete_laplace_parameter(epsilon, k, r)
     need = 2.0 * (total_mass + 6.0 * discrete_laplace_std(q))
     return 1 << max(2, math.ceil(math.log2(need + 1.0)))
-
-
-def multi_message_encode(
-    answer: np.ndarray,
-    params: PrivacyParams,
-    n: int,
-    modulus: int,
-    rng: np.random.Generator,
-    include_noise: bool = True,
-) -> np.ndarray:
-    """One client's messages as an (m, 2) array of (index, increment mod M).
-
-    Emits one unit message per vote count and one share message per
-    coordinate whose sampled noise share is nonzero; output order is
-    randomized client-side.
-    """
-    answer = np.asarray(answer)
-    if (answer < 0).any():
-        raise ValueError("vote counts must be nonnegative")
-    flat = answer.astype(np.int64).ravel()
-    d = flat.size
-    if modulus <= 2 * n * int(flat.sum()):
-        raise ValueError(
-            f"modulus {modulus} too small for {n} clients with per-client mass {int(flat.sum())}"
-        )
-    data_idx = np.repeat(np.arange(d, dtype=np.int64), flat)
-    data = np.column_stack([data_idx, np.ones(data_idx.size, dtype=np.int64)])
-    if include_noise and not math.isinf(params.epsilon):
-        shares = sample_noise_share(n, params.epsilon, params.k, params.r, rng, size=d)
-        nz = np.flatnonzero(shares)
-        noise = np.column_stack([nz, np.mod(shares[nz], modulus)])
-        messages = np.concatenate([data, noise], axis=0)
-    else:
-        messages = data
-    return messages[rng.permutation(messages.shape[0])]
 
 
 def shuffle_messages(messages: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -189,27 +120,44 @@ def expected_noise_messages(n: int, d: int, epsilon: float, k: int, r: int) -> f
 
 
 def multi_message_pipeline(
-    answers: Sequence[np.ndarray],
+    counts: np.ndarray,
+    client_mass: np.ndarray,
     params: PrivacyParams,
     rng: np.random.Generator,
     include_noise: bool = True,
 ) -> np.ndarray:
-    """Encode every client, shuffle the pool, decode to a noisy count matrix."""
+    """Pool every client's messages, shuffle the pool, decode to a noisy count matrix.
+
+    ``counts`` is the exact (s, label_count) aggregate and ``client_mass``
+    each client's vote total; empty clients count toward n and still send
+    noise shares.  The pooled data messages are one (cell, 1) pair per vote;
+    each client adds one (cell, share mod M) message per nonzero share.
+    """
     if params.model is not PrivacyModel.SHUFFLE_MULTI:
         raise ValueError("multi-message pipeline requires the shuffle-multi model")
-    answers = [np.asarray(a) for a in answers]
-    if not answers:
+    counts = np.asarray(counts)
+    flat = counts.astype(np.int64).ravel()
+    client_mass = np.asarray(client_mass, dtype=np.int64)
+    if (flat < 0).any() or (client_mass < 0).any() or not np.array_equal(flat, counts.ravel()):
+        raise ValueError("vote counts must be nonnegative integers")
+    n, d = client_mass.size, flat.size
+    if n == 0:
         raise ValueError("need at least one client")
-    shape = answers[0].shape
-    n = len(answers)
-    heaviest = max(int(a.sum()) for a in answers)
-    modulus = choose_modulus(n * max(heaviest, 1), params.k, params.r, params.epsilon)
-    pooled = [
-        multi_message_encode(a, params, n, modulus, rng, include_noise=include_noise)
-        for a in answers
-    ]
-    mixed = shuffle_messages(np.concatenate(pooled, axis=0), rng)
-    return multi_message_decode(mixed, shape[0] * shape[1], modulus).reshape(shape).astype(np.float64)
+    if client_mass.sum() != flat.sum():
+        raise ValueError("client vote totals must sum to the aggregate")
+    modulus = choose_modulus(n * max(int(client_mass.max()), 1), params.k, params.r, params.epsilon)
+    data_idx = np.repeat(np.arange(d, dtype=np.int64), flat)
+    pool = [np.column_stack([data_idx, np.ones(data_idx.size, dtype=np.int64)])]
+    if include_noise and not math.isinf(params.epsilon):
+        rows = max(1, _NOISE_CHUNK_CELLS // max(d, 1))
+        for start in range(0, n, rows):
+            shares = sample_noise_share(
+                n, params.epsilon, params.k, params.r, rng, size=(min(rows, n - start), d)
+            ).ravel()
+            nz = np.flatnonzero(shares)
+            pool.append(np.column_stack([nz % d, np.mod(shares[nz], modulus)]))
+    mixed = shuffle_messages(np.concatenate(pool, axis=0), rng)
+    return multi_message_decode(mixed, d, modulus).reshape(counts.shape).astype(np.float64)
 
 
 # ---------------------------------------------------------------------------
@@ -292,36 +240,3 @@ def single_message_params(params: PrivacyParams, n: int) -> PrivacyParams:
     eps0 = amplify_invert(params.epsilon, n, params.delta)
     return replace(params, epsilon=eps0, model=PrivacyModel.LOCAL, delta=0.0)
 
-
-# ---------------------------------------------------------------------------
-# shuffled-batch persistence
-
-
-def write_shuffled_batch(path, messages: np.ndarray, header: dict) -> None:
-    """JSON header line, then one `index,increment` record per line."""
-    required = {"d", "M", "n", "epsilon", "delta", "mechanism"}
-    missing = required - set(header)
-    if missing:
-        raise ValueError(f"header missing keys: {sorted(missing)}")
-    messages = np.asarray(messages, dtype=np.int64)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(header, sort_keys=True) + "\n")
-        for index, increment in messages:
-            fh.write(f"{index},{increment}\n")
-
-
-def read_shuffled_batch(path) -> tuple[np.ndarray, dict]:
-    with open(path, "r", encoding="utf-8") as fh:
-        header = json.loads(fh.readline())
-        rows = []
-        for line_no, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                index_text, increment_text = line.split(",")
-                rows.append((int(index_text), int(increment_text)))
-            except ValueError as exc:
-                raise ValueError(f"{path}:{line_no}: malformed message record") from exc
-    messages = np.asarray(rows, dtype=np.int64).reshape(-1, 2)
-    return messages, header

@@ -209,7 +209,8 @@ class SimulationResult:
 def _client_answers(
     labels: np.ndarray, connections: ConnectionMap, partition: Partition, label_count: int
 ) -> np.ndarray:
-    """(n_clients, s, label_count) exact vote matrices per client."""
+    """(n_clients, s, label_count) exact vote matrices per client; the
+    per-client reference for ``verify_partition_invariance``."""
     answers = np.zeros((partition.n_clients, connections.s, label_count), dtype=np.int64)
     lab64 = labels.astype(np.int64)
     for col in range(connections.degree):
@@ -270,8 +271,9 @@ def _privatize(
         noisy = central_mod.central_laplace_mechanism(exact, params, rng)
         return noisy, central_mod.laplace_accuracy_bound(params, beta)
     if params.model is PrivacyModel.SHUFFLE_MULTI:
-        answers = _client_answers(records.labels, connections, partition, params.label_count)
-        noisy = shuffle_mod.multi_message_pipeline(list(answers), params, rng)
+        records_per_client = np.bincount(partition.client_of, minlength=partition.n_clients)
+        client_mass = records_per_client * connections.degree * params.r
+        noisy = shuffle_mod.multi_message_pipeline(exact, client_mass, params, rng)
         return noisy, shuffle_mod.multi_message_accuracy_bound(params, beta)
     chosen = _one_record_per_client(partition, rng)
     supports = _record_supports(records, connections, chosen)

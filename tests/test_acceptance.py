@@ -329,7 +329,9 @@ def test_criterion_05d_noiseless_round_trip_exact():
     rng = seeds_mod.generator(505, "round-trip")
     params = PrivacyParams(1.0, PrivacyModel.SHUFFLE_MULTI, 2, 1, 4, 3, delta=1e-6)
     answers = [rng.integers(0, 4, size=(4, 3)) for _ in range(9)]
-    decoded = multi_message_pipeline(answers, params, rng, include_noise=False)
+    decoded = multi_message_pipeline(
+        exact_aggregate(answers), [a.sum() for a in answers], params, rng, include_noise=False
+    )
     assert np.array_equal(decoded, exact_aggregate(answers))
 
 

@@ -88,7 +88,7 @@ class TestBoundsTable:
         with pytest.raises(ValueError, match="--n"):
             bounds_table("local", 1.0, 0.0, 1, 1, 2, 10, 0.05)
         rows = bounds_table("local", 1.0, 0.0, 1, 1, 2, 10, 0.05, n=100)
-        assert set(rows) == {"rr", "local-laplace", "collision"}
+        assert set(rows) == {"rr", "laplace", "collision"}
 
     def test_all_rows_with_full_inputs(self):
         rows = bounds_table(None, 0.5, 1e-6, 1, 1, 2, 10, 0.05, n=100_000)
@@ -163,8 +163,8 @@ class TestMseGrid:
 def test_bounds_table_is_same_code_path():
     from privlabel.central import laplace_accuracy_bound
     from privlabel.core import PrivacyModel, PrivacyParams
-    from privlabel.local import rr_accuracy_bound
-    from privlabel.shuffle import multi_message_accuracy_bound
+    from privlabel.local import MECHANISMS, rr_accuracy_bound
+    from privlabel.shuffle import multi_message_accuracy_bound, single_message_params
 
     rows = bounds_table(None, 0.7, 1e-6, 2, 1, 5, 10, 0.05, n=50_000)
     central = PrivacyParams(0.7, PrivacyModel.CENTRAL, 2, 1, 5, 10)
@@ -173,3 +173,10 @@ def test_bounds_table_is_same_code_path():
     assert rows["shuffle-multi"] == multi_message_accuracy_bound(multi, 0.05)
     local = PrivacyParams(0.7, PrivacyModel.LOCAL, 2, 1, 5, 10)
     assert rows["rr"] == rr_accuracy_bound(local, 50_000, 0.05)
+    # the laplace rows equal the bound a run reports through the mechanism table
+    supports = np.tile([3, 17], (50_000, 1))
+    rng = np.random.default_rng(0)
+    assert rows["laplace"] == MECHANISMS["laplace"](supports, local, rng, 0.05)[1]
+    single = PrivacyParams(0.7, PrivacyModel.SHUFFLE_SINGLE, 2, 1, 5, 10, delta=1e-6)
+    eps0_params = single_message_params(single, 50_000)
+    assert rows["shuffled-laplace"] == MECHANISMS["laplace"](supports, eps0_params, rng, 0.05)[1]

@@ -10,9 +10,6 @@ from privlabel.local import (
     CollisionParams,
     CollisionReport,
     GseParams,
-    GseReport,
-    LocalLaplaceReport,
-    RrReport,
     bucket_hash,
     collision_accuracy_bound,
     collision_cell_pmf,
@@ -26,9 +23,7 @@ from privlabel.local import (
     concatenation_entry_mse,
     concatenation_estimate,
     concatenation_params,
-    decode_report,
     default_filter_length,
-    encode_report,
     flatten_support,
     gse_encode_batch,
     gse_estimate,
@@ -36,8 +31,6 @@ from privlabel.local import (
     gse_subset_probability,
     local_laplace_accuracy_bound,
     mechanism_pmfs,
-    report_from_json,
-    report_to_json,
     rr_accuracy_bound,
     rr_bit_pmfs,
     rr_encode_batch,
@@ -255,6 +248,20 @@ class TestCollisionEstimation:
         _, m2_zero = collision_indicator_moments(params, False)
         sd = np.sqrt(np.where(truth > 0, m2_one - 1.0, m2_zero))
         assert (np.abs(est / n - truth) <= 4 * sd / math.sqrt(n)).all()
+
+    def test_chunking_leaves_estimates_byte_identical(self, rng, monkeypatch):
+        import privlabel.local as local_mod
+
+        params = CollisionParams.for_budget(8, 2, 1.0)
+        n = 500
+        supports = np.sort(np.argsort(rng.random((n, 8)), axis=1)[:, :2], axis=1)
+        seeds, cells = collision_encode_batch(supports, params, rng, n)
+        estimates = []
+        # the default, one report per chunk, and the whole batch in one chunk
+        for chunk_cells in (local_mod._COLLISION_CHUNK_CELLS, 1, n * params.domain_size):
+            monkeypatch.setattr(local_mod, "_COLLISION_CHUNK_CELLS", chunk_cells)
+            estimates.append(collision_indicator_estimates(seeds, cells, params).tobytes())
+        assert estimates[1] == estimates[0] and estimates[2] == estimates[0]
 
     def test_estimation_rejects_zero_budget(self):
         params = CollisionParams(8, 1, 0.0, 3)
@@ -533,32 +540,6 @@ class TestVerifyLocalDp:
         inputs = list(range(2000))
         with pytest.raises(ValueError, match="large"):
             verify_local_dp(inputs, lambda x: np.ones(1000) / 1000)
-
-
-class TestWireFormat:
-    def test_round_trips(self):
-        reports = [
-            RrReport(np.array([[1, 0], [0, 1]], dtype=np.uint8)),
-            LocalLaplaceReport(np.array([[0.5, -1.25]])),
-            CollisionReport(hash_seed=123456789, cell=7),
-            GseReport(members=(1, 5, 9)),
-        ]
-        for report in reports:
-            binary = decode_report(encode_report(report))
-            jsonic = report_from_json(report_to_json(report))
-            for other in (binary, jsonic):
-                assert type(other) is type(report)
-                if isinstance(report, (RrReport,)):
-                    assert np.array_equal(other.bits, report.bits)
-                elif isinstance(report, LocalLaplaceReport):
-                    assert np.array_equal(other.values, report.values)
-                else:
-                    assert other == report
-
-    def test_truncated_payload_rejected(self):
-        blob = encode_report(CollisionReport(hash_seed=1, cell=2))
-        with pytest.raises(ValueError, match="truncated"):
-            decode_report(blob[:-2])
 
 
 def test_flatten_support_row_major():

@@ -6,7 +6,6 @@ from scipy import stats
 
 from privlabel.core import PrivacyModel, PrivacyParams, exact_aggregate
 from privlabel.shuffle import (
-    ShuffleMessage,
     amplification_validity_limit,
     amplify_forward,
     amplify_invert,
@@ -17,13 +16,10 @@ from privlabel.shuffle import (
     expected_noise_messages,
     multi_message_accuracy_bound,
     multi_message_decode,
-    multi_message_encode,
     multi_message_pipeline,
-    read_shuffled_batch,
     sample_noise_share,
     shuffle_messages,
     single_message_params,
-    write_shuffled_batch,
 )
 
 
@@ -88,32 +84,33 @@ class TestNoiseShares:
 
 
 class TestMultiMessage:
-    def test_zero_noise_gives_exactly_kr_messages(self, rng):
+    def test_zero_noise_gives_exactly_kr_messages(self, rng, monkeypatch):
+        import privlabel.shuffle as shuffle_mod
+
+        pools = []
+        decode = shuffle_mod.multi_message_decode
+
+        def spy(messages, d, modulus):
+            pools.append(messages)
+            return decode(messages, d, modulus)
+
+        monkeypatch.setattr(shuffle_mod, "multi_message_decode", spy)
         params = shuffle_params(k=2, r=1, s=3, labels=2)
         answer = np.zeros((3, 2), dtype=int)
         answer[0, 1] = 1
-        answer[2, 0] = 1  # one record, k=2, r=1 -> two unit votes
-        msgs = multi_message_encode(answer, params, n=5, modulus=64, rng=rng, include_noise=False)
+        answer[2, 0] = 1  # one record, k=2, r=1 -> two unit votes; four empty clients
+        multi_message_pipeline(answer, [2, 0, 0, 0, 0], params, rng, include_noise=False)
+        (msgs,) = pools
         assert msgs.shape == (2, 2)
         assert sorted(msgs[:, 0].tolist()) == [1, 4]
         assert (msgs[:, 1] == 1).all()
 
-    def test_modulus_too_small_rejected(self, rng):
-        params = shuffle_params()
-        answer = np.ones((2, 2), dtype=int)
-        with pytest.raises(ValueError, match="modulus"):
-            multi_message_encode(answer, params, n=100, modulus=16, rng=rng)
-
     def test_expected_message_count(self, rng):
         params = shuffle_params(epsilon=1.0, s=2, labels=2)
         n, d = 40, 4
-        answer = np.array([[1, 0], [0, 0]], dtype=int)
-        modulus = choose_modulus(n, 1, 1, 1.0)
-        counts = [
-            multi_message_encode(answer, params, n, modulus, rng).shape[0]
-            for _ in range(3000)
-        ]
-        extra = np.mean(counts) - 1  # one data message
+        # one chunk of 3000 clients' shares, drawn as the pipeline draws them
+        shares = sample_noise_share(n, 1.0, 1, 1, rng, size=(3000, d))
+        extra = np.count_nonzero(shares, axis=1).mean()
         predicted = expected_noise_messages(n, d, 1.0, 1, 1)
         assert extra == pytest.approx(predicted, rel=0.15)
         # stays within a constant factor of the d k^2 r^2 log^2(1/delta)/(eps^2 n) envelope
@@ -123,24 +120,14 @@ class TestMultiMessage:
     def test_noiseless_round_trip_is_exact_aggregate(self, rng):
         params = shuffle_params(k=1, r=1, s=3, labels=2)
         answers = [rng.integers(0, 3, size=(3, 2)) for _ in range(7)]
-        modulus = choose_modulus(7 * max(int(a.sum()) for a in answers), 1, 1, params.epsilon)
-        pooled = np.concatenate(
-            [
-                multi_message_encode(a, params, 7, modulus, rng, include_noise=False)
-                for a in answers
-            ]
+        decoded = multi_message_pipeline(
+            exact_aggregate(answers), [a.sum() for a in answers], params, rng, include_noise=False
         )
-        mixed = shuffle_messages(pooled, rng)
-        decoded = multi_message_decode(mixed, 6, modulus).reshape(3, 2)
         assert np.array_equal(decoded, exact_aggregate(answers))
 
     def test_decode_invariant_under_shuffling(self, rng):
-        params = shuffle_params(s=2, labels=2)
-        answers = [np.eye(2, dtype=int) for _ in range(4)]
         modulus = choose_modulus(8, 1, 1, 1.0)
-        pooled = np.concatenate(
-            [multi_message_encode(a, params, 4, modulus, rng) for a in answers]
-        )
+        pooled = np.column_stack([rng.integers(0, 4, size=40), rng.integers(0, modulus, size=40)])
         decodes = []
         for seed in (1, 2, 3, 4, 5):
             mixed = shuffle_messages(pooled, np.random.default_rng(seed))
@@ -148,29 +135,51 @@ class TestMultiMessage:
         for other in decodes[1:]:
             assert np.array_equal(decodes[0], other)
 
+    def test_inputs_checked(self, rng):
+        params = shuffle_params(s=1, labels=2)
+        with pytest.raises(ValueError, match="nonnegative integers"):
+            multi_message_pipeline(np.array([[-1, 2]]), [1], params, rng)
+        with pytest.raises(ValueError, match="nonnegative integers"):
+            multi_message_pipeline(np.array([[0.5, 0.5]]), [1], params, rng)
+        with pytest.raises(ValueError, match="at least one client"):
+            multi_message_pipeline(np.zeros((1, 2), dtype=int), [], params, rng)
+        with pytest.raises(ValueError, match="sum to the aggregate"):
+            multi_message_pipeline(np.array([[1, 2]]), [1, 1], params, rng)
+
     def test_decode_error_distribution(self, rng):
         params = shuffle_params(epsilon=1.0, s=1, labels=2)
         q = discrete_laplace_parameter(1.0, 1, 1)
         n = 10
-        answers = [np.array([[1, 0]], dtype=int)] * n
+        counts = np.array([[n, 0]])
         errors = []
         for _ in range(4000):
-            noisy = multi_message_pipeline(answers, params, rng)
-            errors.extend((noisy - np.array([[n, 0.0]])).ravel().tolist())
+            noisy = multi_message_pipeline(counts, np.ones(n, dtype=int), params, rng)
+            errors.extend((noisy - counts).ravel().tolist())
         assert dlap_chisquare(np.asarray(errors, dtype=np.int64), q) > 0.01
+
+    def test_empty_clients_send_shares(self, rng):
+        # one client holds every vote; the nine empty ones must still add their
+        # shares, or the noise total falls far short of DLap(q)
+        params = shuffle_params(epsilon=1.0, s=1, labels=2)
+        q = discrete_laplace_parameter(1.0, 1, 1)
+        counts = np.array([[3, 0]])
+        client_mass = np.array([3] + [0] * 9)
+        errors = np.concatenate(
+            [(multi_message_pipeline(counts, client_mass, params, rng) - counts).ravel() for _ in range(4000)]
+        )
+        assert dlap_chisquare(errors.astype(np.int64), q) > 0.01
 
     def test_accuracy_bound_formula_and_conformance(self, rng):
         params = shuffle_params(epsilon=1.0, s=2, labels=4)
         beta = 0.05
         eta = multi_message_accuracy_bound(params, beta)
         assert eta == pytest.approx(4 * math.log(4 / beta) / 1.0)
-        q = discrete_laplace_parameter(1.0, 1, 1)
         n = 6
-        answers = [np.zeros((2, 4), dtype=int)] * n
+        counts = np.zeros((2, 4), dtype=int)
         fails = np.zeros(2)
         trials = 2000
         for _ in range(trials):
-            noisy = multi_message_pipeline(answers, params, rng)
+            noisy = multi_message_pipeline(counts, np.zeros(n, dtype=int), params, rng)
             fails += np.abs(noisy).max(axis=1) >= eta
         assert (fails / trials <= beta + 0.02).all()
 
@@ -259,57 +268,3 @@ class TestSingleMessage:
         direct = rr_estimate(bits.sum(axis=0), params, 50)
         permuted = rr_estimate(bits[rng.permutation(50)].sum(axis=0), params, 50)
         assert np.array_equal(direct, permuted)
-
-
-class TestPersistence:
-    def test_round_trip(self, tmp_path, rng):
-        messages = rng.integers(0, 16, size=(20, 2))
-        header = {"d": 16, "M": 64, "n": 5, "epsilon": 1.0, "delta": 1e-6, "mechanism": "distributed-laplace"}
-        path = tmp_path / "batch.txt"
-        write_shuffled_batch(path, messages, header)
-        loaded, got_header = read_shuffled_batch(path)
-        assert np.array_equal(loaded, messages)
-        assert got_header == header
-
-    def test_missing_header_key_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="header"):
-            write_shuffled_batch(tmp_path / "x.txt", np.zeros((1, 2)), {"d": 4})
-
-    def test_malformed_record_raises_with_line(self, tmp_path):
-        path = tmp_path / "bad.txt"
-        path.write_text('{"d": 4}\n3,1\nnot-a-message\n')
-        with pytest.raises(ValueError, match="bad.txt:3"):
-            read_shuffled_batch(path)
-
-
-def test_message_dataclass():
-    msg = ShuffleMessage(index=3, increment=-2)
-    assert msg.index == 3 and msg.increment == -2
-
-
-class TestAmplificationParams:
-    def test_round_trips_between_constructors(self):
-        from privlabel.shuffle import AmplificationParams
-
-        by_local = AmplificationParams.from_local(1.0, 10_000, 1e-6)
-        assert by_local.epsilon == pytest.approx(0.2140, abs=1e-3)
-        by_central = AmplificationParams.from_central(by_local.epsilon, 10_000, 1e-6)
-        assert by_central.eps0 == pytest.approx(1.0, abs=1e-6)
-
-    def test_validity_window_enforced(self):
-        from privlabel.shuffle import AmplificationParams
-
-        with pytest.raises(ValueError, match="validity"):
-            AmplificationParams(eps0=10.0, epsilon=1.0, delta=1e-6, n=10_000)
-
-
-def test_read_empty_batch(tmp_path):
-    path = tmp_path / "empty.txt"
-    write_shuffled_batch(
-        path,
-        np.zeros((0, 2), dtype=np.int64),
-        {"d": 4, "M": 16, "n": 0, "epsilon": 1.0, "delta": 1e-6, "mechanism": "rr"},
-    )
-    messages, header = read_shuffled_batch(path)
-    assert messages.shape == (0, 2)
-    assert header["n"] == 0

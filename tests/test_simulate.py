@@ -145,7 +145,7 @@ class TestRunAlgorithm1:
                 records, pub, params, T=1, s=3, k=1, master_seed=3,
                 pub_true_labels=truth, mechanism=mech,
             )
-            assert result.iterations[0].report.mechanism in (mech, "local-laplace")
+            assert result.iterations[0].report.mechanism == mech
             assert result.public_hard_labels.shape == truth.shape
 
     def test_shuffle_models_run(self):
@@ -349,6 +349,40 @@ def test_every_model_mechanism_pair_runs(model, mechanism):
         assert (report.theoretical_eta is None) == (mechanism == "gse")
         if report.theoretical_eta is not None:
             assert 0.0 <= report.eta_exceed_rate <= 1.0
+
+
+@pytest.mark.parametrize(
+    "scheme, n_clients",
+    [(PartitionScheme.IID, 7), (PartitionScheme.DIRICHLET, 40), (PartitionScheme.SINGLE_RECORD, None)],
+)
+def test_shuffle_multi_modulus_matches_per_client_reference(monkeypatch, scheme, n_clients):
+    # the pipeline decodes at the modulus sized from the dense per-client vote
+    # matrices, with empty clients counted in n
+    from privlabel import shuffle as shuffle_mod
+
+    moduli = []
+    decode = shuffle_mod.multi_message_decode
+
+    def spy(messages, d, modulus):
+        moduli.append(modulus)
+        return decode(messages, d, modulus)
+
+    monkeypatch.setattr(shuffle_mod, "multi_message_decode", spy)
+    rng = np.random.default_rng(21)
+    records = random_record_set(rng, m=150, dim=2, label_count=3, r=2)
+    params = PrivacyParams(0.9, PrivacyModel.SHUFFLE_MULTI, 2, 2, 4, 3, delta=1e-6)
+    result = run_algorithm1(
+        records, rng.normal(size=(40, 2)), params, T=1, s=4, k=2, master_seed=8,
+        partition_scheme=scheme, n_clients=n_clients, dirichlet_alpha=0.1,
+    )
+    partition = result.partition
+    queries = QuerySet(result.iterations[0].query_embeddings)
+    connections = reverse_knn_connect(records.embeddings, queries, 2)
+    mass = simulate_mod._client_answers(records.labels, connections, partition, 3).sum(axis=(1, 2))
+    if scheme is PartitionScheme.DIRICHLET:
+        assert (mass == 0).any()
+    expected = shuffle_mod.choose_modulus(partition.n_clients * max(int(mass.max()), 1), 2, 2, 0.9)
+    assert moduli == [expected]
 
 
 @pytest.mark.parametrize("k, r, s", itertools.product((1, 2), (1, 2), (3, 1)))
