@@ -36,7 +36,6 @@ from .local import (
     CollisionParams,
     GseParams,
     collision_accuracy_bound,
-    collision_encode,
     collision_indicator_estimates,
     gse_encode_batch,
     gse_estimate,

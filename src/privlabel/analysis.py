@@ -10,7 +10,9 @@ from .core import PrivacyModel, PrivacyParams
 
 
 def _collision_bound(params: PrivacyParams, n: int, beta: float) -> float:
-    cparams = local_mod.CollisionParams.for_budget(params.flat_domain_size, params.k * params.r, params.epsilon)
+    # a record reaches min(k, s) buckets, so a run's support is that many times r
+    support_size = min(params.k, params.s) * params.r
+    cparams = local_mod.CollisionParams.for_budget(params.flat_domain_size, support_size, params.epsilon)
     return local_mod.collision_accuracy_bound(cparams, n, params.label_count, beta)
 
 

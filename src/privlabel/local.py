@@ -192,12 +192,6 @@ class CollisionParams:
         return self.hit_probability - 1.0 / self.filter_length
 
 
-@dataclass(frozen=True)
-class CollisionReport:
-    hash_seed: int
-    cell: int
-
-
 def collision_cell_pmf(support: np.ndarray, params: CollisionParams, hash_seed: int) -> np.ndarray:
     """Exact output distribution over filter cells for a fixed hash seed.
 
@@ -216,15 +210,6 @@ def collision_cell_pmf(support: np.ndarray, params: CollisionParams, hash_seed: 
     pmf[:] = (omega - math.exp(params.epsilon) * distinct.size) / ((l - distinct.size) * omega)
     pmf[distinct] = params.hit_probability
     return pmf
-
-
-def collision_encode(support: np.ndarray, params: CollisionParams, rng: np.random.Generator) -> CollisionReport:
-    """One private report: a fresh hash seed plus one tilted filter cell."""
-    support = _check_support(support, params)
-    seed = int(rng.integers(0, 2 ** 63))
-    pmf = collision_cell_pmf(support, params, seed)
-    cell = int(rng.choice(params.filter_length, p=pmf))
-    return CollisionReport(hash_seed=seed, cell=cell)
 
 
 def collision_encode_batch(
@@ -268,7 +253,26 @@ def collision_encode_batch(
     return seeds, cells
 
 
-_COLLISION_CHUNK_CELLS = 1 << 18  # (report, coordinate) hash cells per estimation chunk
+_COLLISION_CHUNK_CELLS = 1 << 18  # (report, coordinate) hash cells per hit block
+
+
+def _hit_blocks(seeds: np.ndarray, cells: np.ndarray, params: CollisionParams):
+    """Yield (first report, block) for consecutive boolean blocks
+    1[H_i(v) = z_i] over the whole domain, at most ``_COLLISION_CHUNK_CELLS``
+    cells each; every collision estimate is a reduction of these blocks."""
+    if params.estimator_denominator <= 0:
+        raise ValueError("mis-sized filter: e^eps/Omega must exceed 1/l for estimation")
+    seeds = np.asarray(seeds, dtype=np.uint64)
+    cells = np.asarray(cells, dtype=np.int64)
+    coords = np.arange(params.domain_size, dtype=np.int64)
+    rows = max(1, _COLLISION_CHUNK_CELLS // params.domain_size)
+
+    def blocks():
+        for start in range(0, seeds.size, rows):
+            hashed = bucket_hash(seeds[start : start + rows, None], coords, params.filter_length)
+            yield start, hashed == cells[start : start + rows, None]
+
+    return blocks()
 
 
 def collision_indicator_estimates(seeds: np.ndarray, cells: np.ndarray, params: CollisionParams) -> np.ndarray:
@@ -277,21 +281,10 @@ def collision_indicator_estimates(seeds: np.ndarray, cells: np.ndarray, params: 
     Each report contributes (1[H(v) = z] - 1/l) / (e^eps/Omega - 1/l) at every
     coordinate v; the sum over reports estimates the support counts.
     """
-    seeds = np.asarray(seeds, dtype=np.uint64)
-    cells = np.asarray(cells, dtype=np.int64)
-    d, l = params.domain_size, params.filter_length
-    denom = params.estimator_denominator
-    if denom <= 0:
-        raise ValueError("mis-sized filter: e^eps/Omega must exceed 1/l for estimation")
-    coords = np.arange(d, dtype=np.int64)
-    hits = np.zeros(d, dtype=np.int64)
-    rows_per_chunk = max(1, _COLLISION_CHUNK_CELLS // max(d, 1))
-    for start in range(0, seeds.size, rows_per_chunk):
-        stop = min(start + rows_per_chunk, seeds.size)
-        h = bucket_hash(seeds[start:stop, None], coords[None, :], l)
-        hits += (h == cells[start:stop, None]).sum(axis=0)
-    n = seeds.size
-    return (hits - n / l) / denom
+    hits = np.zeros(params.domain_size, dtype=np.int64)
+    for _, block in _hit_blocks(seeds, cells, params):
+        hits += block.sum(axis=0)
+    return (hits - np.size(seeds) / params.filter_length) / params.estimator_denominator
 
 
 def collision_report_estimates(seeds: np.ndarray, cells: np.ndarray, params: CollisionParams) -> np.ndarray:
@@ -300,13 +293,23 @@ def collision_report_estimates(seeds: np.ndarray, cells: np.ndarray, params: Col
     Row i holds (1[H_i(v) = z_i] - 1/l) / (e^eps/Omega - 1/l) at every
     coordinate v; ``collision_indicator_estimates`` is their column sum.
     """
-    if params.estimator_denominator <= 0:
-        raise ValueError("mis-sized filter: e^eps/Omega must exceed 1/l for estimation")
-    seeds = np.asarray(seeds, dtype=np.uint64)
-    cells = np.asarray(cells, dtype=np.int64)
-    coords = np.arange(params.domain_size, dtype=np.int64)
-    hits = bucket_hash(seeds[:, None], coords[None, :], params.filter_length) == cells[:, None]
-    return (hits - 1.0 / params.filter_length) / params.estimator_denominator
+    rows = np.empty((np.size(seeds), params.domain_size))
+    for start, block in _hit_blocks(seeds, cells, params):
+        rows[start : start + len(block)] = (block - 1.0 / params.filter_length) / params.estimator_denominator
+    return rows
+
+
+def collision_hit_counts(
+    seeds: np.ndarray, cells: np.ndarray, params: CollisionParams, columns: Sequence
+) -> np.ndarray:
+    """(len(columns), n_reports) integer hit counts: row j holds each report's
+    number of coordinates v in ``columns[j]`` (an index array or a slice)
+    with H_i(v) = z_i."""
+    counts = np.empty((len(columns), np.size(seeds)), dtype=np.int64)
+    for start, block in _hit_blocks(seeds, cells, params):
+        for j, cols in enumerate(columns):
+            counts[j, start : start + len(block)] = block[:, cols].sum(axis=1)
+    return counts
 
 
 def collision_accuracy_bound(params: CollisionParams, n: int, label_count: int, beta: float) -> float:
@@ -535,32 +538,20 @@ def separation_params(s: int, label_count: int, k: int, r: int, epsilon: float) 
     )
 
 
-def separation_encode(
-    bucket_indices: np.ndarray,
-    label_indices: np.ndarray,
-    params_pair: tuple[CollisionParams, CollisionParams],
-    rng: np.random.Generator,
-) -> tuple[CollisionReport, CollisionReport]:
-    """Two reports under an even budget split: bucket set apart from labels."""
-    bucket_params, label_params = params_pair
-    return (
-        collision_encode(np.asarray(bucket_indices), bucket_params, rng),
-        collision_encode(np.asarray(label_indices), label_params, rng),
-    )
-
-
 def separation_estimate(
-    report_pairs: Sequence[tuple[CollisionReport, CollisionReport]],
+    bucket_reports: tuple[np.ndarray, np.ndarray],
+    label_reports: tuple[np.ndarray, np.ndarray],
     params_pair: tuple[CollisionParams, CollisionParams],
 ) -> np.ndarray:
-    """Sum over clients of outer(bucket estimate, label estimate).
+    """Sum over clients of outer(bucket estimate, label estimate) from the
+    two (seeds, cells) report streams of ``collision_encode_batch``.
 
     The two factors come from independent reports, so each product is an
     unbiased estimate of the client's vote matrix.
     """
     bucket_params, label_params = params_pair
-    t_hat = collision_report_estimates(*_report_arrays(pair[0] for pair in report_pairs), bucket_params)
-    y_hat = collision_report_estimates(*_report_arrays(pair[1] for pair in report_pairs), label_params)
+    t_hat = collision_report_estimates(*bucket_reports, bucket_params)
+    y_hat = collision_report_estimates(*label_reports, label_params)
     return t_hat.T @ y_hat
 
 
@@ -568,39 +559,17 @@ def concatenation_params(s: int, label_count: int, k: int, r: int, epsilon: floa
     return CollisionParams.for_budget(s + label_count, k + r, epsilon)
 
 
-def concatenation_encode(
-    bucket_indices: np.ndarray,
-    label_indices: np.ndarray,
-    s: int,
-    params: CollisionParams,
-    rng: np.random.Generator,
-) -> CollisionReport:
-    """One report over the concatenated (buckets then labels) domain."""
-    support = np.concatenate(
-        [np.asarray(bucket_indices, dtype=np.int64), s + np.asarray(label_indices, dtype=np.int64)]
-    )
-    return collision_encode(support, params, rng)
-
-
-def concatenation_estimate(
-    reports: Sequence[CollisionReport], s: int, label_count: int, params: CollisionParams
-) -> np.ndarray:
+def concatenation_estimate(seeds: np.ndarray, cells: np.ndarray, s: int, params: CollisionParams) -> np.ndarray:
     """Sum over clients of outer(bucket part, label part) of one report's
-    indicator estimates.
+    indicator estimates; each report's support lists its bucket indices,
+    then s + its label indices.
 
     Both factors share the report, so entries where bucket and label are both
     truly present carry a systematic offset of -1/(l * (e^eps/Omega - 1/l));
     zero entries are estimated without bias.
     """
-    est = collision_report_estimates(*_report_arrays(reports), params)
+    est = collision_report_estimates(seeds, cells, params)
     return est[:, :s].T @ est[:, s:]
-
-
-def _report_arrays(reports: Iterable[CollisionReport]) -> tuple[np.ndarray, np.ndarray]:
-    """(hash seeds, cells) of a sequence of collision reports."""
-    reports = list(reports)
-    seeds = np.array([rep.hash_seed for rep in reports], dtype=np.uint64)
-    return seeds, np.array([rep.cell for rep in reports], dtype=np.int64)
 
 
 def separation_entry_mse(
@@ -692,27 +661,6 @@ def verify_local_dp(
             if both.any():
                 worst = max(worst, float(np.log(a[both] / b[both]).max()))
     return worst
-
-
-def mechanism_pmfs(name: str, **kwargs):
-    """Factory of (inputs, pmf) pairs for the exhaustive verifier.
-
-    Continuous mechanisms have no pmf and are rejected; their privacy is spot
-    checked through density ratios instead.
-    """
-    if name in ("laplace", "local-laplace"):
-        raise ValueError(
-            f"{name} is continuous; use density-ratio spot checks instead of enumeration"
-        )
-    if name == "rr-bit":
-        return rr_bit_pmfs(kwargs["epsilon"])
-    if name == "rr-matrix":
-        return rr_matrix_pmfs(kwargs["params"])
-    if name == "collision":
-        return collision_pmfs(kwargs["params"], kwargs["hash_seed"])
-    if name == "gse":
-        return gse_pmfs(kwargs["params"])
-    raise ValueError(f"unknown mechanism {name!r}")
 
 
 def rr_bit_pmfs(epsilon: float) -> tuple[list[int], Callable[[int], np.ndarray]]:

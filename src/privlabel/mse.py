@@ -4,8 +4,9 @@ For one client (n = 1) with a fixed vote instance, measures the average
 per-entry MSE of three ways to release the s x label_count matrix: the flat
 collision report over the full s*label_count domain, the separation split
 (half budget on the bucket set, half on the labels), and the concatenation
-report (full budget on the joined support).  Per-trial MSE reduces to a few
-per-trial sums, so everything runs vectorized in chunks.
+report (full budget on the joined support).  A report's squared error depends
+only on its hit counts over a coordinate set and over the support inside it,
+so every curve is a reduction of per-trial ``collision_hit_counts``.
 """
 from __future__ import annotations
 
@@ -17,15 +18,12 @@ import numpy as np
 from . import seeds as seeds_mod
 from .local import (
     CollisionParams,
-    bucket_hash,
     collision_encode_batch,
-    collision_report_estimates,
+    collision_hit_counts,
     concatenation_params,
     flatten_support,
     separation_params,
 )
-
-_CHUNK_CELLS = 1 << 23
 
 
 @dataclass
@@ -42,99 +40,31 @@ class MseCurves:
             )
 
 
-def _flat_collision_mse(
-    support: np.ndarray, params: CollisionParams, rng: np.random.Generator, trials: int
-) -> float:
-    d, c, l = params.domain_size, params.support_size, params.filter_length
-    w = 1.0 / l
+def _estimate_sums(params: CollisionParams, hits, support_hits, size: int, support_size: int):
+    """Per-report (sum of squared indicator estimates, sum of the estimates
+    on the support) over a coordinate set of ``size`` holding a support of
+    ``support_size``, from the report's hits over the set and the support."""
+    w = 1.0 / params.filter_length
     denom = params.estimator_denominator
-    e_hit = (1.0 - w) / denom
-    e_miss = -w / denom
+    squares = (hits * (1.0 - w) ** 2 + (size - hits) * w * w) / (denom * denom)
+    return squares, (support_hits - support_size * w) / denom
+
+
+def _encode_sums(support: np.ndarray, params: CollisionParams, rng: np.random.Generator, trials: int):
+    """``_estimate_sums`` of ``trials`` fresh reports over the whole domain."""
     seeds, cells = collision_encode_batch(support, params, rng, trials)
-    coords = np.arange(d, dtype=np.int64)
-    total = 0.0
-    rows = max(1, _CHUNK_CELLS // d)
-    for start in range(0, trials, rows):
-        stop = min(start + rows, trials)
-        sub_seeds, sub_cells = seeds[start:stop], cells[start:stop]
-        all_hits = (
-            bucket_hash(sub_seeds[:, None], coords[None, :], l) == sub_cells[:, None]
-        ).sum(axis=1)
-        sup_hits = (
-            bucket_hash(sub_seeds[:, None], support[None, :], l) == sub_cells[:, None]
-        ).sum(axis=1)
-        out_hits = all_hits - sup_hits
-        sq = (
-            out_hits * e_hit ** 2
-            + (d - c - out_hits) * e_miss ** 2
-            + sup_hits * (e_hit - 1.0) ** 2
-            + (c - sup_hits) * (e_miss - 1.0) ** 2
-        )
-        total += float(sq.sum()) / d
-    return total / trials
+    hits, support_hits = collision_hit_counts(seeds, cells, params, (slice(None), support))
+    return _estimate_sums(params, hits, support_hits, params.domain_size, support.size)
 
 
-def _product_mse(
-    a_est: np.ndarray, b_est: np.ndarray, bucket_support: np.ndarray, label_support: np.ndarray
-) -> np.ndarray:
-    """Per-trial average MSE of outer(a, b) against the 0/1 truth matrix."""
-    s = a_est.shape[1]
-    y = b_est.shape[1]
-    kr = bucket_support.size * label_support.size
-    a_sq = (a_est ** 2).sum(axis=1)
-    b_sq = (b_est ** 2).sum(axis=1)
-    a_sup = a_est[:, bucket_support].sum(axis=1)
-    b_sup = b_est[:, label_support].sum(axis=1)
-    return (a_sq * b_sq - 2.0 * a_sup * b_sup + kr) / (s * y)
+def _mean_mse(squares: np.ndarray, on_support: np.ndarray, support_size: int, cells: int) -> float:
+    """Mean over trials of the per-entry MSE against a 0/1 truth with
+    ``support_size`` ones: sum (est - truth)^2 = sum est^2 - 2 sum_S est + |S|.
 
-
-def _separation_mse(
-    bucket_support: np.ndarray,
-    label_support: np.ndarray,
-    s: int,
-    label_count: int,
-    k: int,
-    r: int,
-    epsilon: float,
-    rng: np.random.Generator,
-    trials: int,
-) -> float:
-    bucket_params, label_params = separation_params(s, label_count, k, r, epsilon)
-    seeds_t, cells_t = collision_encode_batch(bucket_support, bucket_params, rng, trials)
-    seeds_y, cells_y = collision_encode_batch(label_support, label_params, rng, trials)
-    total = 0.0
-    rows = max(1, _CHUNK_CELLS // (s + label_count))
-    for start in range(0, trials, rows):
-        stop = min(start + rows, trials)
-        a = collision_report_estimates(seeds_t[start:stop], cells_t[start:stop], bucket_params)
-        b = collision_report_estimates(seeds_y[start:stop], cells_y[start:stop], label_params)
-        total += float(_product_mse(a, b, bucket_support, label_support).sum())
-    return total / trials
-
-
-def _concatenation_mse(
-    bucket_support: np.ndarray,
-    label_support: np.ndarray,
-    s: int,
-    label_count: int,
-    k: int,
-    r: int,
-    epsilon: float,
-    rng: np.random.Generator,
-    trials: int,
-) -> float:
-    params = concatenation_params(s, label_count, k, r, epsilon)
-    support = np.concatenate([bucket_support, s + label_support])
-    seeds, cells = collision_encode_batch(support, params, rng, trials)
-    total = 0.0
-    rows = max(1, _CHUNK_CELLS // (s + label_count))
-    for start in range(0, trials, rows):
-        stop = min(start + rows, trials)
-        est = collision_report_estimates(seeds[start:stop], cells[start:stop], params)
-        total += float(
-            _product_mse(est[:, :s], est[:, s:], bucket_support, label_support).sum()
-        )
-    return total / trials
+    For a product estimate outer(a, b) both sums factor into the factors'
+    sums, since sum (a_i b_j)^2 = sum a^2 sum b^2 over the whole matrix.
+    """
+    return float((squares - 2.0 * on_support + support_size).sum()) / (cells * squares.size)
 
 
 def mse_comparison(
@@ -148,40 +78,36 @@ def mse_comparison(
 ) -> MseCurves:
     """Monte-Carlo MSE curves on a canonical instance (first k buckets, first
     r labels) for each budget on the grid."""
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
     eps_grid = np.asarray(eps_grid, dtype=np.float64)
     bucket_support = np.arange(k, dtype=np.int64)
     label_support = np.arange(r, dtype=np.int64)
     flat = flatten_support(bucket_support, label_support, label_count)
+    cat_support = np.concatenate([bucket_support, s + label_support])
+    d, kr = s * label_count, k * r
     col = np.empty(eps_grid.size)
     sep = np.empty(eps_grid.size)
     cat = np.empty(eps_grid.size)
-    for i, eps in enumerate(eps_grid):
-        flat_params = CollisionParams.for_budget(s * label_count, k * r, float(eps))
-        col[i] = _flat_collision_mse(
-            flat, flat_params, seeds_mod.generator(master_seed, "mse-collision", i), trials
+    for i, eps in enumerate(eps_grid.tolist()):
+        rng = seeds_mod.generator(master_seed, "mse-collision", i)
+        col[i] = _mean_mse(*_encode_sums(flat, CollisionParams.for_budget(d, kr, eps), rng, trials), kr, d)
+
+        rng = seeds_mod.generator(master_seed, "mse-separation", i)
+        bucket_params, label_params = separation_params(s, label_count, k, r, eps)
+        a = _encode_sums(bucket_support, bucket_params, rng, trials)
+        b = _encode_sums(label_support, label_params, rng, trials)
+        sep[i] = _mean_mse(a[0] * b[0], a[1] * b[1], kr, d)
+
+        rng = seeds_mod.generator(master_seed, "mse-concatenation", i)
+        params = concatenation_params(s, label_count, k, r, eps)
+        seeds, cells = collision_encode_batch(cat_support, params, rng, trials)
+        hits = collision_hit_counts(
+            seeds, cells, params, (slice(None, s), bucket_support, slice(s, None), s + label_support)
         )
-        sep[i] = _separation_mse(
-            bucket_support,
-            label_support,
-            s,
-            label_count,
-            k,
-            r,
-            float(eps),
-            seeds_mod.generator(master_seed, "mse-separation", i),
-            trials,
-        )
-        cat[i] = _concatenation_mse(
-            bucket_support,
-            label_support,
-            s,
-            label_count,
-            k,
-            r,
-            float(eps),
-            seeds_mod.generator(master_seed, "mse-concatenation", i),
-            trials,
-        )
+        a = _estimate_sums(params, hits[0], hits[1], s, k)
+        b = _estimate_sums(params, hits[2], hits[3], label_count, r)
+        cat[i] = _mean_mse(a[0] * b[0], a[1] * b[1], kr, d)
     return MseCurves(eps_grid, col, sep, cat)
 
 

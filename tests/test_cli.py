@@ -173,6 +173,11 @@ class TestMseCompare:
         assert lines[0] == "eps,collision_mse,separation_mse,concatenation_mse"
         assert len(lines) == 3
 
+    def test_zero_trials_exit_code(self, capsys):
+        code, _, err = run_cli(capsys, "mse-compare", "--s", "6", "--labels", "5", "--trials", "0")
+        assert code == 3
+        assert "trials" in err
+
 
 class TestVerifyDp:
     def test_full_suite_passes(self, capsys):

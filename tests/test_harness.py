@@ -159,6 +159,55 @@ class TestMseGrid:
             )
         assert (curves.concatenation <= curves.separation).all()
 
+    def test_comparison_equals_per_report_rows(self):
+        # reference: each trial's sum of (est - truth)^2 over explicit
+        # per-report estimate rows, with outer products for the composites
+        from privlabel import seeds as seeds_mod
+        from privlabel.local import (
+            collision_encode_batch,
+            collision_report_estimates,
+            concatenation_params,
+            flatten_support,
+            separation_params,
+        )
+
+        s, labels, k, r, trials, seed = 6, 5, 2, 2, 500, 21
+        grid = np.array([1.0, 3.0, 5.0])
+        curves = mse_comparison(s, labels, k, r, grid, trials, master_seed=seed)
+        truth = np.zeros((s, labels))
+        truth[:k, :r] = 1.0
+
+        def rows(support, params, rng):
+            return collision_report_estimates(*collision_encode_batch(support, params, rng, trials), params)
+
+        for i, eps in enumerate(grid):
+            flat = CollisionParams.for_budget(s * labels, k * r, eps)
+            rng = seeds_mod.generator(seed, "mse-collision", i)
+            est = rows(flatten_support(np.arange(k), np.arange(r), labels), flat, rng)
+            assert curves.collision[i] == pytest.approx(((est - truth.ravel()) ** 2).mean(), rel=1e-12)
+            bucket_params, label_params = separation_params(s, labels, k, r, eps)
+            rng = seeds_mod.generator(seed, "mse-separation", i)
+            a, b = rows(np.arange(k), bucket_params, rng), rows(np.arange(r), label_params, rng)
+            sep = ((a[:, :, None] * b[:, None, :] - truth) ** 2).mean()
+            assert curves.separation[i] == pytest.approx(sep, rel=1e-12)
+            params = concatenation_params(s, labels, k, r, eps)
+            rng = seeds_mod.generator(seed, "mse-concatenation", i)
+            est = rows(np.concatenate([np.arange(k), s + np.arange(r)]), params, rng)
+            cat = ((est[:, :s, None] * est[:, None, s:] - truth) ** 2).mean()
+            assert curves.concatenation[i] == pytest.approx(cat, rel=1e-12)
+
+    def test_chunking_leaves_curves_byte_identical(self, monkeypatch):
+        import privlabel.local as local_mod
+
+        s, labels, trials = 6, 5, 500
+        curves = []
+        # the default, one report per chunk, and the whole batch in one chunk
+        for chunk_cells in (local_mod._COLLISION_CHUNK_CELLS, 1, trials * s * labels):
+            monkeypatch.setattr(local_mod, "_COLLISION_CHUNK_CELLS", chunk_cells)
+            got = mse_comparison(s, labels, 2, 2, np.array([1.0, 4.0]), trials, master_seed=5)
+            curves.append(b"".join(a.tobytes() for a in (got.collision, got.separation, got.concatenation)))
+        assert curves[1] == curves[0] and curves[2] == curves[0]
+
 
 def test_bounds_table_is_same_code_path():
     from privlabel.central import laplace_accuracy_bound
@@ -180,3 +229,9 @@ def test_bounds_table_is_same_code_path():
     single = PrivacyParams(0.7, PrivacyModel.SHUFFLE_SINGLE, 2, 1, 5, 10, delta=1e-6)
     eps0_params = single_message_params(single, 50_000)
     assert rows["shuffled-laplace"] == MECHANISMS["laplace"](supports, eps0_params, rng, 0.05)[1]
+    # s < k: a record reaches only s buckets, and the collision row sizes its
+    # support as min(k, s) * r like a run does
+    rows = bounds_table("local", 2.0, 0.0, 3, 1, 2, 10, 0.05, n=500)
+    narrow = PrivacyParams(2.0, PrivacyModel.LOCAL, 3, 1, 2, 10)
+    run_eta = MECHANISMS["collision"](np.tile([0, 10], (500, 1)), narrow, rng, 0.05)[1]
+    assert rows["collision"] == run_eta

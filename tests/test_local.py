@@ -8,18 +8,16 @@ from privlabel.core import PrivacyModel, PrivacyParams
 from privlabel.local import (
     MECHANISMS,
     CollisionParams,
-    CollisionReport,
     GseParams,
     bucket_hash,
     collision_accuracy_bound,
     collision_cell_pmf,
-    collision_encode,
     collision_encode_batch,
+    collision_hit_counts,
     collision_indicator_estimates,
     collision_indicator_moments,
     collision_pmfs,
     collision_report_estimates,
-    concatenation_encode,
     concatenation_entry_mse,
     concatenation_estimate,
     concatenation_params,
@@ -30,14 +28,12 @@ from privlabel.local import (
     gse_pmfs,
     gse_subset_probability,
     local_laplace_accuracy_bound,
-    mechanism_pmfs,
     rr_accuracy_bound,
     rr_bit_pmfs,
     rr_encode_batch,
     rr_estimate,
     rr_flip_probability,
     rr_matrix_pmfs,
-    separation_encode,
     separation_entry_mse,
     separation_estimate,
     separation_params,
@@ -195,7 +191,7 @@ class TestCollisionEncoding:
     def test_wrong_support_size_rejected(self, rng):
         params = CollisionParams.for_budget(8, 2, 1.0)
         with pytest.raises(ValueError, match="support"):
-            collision_encode(np.array([3]), params, rng)
+            collision_encode_batch(np.array([3]), params, rng, 1)
 
     def test_batch_encoder_matches_exact_pmf(self, rng):
         params = CollisionParams.for_budget(6, 2, 1.0)
@@ -213,28 +209,16 @@ class TestCollisionEncoding:
 class TestCollisionEstimation:
     def test_estimator_substitution(self):
         params = CollisionParams.for_budget(8, 1, math.log(2))
-        report = CollisionReport(hash_seed=4242, cell=1)
-        est = collision_indicator_estimates(
-            np.array([report.hash_seed], dtype=np.uint64), np.array([report.cell]), params
-        )
-        hits = bucket_hash(report.hash_seed, np.arange(8), 3) == report.cell
+        est = collision_indicator_estimates(np.array([4242], dtype=np.uint64), np.array([1]), params)
+        hits = bucket_hash(4242, np.arange(8), 3) == 1
         assert np.allclose(est, 6.0 * hits - 2.0)
 
     def test_never_hit_coordinate_estimates_negative(self, rng):
         params = CollisionParams.for_budget(8, 1, math.log(2))
-        reports = [collision_encode(np.array([0]), params, rng) for _ in range(20)]
-        est = collision_indicator_estimates(
-            np.array([rep.hash_seed for rep in reports], dtype=np.uint64),
-            np.array([rep.cell for rep in reports]),
-            params,
-        )
-        missed = [
-            v
-            for v in range(8)
-            if not any(bucket_hash(rep.hash_seed, np.array([v]), 3)[0] == rep.cell for rep in reports)
-        ]
-        for v in missed:
-            assert est[v] < 0
+        seeds, cells = collision_encode_batch(np.array([0]), params, rng, 20)
+        est = collision_indicator_estimates(seeds, cells, params)
+        missed = ~(bucket_hash(seeds[:, None], np.arange(8), 3) == cells[:, None]).any(axis=0)
+        assert (est[missed] < 0).all()
 
     def test_monte_carlo_unbiased_c2_d8(self, rng):
         params = CollisionParams.for_budget(8, 2, 1.0)
@@ -256,11 +240,15 @@ class TestCollisionEstimation:
         n = 500
         supports = np.sort(np.argsort(rng.random((n, 8)), axis=1)[:, :2], axis=1)
         seeds, cells = collision_encode_batch(supports, params, rng, n)
+        columns = (slice(None), np.array([2, 5]), slice(3, 6))
+        hits = bucket_hash(seeds[:, None], np.arange(8), params.filter_length) == cells[:, None]
+        expected_counts = np.stack([hits[:, cols].sum(axis=1) for cols in columns])
         estimates = []
         # the default, one report per chunk, and the whole batch in one chunk
         for chunk_cells in (local_mod._COLLISION_CHUNK_CELLS, 1, n * params.domain_size):
             monkeypatch.setattr(local_mod, "_COLLISION_CHUNK_CELLS", chunk_cells)
             estimates.append(collision_indicator_estimates(seeds, cells, params).tobytes())
+            assert np.array_equal(collision_hit_counts(seeds, cells, params, columns), expected_counts)
         assert estimates[1] == estimates[0] and estimates[2] == estimates[0]
 
     def test_estimation_rejects_zero_budget(self):
@@ -430,16 +418,14 @@ class TestSeparationConcatenation:
     def test_separation_zero_entries_unbiased(self, rng):
         s, labels, k, r = 4, 3, 1, 1
         pair = separation_params(s, labels, k, r, epsilon=2.0)
-        reports = [
-            separation_encode(np.array([0]), np.array([1]), pair, rng) for _ in range(30_000)
-        ]
-        est = separation_estimate(reports, pair) / len(reports)
+        n = 30_000
+        buckets = collision_encode_batch(np.array([0]), pair[0], rng, n)
+        label_reports = collision_encode_batch(np.array([1]), pair[1], rng, n)
+        est = separation_estimate(buckets, label_reports, pair) / n
         # entries with a zero factor have mean zero; the (0,1) entry is 1
-        sd = math.sqrt(
-            separation_entry_mse(pair, False, False) / len(reports)
-        )
+        sd = math.sqrt(separation_entry_mse(pair, False, False) / n)
         assert abs(est[2, 2]) < 6 * sd
-        sd11 = math.sqrt(separation_entry_mse(pair, True, True) / len(reports))
+        sd11 = math.sqrt(separation_entry_mse(pair, True, True) / n)
         assert abs(est[0, 1] - 1.0) < 6 * sd11
 
     def test_separation_splits_budget_evenly(self):
@@ -457,11 +443,8 @@ class TestSeparationConcatenation:
         s, labels, k, r = 4, 3, 1, 1
         params = concatenation_params(s, labels, k, r, epsilon=1.0)
         n = 60_000
-        reports = [
-            concatenation_encode(np.array([0]), np.array([1]), s, params, rng)
-            for _ in range(n)
-        ]
-        est = concatenation_estimate(reports, s, labels, params) / n
+        seeds, cells = collision_encode_batch(np.array([0, s + 1]), params, rng, n)
+        est = concatenation_estimate(seeds, cells, s, params) / n
         sd00 = math.sqrt(concatenation_entry_mse(params, False, False) / n)
         assert abs(est[2, 2]) < 6 * sd00
         # the shared report leaves a known offset at jointly-nonzero entries
@@ -486,18 +469,21 @@ class TestSeparationConcatenation:
     def test_vectorized_estimates_equal_per_report_sums(self, rng):
         # reference: the sum over reports of outer products of each report's
         # own indicator estimates, as the composites computed them one by one
-        def one(rep, params):
-            return collision_indicator_estimates(np.array([rep.hash_seed], dtype=np.uint64), np.array([rep.cell]), params)
+        def one(seed, cell, params):
+            return collision_indicator_estimates(np.array([seed], dtype=np.uint64), np.array([cell]), params)
 
         s, labels = 4, 3
         pair = separation_params(s, labels, 1, 1, epsilon=2.0)
-        pairs = [separation_encode(np.array([0]), np.array([1]), pair, rng) for _ in range(50)]
-        loop = sum(np.outer(one(b, pair[0]), one(y, pair[1])) for b, y in pairs)
-        assert np.allclose(separation_estimate(pairs, pair), loop, rtol=1e-12, atol=1e-9)
+        buckets = collision_encode_batch(np.array([0]), pair[0], rng, 50)
+        label_reports = collision_encode_batch(np.array([1]), pair[1], rng, 50)
+        loop = sum(
+            np.outer(one(*b, pair[0]), one(*y, pair[1])) for b, y in zip(zip(*buckets), zip(*label_reports))
+        )
+        assert np.allclose(separation_estimate(buckets, label_reports, pair), loop, rtol=1e-12, atol=1e-9)
         params = concatenation_params(s, labels, 1, 1, epsilon=1.0)
-        reports = [concatenation_encode(np.array([0]), np.array([1]), s, params, rng) for _ in range(50)]
-        loop = sum(np.outer(one(rep, params)[:s], one(rep, params)[s:]) for rep in reports)
-        assert np.allclose(concatenation_estimate(reports, s, labels, params), loop, rtol=1e-12, atol=1e-9)
+        seeds, cells = collision_encode_batch(np.array([0, s + 1]), params, rng, 50)
+        loop = sum(np.outer(one(z, c, params)[:s], one(z, c, params)[s:]) for z, c in zip(seeds, cells))
+        assert np.allclose(concatenation_estimate(seeds, cells, s, params), loop, rtol=1e-12, atol=1e-9)
 
     def test_high_budget_mse_decreases(self, rng):
         s, labels, k, r = 4, 3, 1, 1
@@ -531,10 +517,6 @@ class TestVerifyLocalDp:
         params = GseParams(4, 1, math.log(2), 1, 1)
         inputs, pmf = gse_pmfs(params)
         assert verify_local_dp(inputs, pmf) == pytest.approx(math.log(2), abs=1e-12)
-
-    def test_continuous_mechanism_rejected(self):
-        with pytest.raises(ValueError, match="density-ratio"):
-            mechanism_pmfs("local-laplace")
 
     def test_guard_on_instance_size(self):
         inputs = list(range(2000))
