@@ -144,6 +144,8 @@ class RecordSet:
         self.labels = np.asarray(self.labels, dtype=np.uint8)
         if self.embeddings.ndim != 2:
             raise ValueError("embeddings must be (m, dim)")
+        if not np.isfinite(self.embeddings).all():
+            raise ValueError("record embeddings must be finite")
         if self.labels.shape[0] != self.embeddings.shape[0]:
             raise ValueError("embeddings and labels disagree on record count")
         validate_label_matrix(self.labels)
@@ -184,6 +186,8 @@ class QuerySet:
         emb = np.asarray(self.embeddings, dtype=np.float64)
         if emb.ndim != 2 or emb.shape[0] < 1:
             raise ValueError("queries must be a nonempty (s, dim) array")
+        if not np.isfinite(emb).all():
+            raise ValueError("query embeddings must be finite")
         object.__setattr__(self, "embeddings", emb)
 
     @property

@@ -169,9 +169,12 @@ def load_embeddings_csv(path, label_count: int | None = None):
             if len(parts) != dim + 2:
                 raise ValueError(f"line {line_no}: expected {dim + 2} columns, got {len(parts)}")
             try:
-                rows.append([float(x) for x in parts[2:]])
+                row = [float(x) for x in parts[2:]]
             except ValueError as exc:
                 raise ValueError(f"line {line_no}: non-numeric embedding entry") from exc
+            if not all(map(math.isfinite, row)):
+                raise ValueError(f"line {line_no}: non-finite embedding entry")
+            rows.append(row)
             ids.append(parts[0])
             raw_labels.append((line_no, parts[1]))
     if not rows:

@@ -96,15 +96,28 @@ def kmeans(
     for _ in range(max_iter):
         dists = pairwise_distances(points, centers)
         assignment = np.argmin(dists, axis=1)
+        counts = np.bincount(assignment, minlength=s)
+        # add.at sums rows in index order from 0.0, as an axis-0 mean does, so
+        # each mean equals points[assignment == j].mean(axis=0) bytewise
+        sums = np.zeros((s, points.shape[1]))
+        np.add.at(sums, assignment, points)
         new_centers = centers.copy()
-        for j in range(s):
-            members = assignment == j
-            if members.any():
-                new_centers[j] = points[members].mean(axis=0)
-            else:
-                far = int(np.argmax(dists[np.arange(n), assignment]))
-                new_centers[j] = points[far]
-                assignment[far] = j
+        filled = counts > 0
+        new_centers[filled] = sums[filled] / counts[filled, None]
+        empty = np.flatnonzero(~filled)
+        while empty.size:
+            # reseed in index order; a donor with a larger index takes its
+            # mean without the moved point, and may empty in turn
+            j = int(empty[0])
+            far = int(np.argmax(dists[np.arange(n), assignment]))
+            donor = int(assignment[far])
+            new_centers[j] = points[far]
+            assignment[far] = j
+            counts[donor] -= 1
+            counts[j] += 1
+            if donor > j and counts[donor]:
+                new_centers[donor] = points[assignment == donor].mean(axis=0)
+            empty = j + 1 + np.flatnonzero(counts[j + 1 :] == 0)
         shift = np.linalg.norm(new_centers - centers, axis=1).max()
         centers = new_centers
         if shift < tol:
@@ -153,6 +166,27 @@ def select_queries_uncertainty(
 # connection and local answers
 
 
+_DISTANCE_BLOCK_CELLS = 1 << 16
+
+
+def _distance_blocks(points: np.ndarray, queries: QuerySet, metric: Metric):
+    """Yield (first row, block) for consecutive row blocks of
+    ``pairwise_distances(points, queries, metric)``, at most
+    ``_DISTANCE_BLOCK_CELLS`` cells (and at least one row) each; the caller
+    owns every block."""
+    m, s = points.shape[0], queries.s
+    rows = max(1, _DISTANCE_BLOCK_CELLS // s)
+    for start in range(0, m, rows):
+        end = min(start + rows, m)
+        lo, hi = start, end
+        if end - start == 1 and m > 1:
+            # BLAS multiplies a lone row by another kernel (gemv), whose sums
+            # can differ in the last bit from the whole matrix's: use two rows
+            lo = min(start, m - 2)
+            hi = lo + 2
+        yield start, pairwise_distances(points[lo:hi], queries.embeddings, metric)[start - lo : end - lo]
+
+
 def reverse_knn_connect(
     embeddings: np.ndarray | RecordSet,
     queries: QuerySet,
@@ -161,21 +195,37 @@ def reverse_knn_connect(
 ) -> ConnectionMap:
     """Connect each record to its min(k, s) nearest queries.
 
-    Distance ties resolve toward the smaller query index (stable sort), so the
-    map is deterministic.
+    Distance ties resolve toward the smaller query index, so the map is
+    deterministic.  Distances are taken in row blocks and each record's
+    buckets by min(k, s) argmin passes, so memory is O(m·min(k, s)) plus one
+    block; with k >= s every record takes every query and no distance is
+    computed.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     if isinstance(embeddings, RecordSet):
         embeddings = embeddings.embeddings
     embeddings = np.asarray(embeddings, dtype=np.float64)
+    if embeddings.ndim != 2 or embeddings.shape[1] != queries.dim:
+        raise ValueError("points and queries must be 2-D with a shared dimension")
     s = queries.s
     degree = min(k, s)
-    if embeddings.shape[0] == 0:
-        return ConnectionMap(np.zeros((0, degree), dtype=np.int64), s=s, k=k)
-    dists = pairwise_distances(embeddings, queries.embeddings, metric)
-    order = np.argsort(dists, axis=1, kind="stable")
-    chosen = np.sort(order[:, :degree], axis=1)
+    m = embeddings.shape[0]
+    if m == 0 or degree == s:
+        return ConnectionMap(np.tile(np.arange(degree, dtype=np.int64), (m, 1)), s=s, k=k)
+    chosen = np.empty((m, degree), dtype=np.int64)
+    for start, block in _distance_blocks(embeddings, queries, metric):
+        if not np.isfinite(block).all():
+            # finite coordinates beyond ~1e154 overflow the squared norms, and
+            # an all-inf row would let argmin pick one query twice
+            raise ValueError("distances overflow: embeddings too large to connect")
+        picks = chosen[start : start + len(block)]
+        rows = np.arange(len(block))
+        for col in range(degree):
+            # argmin keeps the first minimum: ties go to the smaller index
+            picks[:, col] = np.argmin(block, axis=1)
+            block[rows, picks[:, col]] = np.inf
+        picks.sort(axis=1)
     return ConnectionMap(chosen, s=s, k=k)
 
 
@@ -205,14 +255,18 @@ def connection_scores(
 ) -> np.ndarray:
     """Per-query sum of similarities of its connected records (0 if none)."""
     embeddings = np.asarray(embeddings, dtype=np.float64)
+    if embeddings.shape[0] != connections.m:
+        raise ValueError("connections must cover exactly these records")
     scores = np.zeros(queries.s)
     if connections.m == 0:
         return scores
-    dists = pairwise_distances(embeddings, queries.embeddings, metric)
-    sims = similarity_from_distance(dists)
+    picked = np.empty((connections.m, connections.degree))
+    for start, block in _distance_blocks(embeddings, queries, metric):
+        idx = connections.indices[start : start + len(block)]
+        picked[start : start + len(block)] = np.take_along_axis(block, idx, axis=1)
+    sims = similarity_from_distance(picked)
     for col in range(connections.degree):
-        idx = connections.indices[:, col]
-        np.add.at(scores, idx, sims[np.arange(connections.m), idx])
+        np.add.at(scores, connections.indices[:, col], sims[:, col])
     return scores
 
 

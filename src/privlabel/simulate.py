@@ -307,6 +307,8 @@ def run_algorithm1(
     per-iteration budget is epsilon/T (sequential composition).
     """
     pub_embeddings = np.asarray(pub_embeddings, dtype=np.float64)
+    if not np.isfinite(pub_embeddings).all():
+        raise ValueError("public embeddings must be finite")
     if T < 1:
         raise ValueError("T must be at least 1")
     if params.s != s or params.k != k:

@@ -123,6 +123,24 @@ class TestGenAndSimulate:
         )
         assert code == 3
 
+    @pytest.mark.parametrize("bad_file", ["priv", "pub"])
+    def test_non_finite_embedding_exits_3_before_query_selection(self, tmp_path, capsys, monkeypatch, bad_file):
+        import privlabel.simulate as simulate_mod
+
+        selections = []
+        monkeypatch.setattr(simulate_mod, "select_queries_cluster", lambda *a, **kw: selections.append(a))
+        rows = {"priv": ["0,0,0.0,0.0", "1,1,4.0,4.0", "2,1,4.5,4.0"], "pub": ["0,,0.1,0.0", "1,,4.1,4.0"]}
+        rows[bad_file][1] = rows[bad_file][1].rsplit(",", 1)[0] + ",nan"
+        for name, lines in rows.items():
+            (tmp_path / f"{name}.csv").write_text("id,label,e1,e2\n" + "\n".join(lines) + "\n")
+        code, _, err = run_cli(
+            capsys, "simulate", "--seed", "1", "--dataset", "csv",
+            "--csv-priv", str(tmp_path / "priv.csv"), "--csv-pub", str(tmp_path / "pub.csv"), "--s", "2",
+        )
+        assert code == 3
+        assert "line 3: non-finite" in err
+        assert selections == []
+
     def test_io_error_exit_code(self, tmp_path, capsys):
         code, _, err = run_cli(
             capsys, "simulate", "--seed", "1", "--dataset", "csv",

@@ -226,6 +226,17 @@ class TestAccuracySpecAndRecords:
         with pytest.raises(ValueError):
             AccuracySpec(eta=1.0, beta=1.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_embeddings_rejected(self, bad):
+        from privlabel.core import QuerySet, RecordSet
+
+        emb = np.zeros((2, 2))
+        emb[1, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            RecordSet(emb, np.array([[1, 0], [0, 1]], dtype=np.uint8))
+        with pytest.raises(ValueError, match="finite"):
+            QuerySet(emb)
+
     def test_mixed_cardinality_rejected(self):
         from privlabel.core import RecordSet
 

@@ -117,6 +117,14 @@ class TestCsv:
         with pytest.raises(ValueError, match="line 2"):
             load_embeddings_csv(path)
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("label", ["1", ""])
+    def test_non_finite_embedding_names_line(self, tmp_path, bad, label):
+        path = tmp_path / "nonfinite.csv"
+        path.write_text(f"id,label,e1,e2\n0,{label},0.5,0.5\na,{label},0.1,{bad}\n")
+        with pytest.raises(ValueError, match="line 3: non-finite"):
+            load_embeddings_csv(path)
+
     def test_out_of_range_label_rejected(self, tmp_path):
         path = tmp_path / "range.csv"
         path.write_text("id,label,e1\n0,9,0.5\n")

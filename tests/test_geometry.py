@@ -1,8 +1,12 @@
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import privlabel.geometry as geometry_mod
 from privlabel.core import ConnectionMap, QuerySet
 from privlabel.geometry import (
     ConnectionObjective,
@@ -76,6 +80,61 @@ class TestQuerySelection:
         b, _ = select_queries_cluster(pts, 5, np.random.default_rng(123))
         assert np.array_equal(a.embeddings, b.embeddings)
 
+    @pytest.mark.parametrize(
+        "points, seeded, expected",
+        [
+            # cluster 0 starts empty and takes point 3 from cluster 2, whose
+            # mean is then taken without it
+            ([[0, 0], [1, 0], [10, 0], [12, 0]], [[100, 100], [0, 0], [10, 0]], [[12, 0], [0.5, 0], [10, 0]]),
+            # the donor, cluster 2, empties in turn and takes the point back
+            ([[0, 0], [1, 0], [55, 0]], [[100, 100], [0, 0], [60, 0]], [[55, 0], [0.5, 0], [55, 0]]),
+        ],
+    )
+    def test_empty_cluster_reseeds_at_farthest_point_in_index_order(self, points, seeded, expected):
+        points = np.asarray(points, dtype=np.float64)
+        with mock.patch.object(geometry_mod, "_kmeans_plus_plus_init", return_value=np.asarray(seeded, dtype=np.float64)):
+            centers, _ = kmeans(points, 3, np.random.default_rng(0), max_iter=1)
+        assert centers.tolist() == expected
+
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 30), st.integers(2, 4))
+    @settings(max_examples=60, deadline=None)
+    def test_lloyd_update_matches_sequential_loop(self, seed, n, dim):
+        # few distinct points: k-means++ repeats centers, so clusters empty.
+        # dim starts at 2: numpy's mean of a 1-D column sums pairwise, not in
+        # index order, so 1-D centers may differ in the last bit
+        gen = np.random.default_rng(seed)
+        distinct = gen.normal(size=(int(gen.integers(1, n + 1)), dim)).round(1)
+        points = distinct[gen.integers(0, len(distinct), size=n)]
+        s = int(gen.integers(1, n + 1))
+        centers, assignment = kmeans(points, s, np.random.default_rng(seed))
+        ref_centers, ref_assignment = _sequential_kmeans(points, s, np.random.default_rng(seed))
+        assert centers.tobytes() == ref_centers.tobytes()
+        assert assignment.tobytes() == ref_assignment.tobytes()
+
+
+def _sequential_kmeans(points, s, rng, max_iter=100, tol=1e-6):
+    """Lloyd iterations with one boolean mask per cluster and reseeding in
+    cluster order: the reference the vectorized update must reproduce."""
+    n = points.shape[0]
+    centers = geometry_mod._kmeans_plus_plus_init(points, s, rng)
+    for _ in range(max_iter):
+        dists = pairwise_distances(points, centers)
+        assignment = np.argmin(dists, axis=1)
+        new_centers = centers.copy()
+        for j in range(s):
+            members = assignment == j
+            if members.any():
+                new_centers[j] = points[members].mean(axis=0)
+            else:
+                far = int(np.argmax(dists[np.arange(n), assignment]))
+                new_centers[j] = points[far]
+                assignment[far] = j
+        shift = np.linalg.norm(new_centers - centers, axis=1).max()
+        centers = new_centers
+        if shift < tol:
+            break
+    return centers, np.argmin(pairwise_distances(points, centers), axis=1)
+
 
 class TestUncertaintySelection:
     def test_smallest_margin_wins(self):
@@ -119,6 +178,12 @@ class TestReverseKnn:
         conn = reverse_knn_connect(np.zeros((0, 2)), queries, k=2)
         assert conn.m == 0
 
+    def test_overflowing_distances_rejected(self):
+        # every distance is inf, so argmin alone would pick query 0 twice
+        queries = QuerySet(np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]))
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="overflow"):
+            reverse_knn_connect(np.array([[0.5, 0.0], [1e200, 0.0]]), queries, k=2)
+
     def test_k_below_one_rejected(self):
         records, queries = four_point_fixture()
         with pytest.raises(ValueError):
@@ -132,6 +197,83 @@ class TestReverseKnn:
         queries = QuerySet(gen.normal(size=(s, 2)))
         conn = reverse_knn_connect(emb, queries, k)
         assert conn.degree == min(k, s) <= k
+
+
+def _reference_connect(emb, queries, k, metric):
+    """Full-sort connect: the whole (m, s) matrix, stable-argsorted per row."""
+    dists = pairwise_distances(emb, queries.embeddings, metric)
+    order = np.argsort(dists, axis=1, kind="stable")
+    return np.sort(order[:, : min(k, queries.s)], axis=1)
+
+
+def _reference_scores(emb, queries, indices, metric):
+    """Scores read from the dense similarity matrix."""
+    sims = similarity_from_distance(pairwise_distances(emb, queries.embeddings, metric))
+    scores = np.zeros(queries.s)
+    for col in range(indices.shape[1]):
+        np.add.at(scores, indices[:, col], sims[np.arange(len(indices)), indices[:, col]])
+    return scores
+
+
+@st.composite
+def _tied_instances(draw):
+    """Records and queries with repeated rows and small-integer coordinates,
+    so many distances tie exactly."""
+    m, s = draw(st.integers(0, 300)), draw(st.integers(1, 12))
+    k = draw(st.integers(1, s + 2))
+    metric = draw(st.sampled_from(list(Metric)))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dim = int(gen.integers(2, 4))
+    if draw(st.booleans()):
+        pool = gen.integers(1, 4, size=(max(1, s // 2), dim)).astype(np.float64)
+    else:
+        pool = gen.normal(size=(max(1, s // 2), dim)) + 3.0  # away from 0 for cosine
+    queries = QuerySet(pool[gen.integers(0, len(pool), size=s)])
+    records = np.vstack([pool, gen.normal(size=(5, dim)) + 3.0])[gen.integers(0, len(pool) + 5, size=m)]
+    return records, queries, k, metric
+
+
+class TestBlockedConnect:
+    @given(_tied_instances())
+    @settings(max_examples=150, deadline=None)
+    def test_connect_and_scores_equal_dense_reference(self, instance):
+        emb, queries, k, metric = instance
+        expected = _reference_connect(emb, queries, k, metric)
+        expected_scores = _reference_scores(emb, queries, expected, metric)
+        # the default, one row per block, and three rows per block
+        for cells in (geometry_mod._DISTANCE_BLOCK_CELLS, queries.s, 3 * queries.s):
+            with mock.patch.object(geometry_mod, "_DISTANCE_BLOCK_CELLS", cells):
+                conn = reverse_knn_connect(emb, queries, k, metric)
+                assert conn.indices.tobytes() == expected.tobytes()
+                assert connection_scores(emb, queries, conn, metric).tobytes() == expected_scores.tobytes()
+
+    @pytest.mark.parametrize("metric", list(Metric))
+    @pytest.mark.parametrize("m", [1001, 1000])
+    def test_blocking_leaves_outputs_byte_identical(self, rng, monkeypatch, metric, m):
+        # s = 7 divides neither m; m = 1001 leaves a lone row after 2-row blocks
+        emb = rng.normal(size=(m, 8))
+        queries = QuerySet(rng.normal(size=(7, 8)))
+        maps, scores = [], []
+        for cells in (geometry_mod._DISTANCE_BLOCK_CELLS, 7, 14, 7 * 333, 7 * m):
+            monkeypatch.setattr(geometry_mod, "_DISTANCE_BLOCK_CELLS", cells)
+            conn = reverse_knn_connect(emb, queries, 3, metric)
+            maps.append(conn.indices.tobytes())
+            scores.append(connection_scores(emb, queries, conn, metric).tobytes())
+        assert maps == [_reference_connect(emb, queries, 3, metric).tobytes()] * len(maps)
+        assert len(set(scores)) == 1
+
+    def test_memory_stays_below_a_quarter_of_the_dense_matrix(self):
+        gen = np.random.default_rng(5)
+        m, s = 40_000, 200
+        emb = gen.normal(size=(m, 8))
+        queries = QuerySet(gen.normal(size=(s, 8)))
+        tracemalloc.start()
+        try:
+            reverse_knn_connect(emb, queries, 2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < m * s * 8 / 4
 
 
 class TestLocalAnswer:
@@ -202,6 +344,12 @@ class TestScoresAndObjectives:
         emb = np.array([[2.0, 2.0]])
         conn = reverse_knn_connect(emb, queries, k=1)
         assert connection_scores(emb, queries, conn)[0] == pytest.approx(1.0)
+
+    def test_scores_reject_records_the_map_does_not_cover(self):
+        queries = QuerySet(np.array([[2.0, 2.0], [9.0, 9.0]]))
+        conn = reverse_knn_connect(np.array([[2.0, 2.0]]), queries, k=1)
+        with pytest.raises(ValueError, match="cover"):
+            connection_scores(np.array([[2.0, 2.0], [9.0, 9.0]]), queries, conn)
 
     def test_objective_values(self):
         scores = np.array([1.0, 0.5, 0.5])

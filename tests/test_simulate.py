@@ -202,6 +202,17 @@ class TestRunAlgorithm1:
         with pytest.raises(ValueError, match="public"):
             run_algorithm1(records, pub[:2], params, T=1, s=3, k=1, master_seed=0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_public_embedding_fails_before_any_stage(self, monkeypatch, bad):
+        def must_not_run(*args, **kwargs):
+            pytest.fail("query selection ran on a non-finite public pool")
+
+        monkeypatch.setattr(simulate_mod, "select_queries_cluster", must_not_run)
+        records, pub, _ = fixture_world()
+        pub[7, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            run_algorithm1(records, pub, make_params(PrivacyModel.CENTRAL, 1.0), T=1, s=3, k=1, master_seed=0)
+
     def test_reproducible_given_seed(self):
         records, pub, truth = fixture_world()
         params = make_params(PrivacyModel.CENTRAL, 0.5)
