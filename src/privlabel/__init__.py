@@ -1,7 +1,6 @@
 """Record-level differentially private labeling via reverse k-NN vote sums."""
 
 from .core import (
-    AccuracySpec,
     ConnectionMap,
     MechanismReport,
     PrivacyModel,
@@ -9,7 +8,6 @@ from .core import (
     QuerySet,
     RecordSet,
     count_gap,
-    empirical_accuracy,
     exact_aggregate,
     hard_label,
     label_vector,

@@ -3,25 +3,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import central as central_mod
 from . import local as local_mod
-from . import shuffle as shuffle_mod
 from .core import PrivacyModel, PrivacyParams
+from .simulate import MODEL_MECHANISMS, eta_bound, randomizer_params
 
-
-def _collision_bound(params: PrivacyParams, n: int, beta: float) -> float:
-    # a record reaches min(k, s) buckets, so a run's support is that many times r
-    support_size = min(params.k, params.s) * params.r
-    cparams = local_mod.CollisionParams.for_budget(params.flat_domain_size, support_size, params.epsilon)
-    return local_mod.collision_accuracy_bound(cparams, n, params.label_count, beta)
-
-
-# eta(beta) of each bounded local mechanism: (randomizer params, n, beta) -> eta
-_LOCAL_BOUNDS = {
-    "rr": local_mod.rr_accuracy_bound,
-    "laplace": local_mod.local_laplace_accuracy_bound,
-    "collision": _collision_bound,
-}
+# the prefix of a per-report model's rows; the other models have one row each, named after the model
+_ROW_PREFIX = {PrivacyModel.LOCAL: "", PrivacyModel.SHUFFLE_SINGLE: "shuffled-"}
 
 
 def bounds_table(
@@ -35,43 +22,31 @@ def bounds_table(
     beta: float,
     n: int | None = None,
 ) -> dict[str, float]:
-    """Max-error bounds eta(beta) of every mechanism the inputs allow.
+    """Max-error bounds eta(beta) of every mechanism the inputs allow, as runs report them.
 
-    Local and shuffled-single bounds need the client count n and are named
-    as a run reports its mechanism (``laplace``, ``shuffled-laplace``); with
-    ``model`` set only that model's rows are produced.
+    Local and shuffle-single rows need the client count n and shuffle rows a
+    delta > 0: rows lacking them are skipped, or an error if ``model`` asks for
+    them.  Per-report rows are named as a run names its mechanism (``laplace``,
+    ``shuffled-laplace``), the others after their model.
     """
+    if n is not None and n < 1:
+        raise ValueError(f"--n must be at least 1, got {n}")
     rows: dict[str, float] = {}
-
-    def want(name: str) -> bool:
-        return model is None or model == name
-
-    if want("central"):
-        params = PrivacyParams(epsilon, PrivacyModel.CENTRAL, k, r, s, label_count)
-        rows["central"] = central_mod.laplace_accuracy_bound(params, beta)
-    if want("shuffle-multi"):
-        dd = delta if delta > 0 else 1e-6
-        params = PrivacyParams(epsilon, PrivacyModel.SHUFFLE_MULTI, k, r, s, label_count, delta=dd)
-        rows["shuffle-multi"] = shuffle_mod.multi_message_accuracy_bound(params, beta)
-    local_budgets: dict[str, float] = {}
-    if want("local"):
-        if n is None:
-            if model == "local":
-                raise ValueError("local bounds need the client count --n")
-        else:
-            local_budgets[""] = epsilon
-    if want("shuffle-single"):
-        if n is None or delta <= 0:
-            if model == "shuffle-single":
-                raise ValueError("shuffle-single bounds need --n and --delta")
-        else:
-            local_budgets["shuffled-"] = shuffle_mod.amplify_invert(epsilon, n, delta)
-    for prefix, eps in local_budgets.items():
-        params = PrivacyParams(eps, PrivacyModel.LOCAL, k, r, s, label_count)
-        for name, bound in _LOCAL_BOUNDS.items():
-            rows[prefix + name] = bound(params, n, beta)
-    if not rows:
-        raise ValueError(f"no bounds available for model {model!r} with the given inputs")
+    for privacy_model in [PrivacyModel(model)] if model else MODEL_MECHANISMS:
+        prefix = _ROW_PREFIX.get(privacy_model)
+        shuffled = privacy_model in (PrivacyModel.SHUFFLE_MULTI, PrivacyModel.SHUFFLE_SINGLE)
+        lacking = {"--n": prefix is not None and n is None, "--delta": shuffled and delta <= 0}
+        missing = [flag for flag, absent in lacking.items() if absent]
+        if missing:
+            if model:
+                raise ValueError(f"{privacy_model.value} bounds need {' and '.join(missing)}")
+            continue
+        params = PrivacyParams(epsilon, privacy_model, k, r, s, label_count, delta if shuffled else 0.0)
+        randomizer = randomizer_params(params, n)
+        for mechanism in MODEL_MECHANISMS[privacy_model]:
+            eta = eta_bound(randomizer, mechanism, n, beta)
+            if eta is not None:
+                rows[privacy_model.value if prefix is None else prefix + mechanism] = eta
     return rows
 
 

@@ -167,7 +167,7 @@ def _one_trial(cfg, records, public, params, trial: int) -> dict:
     return {
         "acc_pl": result.acc_pl,
         "acc_proxy": result.proxy_accuracy,
-        "max_error": result.max_error,
+        "max_error": final.empirical_eta,
         "labels": [int(v) for v in final.hard],
         "eta_exceed_rate": final.eta_exceed_rate,
         "_ledger": result.ledger,

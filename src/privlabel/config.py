@@ -72,8 +72,15 @@ class ExperimentConfig:
         )
 
     def validate(self) -> None:
+        """Reject every bad field that does not depend on the data, before it is loaded."""
         resolve_mechanism(self.privacy_model(), self.mechanism)
-        self.partition_scheme()
+        # r = 1 and two labels are the loosest valid shape: the probe checks only data-free fields
+        self.privacy_params(label_count=2, r=1)
+        scheme = self.partition_scheme()
+        if scheme is not PartitionScheme.SINGLE_RECORD and self.n_clients < 1:
+            raise ValueError(f"the {self.partition} partition needs n_clients >= 1")
+        if scheme is PartitionScheme.DIRICHLET and not self.dirichlet_alpha > 0:
+            raise ValueError("dirichlet_alpha must be positive")
         if self.dataset not in ("synthetic", "csv"):
             raise ValueError(f"dataset must be 'synthetic' or 'csv', got {self.dataset!r}")
         if self.dataset == "csv" and not (self.csv_priv and self.csv_pub):

@@ -10,7 +10,6 @@ exact arithmetic they are measured against.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Sequence
 
@@ -77,21 +76,6 @@ class PrivacyParams:
         if iterations < 1:
             raise ValueError("iterations must be >= 1")
         return replace(self, epsilon=self.epsilon / iterations)
-
-
-@dataclass(frozen=True)
-class AccuracySpec:
-    """An oracle is (eta, beta)-accurate at a bucket when its max-norm error
-    stays below ``eta`` with probability at least ``1 - beta``."""
-
-    eta: float
-    beta: float
-
-    def __post_init__(self):
-        if not self.eta > 0:
-            raise ValueError("eta must be positive")
-        if not 0.0 < self.beta < 1.0:
-            raise ValueError("beta must lie in (0, 1)")
 
 
 def label_vector(indices: Iterable[int], label_count: int) -> np.ndarray:
@@ -320,42 +304,3 @@ def count_gap(row: np.ndarray, true_label: int) -> float:
         raise ValueError("true_label out of range")
     others = np.delete(row, true_label)
     return float(row[true_label] - others.max())
-
-
-def max_abs_error(exact: np.ndarray, noisy: np.ndarray) -> float:
-    exact = np.asarray(exact, dtype=np.float64)
-    noisy = np.asarray(noisy, dtype=np.float64)
-    if exact.shape != noisy.shape:
-        raise ValueError("matched shapes required")
-    return float(np.abs(noisy - exact).max())
-
-
-def empirical_accuracy(trials: Sequence[tuple[np.ndarray, np.ndarray]], eta: float) -> float:
-    """Fraction of trials whose max-entry deviation reaches ``eta``.
-
-    This is the empirical failure rate to compare against a target beta.
-    """
-    if not trials:
-        raise ValueError("empirical_accuracy needs at least one trial")
-    failures = sum(1 for exact, noisy in trials if max_abs_error(exact, noisy) >= eta)
-    return failures / len(trials)
-
-
-def per_bucket_failure_rates(trials: Sequence[tuple[np.ndarray, np.ndarray]], eta: float) -> np.ndarray:
-    """Failure rate of each bucket separately.
-
-    The max-over-buckets rate (``empirical_accuracy``) is reported alongside
-    this because the accuracy target is stated per bucket.
-    """
-    if not trials:
-        raise ValueError("per_bucket_failure_rates needs at least one trial")
-    s = np.asarray(trials[0][0]).shape[0]
-    fails = np.zeros(s, dtype=np.int64)
-    for exact, noisy in trials:
-        exact = np.asarray(exact, dtype=np.float64)
-        noisy = np.asarray(noisy, dtype=np.float64)
-        if exact.shape != noisy.shape or exact.shape[0] != s:
-            raise ValueError("matched shapes required")
-        dev = np.abs(noisy - exact).max(axis=1)
-        fails += dev >= eta
-    return fails / len(trials)

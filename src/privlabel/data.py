@@ -127,8 +127,7 @@ def _parse_label(text: str, label_count: int, line_no: int) -> np.ndarray:
     return label_vector(indices, label_count)
 
 
-def write_records_csv(path, records: RecordSet, label_count: int | None = None) -> None:
-    label_count = label_count or records.label_count
+def write_records_csv(path, records: RecordSet) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("id,label," + ",".join(f"e{i + 1}" for i in range(records.dim)) + "\n")
         for rid, bits, emb in zip(records.ids, records.labels, records.embeddings):

@@ -3,8 +3,9 @@
 Every client holds one record (clients with several records sample one), whose
 vote matrix is a binary s x label_count matrix with k*r ones, flattened
 row-major to its support of bucket*label_count + label indices.  ``MECHANISMS``
-maps each of four randomizers to one function that releases n such reports
-and returns the summed unbiased estimate with its max-error bound:
+maps each of four randomizers to a (release, bound) pair: ``release`` turns n
+such reports into the summed unbiased estimate, ``bound`` gives its max-error
+bound eta(beta):
 
 * randomized response -- per-bit flipping at budget eps/(2kr) per bit;
 * local Laplace -- per-entry Laplace(2kr/eps) noise;
@@ -26,7 +27,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -466,12 +467,18 @@ def gse_estimate(memberships: np.ndarray, params: GseParams) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # the local-mechanism table
 #
-# Every entry releases n one-record reports and returns (flat estimate of the
-# s*label_count counts, eta(beta) bound or None).  ``supports`` is the (n, c)
-# array of each report's flat bucket*label_count + label indices, c = degree*r;
-# ``params`` carries the randomizer's own budget (eps0 under shuffle-single).
+# ``release`` turns n one-record reports into the flat estimate of the
+# s*label_count counts and ``bound`` maps (params, n, beta) to its eta(beta).
+# ``supports`` is the (n, c) array of each report's flat bucket*label_count +
+# label indices, c = min(k, s)*r; ``params`` carries the randomizer's own
+# budget (eps0 under shuffle-single).
 
 _GSE_CHUNK_CELLS = 1 << 19  # membership cells per GSE encoding chunk
+
+
+class Mechanism(NamedTuple):
+    release: Callable[[np.ndarray, PrivacyParams, np.random.Generator], np.ndarray]
+    bound: Callable[[PrivacyParams, int, float], float | None]
 
 
 def _support_counts(supports: np.ndarray, params: PrivacyParams) -> np.ndarray:
@@ -482,31 +489,38 @@ def _support_counts(supports: np.ndarray, params: PrivacyParams) -> np.ndarray:
     return counts
 
 
-def _release_rr(supports: np.ndarray, params: PrivacyParams, rng: np.random.Generator, beta: float):
+def _release_rr(supports: np.ndarray, params: PrivacyParams, rng: np.random.Generator) -> np.ndarray:
     """Summed bit reports drawn exactly: Binomial(x, 1-p) + Binomial(n-x, p) per cell."""
     n, x = len(supports), _support_counts(supports, params)
     p = rr_flip_probability(params.epsilon, params.k, params.r)
     sums = rng.binomial(x, 1.0 - p) + rng.binomial(n - x, p)
-    return rr_estimate(sums, params, n), rr_accuracy_bound(params, n, beta)
+    return rr_estimate(sums, params, n)
 
 
-def _release_laplace(supports: np.ndarray, params: PrivacyParams, rng: np.random.Generator, beta: float):
+def _release_laplace(supports: np.ndarray, params: PrivacyParams, rng: np.random.Generator) -> np.ndarray:
     """Summed Laplace(2kr/eps) reports drawn exactly: x + Gamma(n, b) - Gamma(n, b) per cell."""
     n, x = len(supports), _support_counts(supports, params)
     b = noise_scale(params)
     noise = rng.gamma(n, b, size=x.size) - rng.gamma(n, b, size=x.size)
-    return x + noise, local_laplace_accuracy_bound(params, n, beta)
+    return x + noise
 
 
-def _release_collision(supports: np.ndarray, params: PrivacyParams, rng: np.random.Generator, beta: float):
-    n, c = np.shape(supports)
-    cparams = CollisionParams.for_budget(params.flat_domain_size, c, params.epsilon)
-    seeds, cells = collision_encode_batch(supports, cparams, rng, n)
-    estimate = collision_indicator_estimates(seeds, cells, cparams)
-    return estimate, collision_accuracy_bound(cparams, n, params.label_count, beta)
+def _run_collision_params(params: PrivacyParams) -> CollisionParams:
+    """A run's collision report shape: a record votes in min(k, s) buckets with r labels each."""
+    return CollisionParams.for_budget(params.flat_domain_size, min(params.k, params.s) * params.r, params.epsilon)
 
 
-def _release_gse(supports: np.ndarray, params: PrivacyParams, rng: np.random.Generator, beta: float):
+def _release_collision(supports: np.ndarray, params: PrivacyParams, rng: np.random.Generator) -> np.ndarray:
+    cparams = _run_collision_params(params)
+    seeds, cells = collision_encode_batch(supports, cparams, rng, len(supports))
+    return collision_indicator_estimates(seeds, cells, cparams)
+
+
+def _collision_run_bound(params: PrivacyParams, n: int, beta: float) -> float:
+    return collision_accuracy_bound(_run_collision_params(params), n, params.label_count, beta)
+
+
+def _release_gse(supports: np.ndarray, params: PrivacyParams, rng: np.random.Generator) -> np.ndarray:
     n, c = np.shape(supports)
     d = params.flat_domain_size
     gparams = GseParams(d, c, params.epsilon, min(default_filter_length(c, params.epsilon), d - 1))
@@ -515,14 +529,14 @@ def _release_gse(supports: np.ndarray, params: PrivacyParams, rng: np.random.Gen
     for start in range(0, n, rows):
         chunk = supports[start : start + rows]
         estimate += gse_estimate(gse_encode_batch(chunk, gparams, rng, len(chunk)), gparams)
-    return estimate, None
+    return estimate
 
 
-MECHANISMS: dict[str, Callable] = {
-    "rr": _release_rr,
-    "laplace": _release_laplace,
-    "collision": _release_collision,
-    "gse": _release_gse,
+MECHANISMS: dict[str, Mechanism] = {
+    "rr": Mechanism(_release_rr, rr_accuracy_bound),
+    "laplace": Mechanism(_release_laplace, local_laplace_accuracy_bound),
+    "collision": Mechanism(_release_collision, _collision_run_bound),
+    "gse": Mechanism(_release_gse, lambda params, n, beta: None),
 }
 
 

@@ -124,14 +124,14 @@ def multi_message_pipeline(
     client_mass: np.ndarray,
     params: PrivacyParams,
     rng: np.random.Generator,
-    include_noise: bool = True,
 ) -> np.ndarray:
     """Pool every client's messages, shuffle the pool, decode to a noisy count matrix.
 
     ``counts`` is the exact (s, label_count) aggregate and ``client_mass``
     each client's vote total; empty clients count toward n and still send
     noise shares.  The pooled data messages are one (cell, 1) pair per vote;
-    each client adds one (cell, share mod M) message per nonzero share.
+    each client adds one (cell, share mod M) message per nonzero share, and
+    none at eps = inf, the noiseless limit.
     """
     if params.model is not PrivacyModel.SHUFFLE_MULTI:
         raise ValueError("multi-message pipeline requires the shuffle-multi model")
@@ -148,7 +148,7 @@ def multi_message_pipeline(
     modulus = choose_modulus(n * max(int(client_mass.max()), 1), params.k, params.r, params.epsilon)
     data_idx = np.repeat(np.arange(d, dtype=np.int64), flat)
     pool = [np.column_stack([data_idx, np.ones(data_idx.size, dtype=np.int64)])]
-    if include_noise and not math.isinf(params.epsilon):
+    if not math.isinf(params.epsilon):
         rows = max(1, _NOISE_CHUNK_CELLS // max(d, 1))
         for start in range(0, n, rows):
             shares = sample_noise_share(

@@ -201,7 +201,6 @@ class SimulationResult:
     acc_pl: float | None
     proxy_accuracy: float | None
     ledger: BudgetLedger
-    max_error: float
     partition: Partition
     cluster_assignment: np.ndarray | None = None
 
@@ -252,6 +251,25 @@ def resolve_mechanism(model: PrivacyModel, mechanism: str) -> str:
     return mechanism if mechanism in allowed else allowed[0]
 
 
+def randomizer_params(params: PrivacyParams, n: int | None) -> PrivacyParams:
+    """The parameters a release runs at: shuffle-single's are amplified to
+    eps0 over its n reporting clients, every other model's are ``params``."""
+    if params.model is PrivacyModel.SHUFFLE_SINGLE:
+        return shuffle_mod.single_message_params(params, n)
+    return params
+
+
+def eta_bound(params: PrivacyParams, mechanism: str, n: int | None, beta: float) -> float | None:
+    """Max-error bound eta(beta) of one release at ``params`` (from
+    ``randomizer_params``) over n reporting clients; None for a mechanism
+    without a bound.  Runs report it and ``analysis.bounds_table`` prints it."""
+    if params.model is PrivacyModel.CENTRAL:
+        return central_mod.laplace_accuracy_bound(params, beta)
+    if params.model is PrivacyModel.SHUFFLE_MULTI:
+        return shuffle_mod.multi_message_accuracy_bound(params, beta)
+    return local_mod.MECHANISMS[mechanism].bound(params, n, beta)
+
+
 def _privatize(
     exact: np.ndarray,
     records: RecordSet,
@@ -259,26 +277,23 @@ def _privatize(
     partition: Partition,
     params: PrivacyParams,
     mechanism: str,
-    beta: float,
     rng: np.random.Generator,
-) -> tuple[np.ndarray, float | None]:
-    """Noisy counts and their eta bound under the configured model.
+) -> np.ndarray:
+    """Noisy counts under the configured model.
 
     For the local and shuffle-single models ``params`` is the randomizer's
     own (local-model) budget, which shuffle-single has already amplified.
     """
     if params.model is PrivacyModel.CENTRAL:
-        noisy = central_mod.central_laplace_mechanism(exact, params, rng)
-        return noisy, central_mod.laplace_accuracy_bound(params, beta)
+        return central_mod.central_laplace_mechanism(exact, params, rng)
     if params.model is PrivacyModel.SHUFFLE_MULTI:
         records_per_client = np.bincount(partition.client_of, minlength=partition.n_clients)
         client_mass = records_per_client * connections.degree * params.r
-        noisy = shuffle_mod.multi_message_pipeline(exact, client_mass, params, rng)
-        return noisy, shuffle_mod.multi_message_accuracy_bound(params, beta)
+        return shuffle_mod.multi_message_pipeline(exact, client_mass, params, rng)
     chosen = _one_record_per_client(partition, rng)
     supports = _record_supports(records, connections, chosen)
-    flat, eta = local_mod.MECHANISMS[mechanism](supports, params, rng, beta)
-    return flat.reshape(params.s, params.label_count), eta
+    flat = local_mod.MECHANISMS[mechanism].release(supports, params, rng)
+    return flat.reshape(params.s, params.label_count)
 
 
 def run_algorithm1(
@@ -339,11 +354,10 @@ def run_algorithm1(
         raise ValueError("partition does not cover the records")
 
     iter_params = params.per_iteration(T)
-    mech_params, mech_name = iter_params, mechanism
-    if params.model is PrivacyModel.SHUFFLE_SINGLE:
-        reporting = np.unique(partition.client_of).size
-        mech_params = shuffle_mod.single_message_params(iter_params, reporting)
-        mech_name = f"shuffled-{mechanism}"
+    reporting = np.count_nonzero(np.bincount(partition.client_of))  # clients holding a record
+    mech_params = randomizer_params(iter_params, reporting)
+    eta = eta_bound(mech_params, mechanism, reporting, beta)
+    mech_name = f"shuffled-{mechanism}" if params.model is PrivacyModel.SHUFFLE_SINGLE else mechanism
 
     ledger = BudgetLedger.empty(records.m)
     iterations: list[IterationOutcome] = []
@@ -371,14 +385,13 @@ def run_algorithm1(
         exact = local_answer(records.labels, connections, records.label_count)
         ledger.charge(iter_params.epsilon, connections.degree)
 
-        noisy, eta_bound = _privatize(
+        noisy = _privatize(
             exact,
             records,
             connections,
             partition,
             mech_params,
             mechanism,
-            beta,
             seeds_mod.generator(master_seed, "mechanism", t),
         )
         bucket_error = np.abs(noisy - exact).max(axis=1)
@@ -390,8 +403,8 @@ def run_algorithm1(
             soft=soft_labels(noisy),
             degenerate_buckets=degenerate_buckets(noisy),
             empirical_eta=float(bucket_error.max()),
-            theoretical_eta=eta_bound,
-            eta_exceed_rate=None if eta_bound is None else float((bucket_error >= eta_bound).mean()),
+            theoretical_eta=eta,
+            eta_exceed_rate=None if eta is None else float((bucket_error >= eta).mean()),
         )
         iterations.append(IterationOutcome(queries.embeddings, query_indices, exact, report))
 
@@ -426,7 +439,6 @@ def run_algorithm1(
         acc_pl=acc_pl,
         proxy_accuracy=proxy_acc,
         ledger=ledger,
-        max_error=iterations[-1].report.empirical_eta,
         partition=partition,
         cluster_assignment=cluster_assignment,
     )

@@ -327,10 +327,10 @@ def test_criterion_05c_distributed_noise_goodness_of_fit():
 
 def test_criterion_05d_noiseless_round_trip_exact():
     rng = seeds_mod.generator(505, "round-trip")
-    params = PrivacyParams(1.0, PrivacyModel.SHUFFLE_MULTI, 2, 1, 4, 3, delta=1e-6)
+    params = PrivacyParams(math.inf, PrivacyModel.SHUFFLE_MULTI, 2, 1, 4, 3, delta=1e-6)
     answers = [rng.integers(0, 4, size=(4, 3)) for _ in range(9)]
     decoded = multi_message_pipeline(
-        exact_aggregate(answers), [a.sum() for a in answers], params, rng, include_noise=False
+        exact_aggregate(answers), [a.sum() for a in answers], params, rng
     )
     assert np.array_equal(decoded, exact_aggregate(answers))
 

@@ -35,6 +35,24 @@ class TestBounds:
         assert code == 3
         assert "--n" in err
 
+    @pytest.mark.parametrize("n", ["0", "-5"])
+    def test_client_count_below_one_exits_3(self, capsys, n):
+        code, out, err = run_cli(capsys, "bounds", "--model", "local", "--eps", "1.0", "--n", n)
+        assert code == 3
+        assert "--n" in err and out == ""
+
+    @pytest.mark.parametrize("model", ["shuffle-multi", "shuffle-single"])
+    def test_shuffle_model_without_delta_exits_3(self, capsys, model):
+        code, _, err = run_cli(capsys, "bounds", "--model", model, "--eps", "1.0", "--n", "100000")
+        assert code == 3
+        assert "--delta" in err
+
+    def test_shuffle_rows_skipped_without_delta(self, capsys):
+        code, out, _ = run_cli(capsys, "bounds", "--eps", "1.0", "--n", "100000")
+        assert code == 0
+        names = [line.split(" eta = ")[0] for line in out.splitlines()]
+        assert names == ["central", "rr", "laplace", "collision"]
+
 
 class TestAmplify:
     def test_forward(self, capsys):
@@ -156,6 +174,31 @@ class TestGenAndSimulate:
         with pytest.raises(SystemExit) as exc:
             main(["unknown-command"])
         assert exc.value.code == 2
+
+
+class TestConfigChecksBeforeData:
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--model", "shuffle-multi"], "delta"),
+            (["--epsilon", "-1"], "epsilon"),
+            (["--k", "0"], "k must"),
+            (["--partition", "iid"], "n_clients"),
+            (["--partition", "dirichlet", "--n-clients", "3", "--dirichlet-alpha", "0"], "dirichlet_alpha"),
+        ],
+    )
+    @pytest.mark.parametrize("dataset", [[], ["--dataset", "csv", "--csv-priv", "p.csv", "--csv-pub", "q.csv"]])
+    def test_bad_config_exits_3_without_loading_data(self, capsys, monkeypatch, flags, message, dataset):
+        import privlabel.data as data_mod
+
+        def no_loading(*args, **kwargs):
+            raise AssertionError("data loaded before the config was checked")
+
+        monkeypatch.setattr(data_mod, "generate_synthetic", no_loading)
+        monkeypatch.setattr(data_mod, "load_embeddings_csv", no_loading)
+        code, _, err = run_cli(capsys, "simulate", "--seed", "1", *dataset, *flags)
+        assert code == 3
+        assert message in err
 
 
 class TestMechanismChecks:

@@ -6,9 +6,12 @@ import pytest
 
 from privlabel.analysis import bounds_table, collision_entry_std, predict_labeling_accuracy
 from privlabel.config import ExperimentConfig, build_config, load_config_file, parse_config_text
+from privlabel.core import PrivacyModel, PrivacyParams
 from privlabel.local import CollisionParams
 from privlabel.mse import mse_comparison, parse_grid
 from privlabel.results import build_results, read_results, write_results
+from privlabel.simulate import MODEL_MECHANISMS, PartitionScheme, run_algorithm1
+from conftest import random_record_set
 
 
 class TestConfig:
@@ -223,15 +226,59 @@ def test_bounds_table_is_same_code_path():
     local = PrivacyParams(0.7, PrivacyModel.LOCAL, 2, 1, 5, 10)
     assert rows["rr"] == rr_accuracy_bound(local, 50_000, 0.05)
     # the laplace rows equal the bound a run reports through the mechanism table
-    supports = np.tile([3, 17], (50_000, 1))
-    rng = np.random.default_rng(0)
-    assert rows["laplace"] == MECHANISMS["laplace"](supports, local, rng, 0.05)[1]
+    assert rows["laplace"] == MECHANISMS["laplace"].bound(local, 50_000, 0.05)
     single = PrivacyParams(0.7, PrivacyModel.SHUFFLE_SINGLE, 2, 1, 5, 10, delta=1e-6)
     eps0_params = single_message_params(single, 50_000)
-    assert rows["shuffled-laplace"] == MECHANISMS["laplace"](supports, eps0_params, rng, 0.05)[1]
+    assert rows["shuffled-laplace"] == MECHANISMS["laplace"].bound(eps0_params, 50_000, 0.05)
     # s < k: a record reaches only s buckets, and the collision row sizes its
     # support as min(k, s) * r like a run does
     rows = bounds_table("local", 2.0, 0.0, 3, 1, 2, 10, 0.05, n=500)
     narrow = PrivacyParams(2.0, PrivacyModel.LOCAL, 3, 1, 2, 10)
-    run_eta = MECHANISMS["collision"](np.tile([0, 10], (500, 1)), narrow, rng, 0.05)[1]
+    run_eta = MECHANISMS["collision"].bound(narrow, 500, 0.05)
     assert rows["collision"] == run_eta
+
+
+@pytest.mark.parametrize(
+    "model, mechanism",
+    [(model, mech) for model, mechs in MODEL_MECHANISMS.items() for mech in mechs],
+)
+def test_run_reports_the_bounds_table_row(model, mechanism):
+    # a T = 1 run reports the eta that `privlabel bounds` prints for its inputs,
+    # with n the number of clients that hold a record
+    rng = np.random.default_rng(31)
+    records = random_record_set(rng, m=3000, dim=2, label_count=5)
+    delta = 1e-6 if model in (PrivacyModel.SHUFFLE_MULTI, PrivacyModel.SHUFFLE_SINGLE) else 0.0
+    params = PrivacyParams(0.8, model, 2, 1, 4, 5, delta=delta)
+    result = run_algorithm1(
+        records, rng.normal(size=(40, 2)), params, T=1, s=4, k=2, master_seed=6, mechanism=mechanism,
+        partition_scheme=PartitionScheme.IID, n_clients=2500,
+    )
+    reporting = np.unique(result.partition.client_of).size
+    assert reporting < 2500  # some clients hold no record and do not report
+    rows = bounds_table(model.value, 0.8, delta, 2, 1, 4, 5, 0.05, n=reporting)
+    run_names = {PrivacyModel.LOCAL: mechanism, PrivacyModel.SHUFFLE_SINGLE: f"shuffled-{mechanism}"}
+    name = run_names.get(model, model.value)
+    eta = result.iterations[0].report.theoretical_eta
+    if mechanism == "gse":
+        assert eta is None and name not in rows
+    else:
+        assert eta == rows[name]
+
+
+class TestBoundsRules:
+    def test_shuffle_rows_need_delta(self):
+        rows = bounds_table(None, 0.5, 0.0, 1, 1, 2, 10, 0.05, n=100_000)
+        assert set(rows) == {"central", "rr", "laplace", "collision"}
+        for model in ("shuffle-multi", "shuffle-single"):
+            with pytest.raises(ValueError, match="--delta"):
+                bounds_table(model, 0.5, 0.0, 1, 1, 2, 10, 0.05, n=100_000)
+
+    @pytest.mark.parametrize("n", [0, -5])
+    def test_client_count_below_one_rejected(self, n):
+        for model in (None, "central", "local"):
+            with pytest.raises(ValueError, match="--n"):
+                bounds_table(model, 1.0, 0.0, 1, 1, 2, 10, 0.05, n=n)
+
+    def test_no_model_skips_rows_lacking_n(self):
+        rows = bounds_table(None, 0.5, 1e-6, 1, 1, 2, 10, 0.05)
+        assert set(rows) == {"central", "shuffle-multi"}

@@ -78,7 +78,7 @@ class TestRandomizedResponse:
         supports = (np.arange(n) < n // 3).astype(np.int64)[:, None]  # 10 reports vote for cell 1
         truth = np.array([n - n // 3, n // 3])
         p = rr_flip_probability(1.0, 1, 1)
-        estimates = np.array([MECHANISMS["rr"](supports, params, rng, 0.05)[0] for _ in range(trials)])
+        estimates = np.array([MECHANISMS["rr"].release(supports, params, rng) for _ in range(trials)])
         var = n * p * (1 - p) / (1 - 2 * p) ** 2
         assert np.abs(estimates.mean(axis=0) - truth).max() < 5 * math.sqrt(var / trials)
         assert estimates.var(axis=0) == pytest.approx([var, var], rel=0.05)
@@ -148,16 +148,16 @@ class TestLocalLaplace:
         params = local_params(1.0, s=1, labels=2)
         n, trials = 8, 20_000
         supports = np.zeros((n, 1), dtype=np.int64)  # every report votes for cell 0
-        totals = np.array([MECHANISMS["laplace"](supports, params, rng, 0.05)[0] for _ in range(trials)])
+        totals = np.array([MECHANISMS["laplace"].release(supports, params, rng) for _ in range(trials)])
         expected = n * 2.0 * (2.0 / 1.0) ** 2
         assert np.abs(totals.mean(axis=0) - [n, 0]).max() < 5 * math.sqrt(expected / trials)
         assert totals.var(axis=0) == pytest.approx([expected, expected], rel=0.05)
 
     def test_infinite_epsilon_noiseless(self, rng):
         params = local_params(math.inf, s=1, labels=2)
-        estimate, eta = MECHANISMS["laplace"](np.array([[0], [0], [1]]), params, rng, 0.05)
+        estimate = MECHANISMS["laplace"].release(np.array([[0], [0], [1]]), params, rng)
         assert np.array_equal(estimate, [2.0, 1.0])
-        assert eta == 0.0
+        assert MECHANISMS["laplace"].bound(params, 3, 0.05) == 0.0
 
 
 class TestCollisionEncoding:

@@ -95,11 +95,11 @@ class TestMultiMessage:
             return decode(messages, d, modulus)
 
         monkeypatch.setattr(shuffle_mod, "multi_message_decode", spy)
-        params = shuffle_params(k=2, r=1, s=3, labels=2)
+        params = shuffle_params(epsilon=math.inf, k=2, r=1, s=3, labels=2)
         answer = np.zeros((3, 2), dtype=int)
         answer[0, 1] = 1
         answer[2, 0] = 1  # one record, k=2, r=1 -> two unit votes; four empty clients
-        multi_message_pipeline(answer, [2, 0, 0, 0, 0], params, rng, include_noise=False)
+        multi_message_pipeline(answer, [2, 0, 0, 0, 0], params, rng)
         (msgs,) = pools
         assert msgs.shape == (2, 2)
         assert sorted(msgs[:, 0].tolist()) == [1, 4]
@@ -118,10 +118,10 @@ class TestMultiMessage:
         assert extra <= 2.0 * envelope
 
     def test_noiseless_round_trip_is_exact_aggregate(self, rng):
-        params = shuffle_params(k=1, r=1, s=3, labels=2)
+        params = shuffle_params(epsilon=math.inf, k=1, r=1, s=3, labels=2)
         answers = [rng.integers(0, 3, size=(3, 2)) for _ in range(7)]
         decoded = multi_message_pipeline(
-            exact_aggregate(answers), [a.sum() for a in answers], params, rng, include_noise=False
+            exact_aggregate(answers), [a.sum() for a in answers], params, rng
         )
         assert np.array_equal(decoded, exact_aggregate(answers))
 
@@ -243,8 +243,8 @@ class TestSingleMessage:
         fails = np.zeros(s)
         trials = 300
         for _ in range(trials):
-            est, got_eta = MECHANISMS["rr"](supports, local, rng, 0.05)
-            assert got_eta == eta
+            est = MECHANISMS["rr"].release(supports, local, rng)
+            assert MECHANISMS["rr"].bound(local, n, 0.05) == eta
             fails += np.abs(est.reshape(s, labels) - truth).max(axis=1) >= eta
         assert (fails / trials <= 0.05 + 0.03).all()
 
@@ -255,7 +255,7 @@ class TestSingleMessage:
         params = shuffle_params(epsilon=0.5, s=s, labels=labels, single=True, delta=1e-4)
         local = single_message_params(params, n)
         supports = np.ones((n, 1), dtype=np.int64)  # every report votes (bucket 0, label 1)
-        flat, _ = MECHANISMS["collision"](supports, local, rng, 0.05)
+        flat = MECHANISMS["collision"].release(supports, local, rng)
         est = flat.reshape(s, labels)
         assert local.epsilon > params.epsilon  # amplification enlarges the local budget
         assert est[0, 1] > est[1, 2]

@@ -109,7 +109,7 @@ class TestRunAlgorithm1:
         )
         assert sorted(result.iterations[0].report.hard.tolist()) == [0, 1, 1]
         assert result.acc_pl == 1.0
-        assert result.max_error < 1e-3
+        assert result.iterations[-1].report.empirical_eta < 1e-3
 
     def test_infinite_epsilon_equals_nonprivate(self):
         records, pub, truth = fixture_world()
@@ -119,7 +119,7 @@ class TestRunAlgorithm1:
         )
         outcome = result.iterations[0]
         assert np.array_equal(outcome.report.noisy_counts, outcome.exact)
-        assert result.max_error == 0.0
+        assert result.iterations[-1].report.empirical_eta == 0.0
 
     def test_tiny_epsilon_labels_near_uniform(self):
         records, pub, truth = fixture_world()
