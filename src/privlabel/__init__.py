@@ -8,16 +8,16 @@ from .core import (
     QuerySet,
     RecordSet,
     count_gap,
-    exact_aggregate,
     hard_label,
     label_vector,
+    record_votes,
     soft_label,
+    vote_counts,
 )
 from .geometry import (
     ConnectionObjective,
     Metric,
     brute_force_best_connection,
-    local_answer,
     objective_value,
     propagate_labels,
     reverse_knn_connect,

@@ -12,8 +12,8 @@ from typing import Callable
 
 import numpy as np
 
-from .core import PrivacyModel, PrivacyParams, QuerySet, RecordSet
-from .geometry import Metric, local_answer, reverse_knn_connect
+from .core import PrivacyModel, PrivacyParams, QuerySet, RecordSet, record_votes, vote_counts
+from .geometry import Metric, reverse_knn_connect
 
 
 def laplace_inverse_cdf(u: float | np.ndarray, scale: float) -> float | np.ndarray:
@@ -85,7 +85,7 @@ def pipeline_aggregate(
 ) -> np.ndarray:
     """Exact aggregate of the full connect-and-count pipeline (no privacy)."""
     conn = reverse_knn_connect(records.embeddings, queries, k, metric)
-    return local_answer(records.labels, conn, records.label_count)
+    return vote_counts(record_votes(records, conn), (queries.s, records.label_count))
 
 
 def verify_sensitivity(

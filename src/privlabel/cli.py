@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import dataclasses
 import math
 import sys
 from pathlib import Path
@@ -27,6 +28,10 @@ EXIT_INVARIANT = 3
 EXIT_IO = 4
 
 
+def _flag(field_name: str) -> str:
+    return "--" + field_name.replace("_", "-")
+
+
 def _add_shape_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--k", type=int, default=1)
     parser.add_argument("--r", type=int, default=1)
@@ -38,30 +43,25 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="privlabel")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # the synthetic-data flags default to the experiment config's values
     gen = sub.add_parser("gen", help="generate a synthetic dataset as CSV files")
-    gen.add_argument("--classes", type=int, default=10)
-    gen.add_argument("--per-class", type=int, default=100)
-    gen.add_argument("--dim", type=int, default=8)
-    gen.add_argument("--separation", type=float, default=10.0)
-    gen.add_argument("--std", type=float, default=1.0)
-    gen.add_argument("--pub-per-class", type=int, default=50)
-    gen.add_argument("--multilabel-r", type=int, default=1)
+    defaults = config_mod.ExperimentConfig()
+    for field in dataclasses.fields(data_mod.SyntheticSpec):
+        gen.add_argument(_flag(field.name), type=config_mod.FIELD_TYPES[field.name],
+                         default=getattr(defaults, field.name))
     gen.add_argument("--seed", type=int, required=True)
     gen.add_argument("--out", type=str, required=True, help="output directory")
 
+    # one flag per config field; an unset flag leaves the file's or the default value
     sim = sub.add_parser("simulate", help="run the labeling pipeline over trials")
     sim.add_argument("--config", type=str, default=None, help="flat key=value config file")
-    sim.add_argument("--seed", type=int, required=True)
-    for key in ("dataset", "model", "label-mode", "partition",
-                "csv-priv", "csv-pub", "csv-pub-truth", "out"):
-        sim.add_argument(f"--{key}", type=str, default=None)
     mechanisms = sorted({"auto"}.union(*MODEL_MECHANISMS.values()))
-    sim.add_argument("--mechanism", type=str, default=None, choices=mechanisms)
-    for key in ("classes", "per-class", "dim", "pub-per-class", "multilabel-r",
-                "s", "k", "t", "n-clients", "trials", "workers"):
-        sim.add_argument(f"--{key}", type=int, default=None)
-    for key in ("separation", "std", "epsilon", "delta", "beta", "dirichlet-alpha"):
-        sim.add_argument(f"--{key}", type=float, default=None)
+    for name, kind in config_mod.FIELD_TYPES.items():
+        if name == "seed":
+            sim.add_argument("--seed", type=int, required=True)
+        else:
+            sim.add_argument(_flag(name), type=kind, default=None,
+                             choices=mechanisms if name == "mechanism" else None)
 
     bounds = sub.add_parser("bounds", help="print max-error bounds eta(beta)")
     bounds.add_argument("--model", type=str, default=None,
@@ -98,17 +98,14 @@ def build_parser() -> argparse.ArgumentParser:
 # subcommand bodies
 
 
+def _synthetic_spec(values) -> data_mod.SyntheticSpec:
+    """The mixture named by ``values``' SyntheticSpec fields (parsed flags or a config)."""
+    fields = dataclasses.fields(data_mod.SyntheticSpec)
+    return data_mod.SyntheticSpec(**{f.name: getattr(values, f.name) for f in fields})
+
+
 def _cmd_gen(args) -> int:
-    spec = data_mod.SyntheticSpec(
-        classes=args.classes,
-        per_class=args.per_class,
-        dim=args.dim,
-        separation=args.separation,
-        std=args.std,
-        pub_per_class=args.pub_per_class,
-        multilabel_r=args.multilabel_r,
-    )
-    records, public = data_mod.generate_synthetic(spec, args.seed)
+    records, public = data_mod.generate_synthetic(_synthetic_spec(args), args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     data_mod.write_records_csv(out / "priv.csv", records)
@@ -120,16 +117,7 @@ def _cmd_gen(args) -> int:
 
 def _load_dataset(cfg: config_mod.ExperimentConfig):
     if cfg.dataset == "synthetic":
-        spec = data_mod.SyntheticSpec(
-            classes=cfg.classes,
-            per_class=cfg.per_class,
-            dim=cfg.dim,
-            separation=cfg.separation,
-            std=cfg.std,
-            pub_per_class=cfg.pub_per_class,
-            multilabel_r=cfg.multilabel_r,
-        )
-        return data_mod.generate_synthetic(spec, cfg.seed)
+        return data_mod.generate_synthetic(_synthetic_spec(cfg), cfg.seed)
     records = data_mod.load_embeddings_csv(cfg.csv_priv)
     if isinstance(records, data_mod.PublicSet):
         raise ValueError(f"{cfg.csv_priv} has no labels; it cannot be the private dataset")
@@ -175,11 +163,7 @@ def _one_trial(cfg, records, public, params, trial: int) -> dict:
 
 
 def _cmd_simulate(args) -> int:
-    flags = {}
-    for key, value in vars(args).items():
-        if key in ("command", "config"):
-            continue
-        flags[key.replace("-", "_")] = value
+    flags = {key: value for key, value in vars(args).items() if key not in ("command", "config")}
     file_values = config_mod.load_config_file(args.config) if args.config else {}
     cfg = config_mod.build_config(file_values, flags)
     records, public = _load_dataset(cfg)

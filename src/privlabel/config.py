@@ -110,7 +110,10 @@ class ExperimentConfig:
         return doc
 
 
-_FIELDS = {f.name: f for f in dataclasses.fields(ExperimentConfig)}
+# field name -> the type its text values (config lines, command-line flags) parse to
+FIELD_TYPES = {
+    f.name: {"int": int, "float": float}.get(f.type, str) for f in dataclasses.fields(ExperimentConfig)
+}
 
 
 def parse_config_text(text: str) -> dict:
@@ -124,25 +127,16 @@ def parse_config_text(text: str) -> dict:
             raise ValueError(f"config line {line_no}: expected 'key = value', got {line!r}")
         key, _, value = stripped.partition("=")
         key = key.strip()
-        if key not in _FIELDS:
+        if key not in FIELD_TYPES:
             raise ValueError(f"config line {line_no}: unknown key {key!r}")
         values[key] = value.strip()
     return values
 
 
-def _coerce(key: str, raw: str):
-    target = _FIELDS[key].type
-    if target in ("int", int):
-        return int(raw)
-    if target in ("float", float):
-        return float(raw)
-    return raw
-
-
 def load_config_file(path) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         raw = parse_config_text(fh.read())
-    return {key: _coerce(key, value) for key, value in raw.items()}
+    return {key: FIELD_TYPES[key](value) for key, value in raw.items()}
 
 
 def build_config(file_values: dict | None = None, flag_values: dict | None = None) -> ExperimentConfig:
@@ -152,7 +146,7 @@ def build_config(file_values: dict | None = None, flag_values: dict | None = Non
     for key, value in (flag_values or {}).items():
         if value is not None:
             merged[key] = value
-    unknown = set(merged) - set(_FIELDS)
+    unknown = set(merged) - set(FIELD_TYPES)
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
     config = ExperimentConfig(**merged)

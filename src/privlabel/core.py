@@ -5,13 +5,16 @@ The data model: every private record carries a sparse binary label vector
 at most ``k`` buckets (query indices).  The quantity of interest is the
 per-bucket sum of label vectors, an ``s x label_count`` count matrix.  All
 privacy mechanisms in this package perturb that matrix; this module holds the
-exact arithmetic they are measured against.
+exact arithmetic they are measured against.  A record's votes are kept flat,
+as its min(k, s) * r indices bucket * label_count + label, and every count is
+a ``vote_counts`` of such indices.
 """
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -90,7 +93,7 @@ def label_vector(indices: Iterable[int], label_count: int) -> np.ndarray:
     return bits
 
 
-def validate_label_matrix(labels: np.ndarray, r: int | None = None) -> int:
+def validate_label_matrix(labels: np.ndarray) -> int:
     """Check a stacked (m, label_count) multi-hot matrix; return the shared
     cardinality r.  All rows must have the same number of ones."""
     labels = np.asarray(labels)
@@ -100,14 +103,12 @@ def validate_label_matrix(labels: np.ndarray, r: int | None = None) -> int:
         raise ValueError("label entries must be 0 or 1")
     cards = labels.sum(axis=1)
     if labels.shape[0] == 0:
-        return r if r is not None else 1
+        return 1
     found = int(cards[0])
     if not (cards == found).all():
         raise ValueError("all records must share the same label cardinality")
     if found < 1:
         raise ValueError("label cardinality must be at least 1")
-    if r is not None and found != r:
-        raise ValueError(f"label cardinality {found} does not match declared r={r}")
     return found
 
 
@@ -236,27 +237,35 @@ class MechanismReport:
 # exact operations
 
 
-def exact_aggregate(answers: Sequence[np.ndarray], shape: tuple[int, int] | None = None) -> np.ndarray:
-    """Elementwise sum of per-client count matrices.
+def flatten_support(buckets, labels, label_count: int) -> np.ndarray:
+    """Flat vote indices bucket * label_count + label.
 
-    An empty list is allowed only with a declared ``shape`` and yields zeros.
+    ``buckets`` is (..., degree) and ``labels`` is (..., r); the result is
+    (..., degree * r), bucket-major, so it increases along each row when both
+    inputs do.  1-D inputs give one record's votes.
     """
-    answers = [np.asarray(a) for a in answers]
-    if not answers:
-        if shape is None:
-            raise ValueError("empty answer list needs a declared (s, label_count) shape")
-        return np.zeros(shape, dtype=np.int64)
-    first = answers[0].shape
-    if len(first) != 2:
-        raise ValueError("answers must be 2-D count matrices")
-    if shape is not None and first != tuple(shape):
-        raise ValueError(f"answer shape {first} does not match declared {shape}")
-    total = np.zeros(first, dtype=np.int64)
-    for a in answers:
-        if a.shape != first:
-            raise ValueError(f"shape mismatch: {a.shape} vs {first}")
-        total += a.astype(np.int64)
-    return total
+    buckets = np.asarray(buckets, dtype=np.int64)
+    labels = np.asarray(labels, dtype=np.int64)
+    flat = buckets[..., :, None] * label_count + labels[..., None, :]
+    return flat.reshape(flat.shape[:-2] + (flat.shape[-2] * flat.shape[-1],))
+
+
+def record_votes(records: RecordSet, connections: ConnectionMap) -> np.ndarray:
+    """(m, degree * r) flat votes of every record: its r labels in each of
+    its buckets."""
+    if connections.m != records.m:
+        raise ValueError("connections must cover exactly these records")
+    labels = np.nonzero(records.labels)[1].reshape(records.m, records.r)
+    return flatten_support(connections.indices, labels, records.label_count)
+
+
+def vote_counts(votes: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """Count array of ``shape``: how many votes fall on each flat cell."""
+    votes = np.asarray(votes, dtype=np.int64).ravel()
+    size = math.prod(shape)
+    if votes.size and (votes.min() < 0 or votes.max() >= size):
+        raise ValueError(f"vote index out of range [0, {size})")
+    return np.bincount(votes, minlength=size).reshape(shape)
 
 
 def hard_label(row: np.ndarray) -> int:

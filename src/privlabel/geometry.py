@@ -1,5 +1,5 @@
-"""Embedding-space geometry: query selection, reverse k-NN connection, local
-vote matrices, and connection-quality scores.
+"""Embedding-space geometry: query selection, reverse k-NN connection and
+connection-quality scores.
 
 Reverse k-NN attaches every record to its k nearest queries, which caps each
 record's contribution to the aggregate (the forward rule would let one record
@@ -227,24 +227,6 @@ def reverse_knn_connect(
             block[rows, picks[:, col]] = np.inf
         picks.sort(axis=1)
     return ConnectionMap(chosen, s=s, k=k)
-
-
-def local_answer(labels: np.ndarray, connections: ConnectionMap, label_count: int | None = None) -> np.ndarray:
-    """Count matrix of one client: counts[l] = sum of labels of records connected to bucket l."""
-    labels = np.asarray(labels)
-    if labels.ndim != 2:
-        raise ValueError("labels must be a (m, label_count) multi-hot matrix")
-    if label_count is not None and labels.shape[1] != label_count:
-        raise ValueError("label_count mismatch")
-    if labels.shape[0] != connections.m:
-        raise ValueError("connections must cover exactly this client's records")
-    if labels.size and not np.isin(labels, (0, 1)).all():
-        raise ValueError("label entries must be 0 or 1")
-    counts = np.zeros((connections.s, labels.shape[1]), dtype=np.int64)
-    lab64 = labels.astype(np.int64)
-    for col in range(connections.degree):
-        np.add.at(counts, connections.indices[:, col], lab64)
-    return counts
 
 
 def connection_scores(

@@ -32,7 +32,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .central import noise_scale
-from .core import PrivacyParams
+from .core import PrivacyParams, vote_counts
 
 _U64 = np.uint64
 _FULL = np.uint64(0xFFFFFFFFFFFFFFFF)
@@ -66,13 +66,6 @@ def bucket_hash(hash_seed: int | np.ndarray, values: np.ndarray, filter_length: 
         x *= _U64(0xD6E8FEB86659FD93)
         x ^= x >> _U64(29)
         return (x % _U64(filter_length)).astype(np.int64)
-
-
-def flatten_support(bucket_indices: np.ndarray, label_indices: np.ndarray, label_count: int) -> np.ndarray:
-    """Row-major flat indices bucket * label_count + label of a record's votes."""
-    buckets = np.asarray(bucket_indices, dtype=np.int64)
-    labels = np.asarray(label_indices, dtype=np.int64)
-    return (buckets[:, None] * label_count + labels[None, :]).ravel()
 
 
 # ---------------------------------------------------------------------------
@@ -173,12 +166,8 @@ class CollisionParams:
         # a positive denominator and checks it where it is used
 
     @classmethod
-    def for_budget(
-        cls, domain_size: int, support_size: int, epsilon: float, filter_length: int | None = None
-    ) -> "CollisionParams":
-        if filter_length is None:
-            filter_length = default_filter_length(support_size, epsilon)
-        return cls(domain_size, support_size, epsilon, filter_length)
+    def for_budget(cls, domain_size: int, support_size: int, epsilon: float) -> "CollisionParams":
+        return cls(domain_size, support_size, epsilon, default_filter_length(support_size, epsilon))
 
     @property
     def omega(self) -> float:
@@ -230,6 +219,8 @@ def collision_encode_batch(
     if hashed.shape[1] > 1:
         is_new[:, 1:] = np.diff(hashed, axis=1) > 0
     kappa = is_new.sum(axis=1)
+    # each row's distinct hashed values in increasing order, padded past kappa
+    distinct = np.sort(np.where(is_new, hashed, np.iinfo(np.int64).max), axis=1)
     hit_mass = kappa * e_eps / params.omega
     # a fully covered filter renormalizes to uniform over the hit cells
     pick_hit = (rng.random(n_reports) < np.minimum(hit_mass, 1.0)) | (kappa == l)
@@ -238,18 +229,14 @@ def collision_encode_batch(
 
     # hit branch: j-th distinct hashed value
     j = np.floor(u * kappa).astype(np.int64)
-    rank = np.cumsum(is_new, axis=1) - 1
-    for col in range(hashed.shape[1]):
-        take = pick_hit & is_new[:, col] & (rank[:, col] == j)
-        cells[take] = hashed[take, col]
+    cells[pick_hit] = distinct[pick_hit, j[pick_hit]]
 
     # miss branch: j-th cell skipping the distinct hashed values in order
     miss = ~pick_hit
     z = np.floor(u[miss] * (l - kappa[miss])).astype(np.int64)
-    sorted_hits = np.where(is_new[miss], hashed[miss], np.iinfo(np.int64).max)
-    sorted_hits = np.sort(sorted_hits, axis=1)
-    for col in range(sorted_hits.shape[1]):
-        z += z >= sorted_hits[:, col]
+    skipped = distinct[miss]
+    for col in range(skipped.shape[1]):
+        z += z >= skipped[:, col]
     cells[miss] = z
     return seeds, cells
 
@@ -469,9 +456,9 @@ def gse_estimate(memberships: np.ndarray, params: GseParams) -> np.ndarray:
 #
 # ``release`` turns n one-record reports into the flat estimate of the
 # s*label_count counts and ``bound`` maps (params, n, beta) to its eta(beta).
-# ``supports`` is the (n, c) array of each report's flat bucket*label_count +
-# label indices, c = min(k, s)*r; ``params`` carries the randomizer's own
-# budget (eps0 under shuffle-single).
+# ``supports`` is the (n, c) array of the reporting records' flat votes
+# (``core.record_votes`` rows), c = min(k, s)*r; ``params`` carries the
+# randomizer's own budget (eps0 under shuffle-single).
 
 _GSE_CHUNK_CELLS = 1 << 19  # membership cells per GSE encoding chunk
 
@@ -481,17 +468,9 @@ class Mechanism(NamedTuple):
     bound: Callable[[PrivacyParams, int, float], float | None]
 
 
-def _support_counts(supports: np.ndarray, params: PrivacyParams) -> np.ndarray:
-    """How many reports hold each flat coordinate."""
-    counts = np.bincount(np.asarray(supports, dtype=np.int64).ravel(), minlength=params.flat_domain_size)
-    if counts.size != params.flat_domain_size:
-        raise ValueError("support index out of domain range")
-    return counts
-
-
 def _release_rr(supports: np.ndarray, params: PrivacyParams, rng: np.random.Generator) -> np.ndarray:
     """Summed bit reports drawn exactly: Binomial(x, 1-p) + Binomial(n-x, p) per cell."""
-    n, x = len(supports), _support_counts(supports, params)
+    n, x = len(supports), vote_counts(supports, (params.flat_domain_size,))
     p = rr_flip_probability(params.epsilon, params.k, params.r)
     sums = rng.binomial(x, 1.0 - p) + rng.binomial(n - x, p)
     return rr_estimate(sums, params, n)
@@ -499,7 +478,7 @@ def _release_rr(supports: np.ndarray, params: PrivacyParams, rng: np.random.Gene
 
 def _release_laplace(supports: np.ndarray, params: PrivacyParams, rng: np.random.Generator) -> np.ndarray:
     """Summed Laplace(2kr/eps) reports drawn exactly: x + Gamma(n, b) - Gamma(n, b) per cell."""
-    n, x = len(supports), _support_counts(supports, params)
+    n, x = len(supports), vote_counts(supports, (params.flat_domain_size,))
     b = noise_scale(params)
     noise = rng.gamma(n, b, size=x.size) - rng.gamma(n, b, size=x.size)
     return x + noise

@@ -16,12 +16,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import seeds as seeds_mod
+from .core import flatten_support
 from .local import (
     CollisionParams,
     collision_encode_batch,
     collision_hit_counts,
     concatenation_params,
-    flatten_support,
     separation_params,
 )
 

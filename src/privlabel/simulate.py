@@ -1,11 +1,11 @@
 """End-to-end federation simulator.
 
 One run: select queries from the public pool (clustering first, uncertainty
-afterwards), connect every private record to its nearest queries, build vote
-matrices, privatize under the configured trust model, derive labels, and fit
-a nearest-centroid proxy in place of a neural student.  The pre-noise
-aggregate depends only on the record multiset, never on how records are
-split across clients.
+afterwards), connect every private record to its nearest queries, take each
+record's flat votes once, count and privatize them under the configured trust
+model, derive labels, and fit a nearest-centroid proxy in place of a neural
+student.  The pre-noise aggregate depends only on the record multiset, never
+on how records are split across clients.
 """
 from __future__ import annotations
 
@@ -19,20 +19,19 @@ from . import local as local_mod
 from . import shuffle as shuffle_mod
 from . import seeds as seeds_mod
 from .core import (
-    ConnectionMap,
     MechanismReport,
     PrivacyModel,
     PrivacyParams,
     QuerySet,
     RecordSet,
     degenerate_buckets,
-    exact_aggregate,
     hard_labels,
+    record_votes,
     soft_labels,
+    vote_counts,
 )
 from .geometry import (
     Metric,
-    local_answer,
     propagate_labels,
     propagation_accuracy,
     reverse_knn_connect,
@@ -205,16 +204,12 @@ class SimulationResult:
     cluster_assignment: np.ndarray | None = None
 
 
-def _client_answers(
-    labels: np.ndarray, connections: ConnectionMap, partition: Partition, label_count: int
-) -> np.ndarray:
-    """(n_clients, s, label_count) exact vote matrices per client; the
-    per-client reference for ``verify_partition_invariance``."""
-    answers = np.zeros((partition.n_clients, connections.s, label_count), dtype=np.int64)
-    lab64 = labels.astype(np.int64)
-    for col in range(connections.degree):
-        np.add.at(answers, (partition.client_of, connections.indices[:, col]), lab64)
-    return answers
+def _client_answers(votes: np.ndarray, partition: Partition, shape: tuple[int, int]) -> np.ndarray:
+    """(n_clients, s, label_count) exact vote matrices per client from the
+    records' flat votes; the per-client reference for
+    ``verify_partition_invariance``."""
+    offsets = partition.client_of[:, None] * (shape[0] * shape[1])
+    return vote_counts(votes + offsets, (partition.n_clients, *shape))
 
 
 def _one_record_per_client(partition: Partition, rng: np.random.Generator) -> np.ndarray:
@@ -222,14 +217,6 @@ def _one_record_per_client(partition: Partition, rng: np.random.Generator) -> np
     perm = rng.permutation(partition.m)
     _, first = np.unique(partition.client_of[perm], return_index=True)
     return perm[first]
-
-
-def _record_supports(records: RecordSet, connections: ConnectionMap, chosen: np.ndarray) -> np.ndarray:
-    """(n, degree*r) flat bucket*label_count + label indices of the chosen
-    records' votes, increasing along each row."""
-    labels = np.nonzero(records.labels[chosen])[1].reshape(chosen.size, records.r)
-    flat = connections.indices[chosen][:, :, None] * records.label_count + labels[:, None, :]
-    return flat.reshape(chosen.size, -1)
 
 
 # the mechanisms each model runs; "auto" picks the first
@@ -272,14 +259,14 @@ def eta_bound(params: PrivacyParams, mechanism: str, n: int | None, beta: float)
 
 def _privatize(
     exact: np.ndarray,
-    records: RecordSet,
-    connections: ConnectionMap,
+    votes: np.ndarray,
     partition: Partition,
     params: PrivacyParams,
     mechanism: str,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Noisy counts under the configured model.
+    """Noisy counts under the configured model, from the exact counts and
+    every record's flat votes (``record_votes``).
 
     For the local and shuffle-single models ``params`` is the randomizer's
     own (local-model) budget, which shuffle-single has already amplified.
@@ -288,11 +275,10 @@ def _privatize(
         return central_mod.central_laplace_mechanism(exact, params, rng)
     if params.model is PrivacyModel.SHUFFLE_MULTI:
         records_per_client = np.bincount(partition.client_of, minlength=partition.n_clients)
-        client_mass = records_per_client * connections.degree * params.r
+        client_mass = records_per_client * votes.shape[1]
         return shuffle_mod.multi_message_pipeline(exact, client_mass, params, rng)
     chosen = _one_record_per_client(partition, rng)
-    supports = _record_supports(records, connections, chosen)
-    flat = local_mod.MECHANISMS[mechanism].release(supports, params, rng)
+    flat = local_mod.MECHANISMS[mechanism].release(votes[chosen], params, rng)
     return flat.reshape(params.s, params.label_count)
 
 
@@ -306,7 +292,6 @@ def run_algorithm1(
     master_seed: int,
     *,
     pub_true_labels: np.ndarray | None = None,
-    partition: Partition | None = None,
     partition_scheme: PartitionScheme = PartitionScheme.SINGLE_RECORD,
     n_clients: int | None = None,
     dirichlet_alpha: float = 0.5,
@@ -338,20 +323,17 @@ def run_algorithm1(
         raise ValueError("label_mode must be 'hard' or 'soft'")
     mechanism = resolve_mechanism(params.model, mechanism)
 
-    if partition is None:
-        if partition_scheme is PartitionScheme.SINGLE_RECORD:
-            n_clients = records.m
-        elif n_clients is None:
-            raise ValueError("n_clients required for this partition scheme")
-        partition = partition_records(
-            records,
-            partition_scheme,
-            n_clients,
-            seeds_mod.generator(master_seed, "partition"),
-            dirichlet_alpha,
-        )
-    if partition.m != records.m:
-        raise ValueError("partition does not cover the records")
+    if partition_scheme is PartitionScheme.SINGLE_RECORD:
+        n_clients = records.m
+    elif n_clients is None:
+        raise ValueError("n_clients required for this partition scheme")
+    partition = partition_records(
+        records,
+        partition_scheme,
+        n_clients,
+        seeds_mod.generator(master_seed, "partition"),
+        dirichlet_alpha,
+    )
 
     iter_params = params.per_iteration(T)
     reporting = np.count_nonzero(np.bincount(partition.client_of))  # clients holding a record
@@ -364,9 +346,8 @@ def run_algorithm1(
     cluster_assignment = None
     labeled_embeddings: list[np.ndarray] = []
     labeled_targets: list[np.ndarray] = []
-    directly_labeled: dict[int, int] = {}
+    direct = np.zeros(pub_embeddings.shape[0], dtype=bool)  # labeled by an iteration after the first
     student = None
-    iter1_hard = None
 
     for t in range(1, T + 1):
         if t == 1:
@@ -375,20 +356,19 @@ def run_algorithm1(
             )
             query_indices = None
         else:
-            exclude = np.asarray(sorted(directly_labeled), dtype=np.int64)
-            query_indices = select_queries_uncertainty(student.soft(pub_embeddings), s, exclude)
+            query_indices = select_queries_uncertainty(student.soft(pub_embeddings), s, np.flatnonzero(direct))
             if query_indices.size == 0:
                 break
             queries = QuerySet(pub_embeddings[query_indices])
 
         connections = reverse_knn_connect(records.embeddings, queries, k, metric)
-        exact = local_answer(records.labels, connections, records.label_count)
+        votes = record_votes(records, connections)
+        exact = vote_counts(votes, (s, records.label_count))
         ledger.charge(iter_params.epsilon, connections.degree)
 
         noisy = _privatize(
             exact,
-            records,
-            connections,
+            votes,
             partition,
             mech_params,
             mechanism,
@@ -409,10 +389,10 @@ def run_algorithm1(
         iterations.append(IterationOutcome(queries.embeddings, query_indices, exact, report))
 
         if t == 1:
-            iter1_hard = report.hard
+            public_hard = propagate_labels(cluster_assignment, report.hard)
         else:
-            for pub_idx, lab in zip(query_indices, report.hard):
-                directly_labeled[int(pub_idx)] = int(lab)
+            public_hard[query_indices] = report.hard
+            direct[query_indices] = True
         labeled_embeddings.append(queries.embeddings)
         labeled_targets.append(report.hard if label_mode == "hard" else report.soft)
         stacked = np.concatenate(labeled_embeddings)
@@ -421,10 +401,6 @@ def run_algorithm1(
             student = ProxyStudent.fit(stacked, targets, records.label_count)
         else:
             student = ProxyStudent.fit_soft(stacked, targets, records.label_count)
-
-    public_hard = propagate_labels(cluster_assignment, iter1_hard)
-    for pub_idx, lab in directly_labeled.items():
-        public_hard[pub_idx] = lab
 
     acc_pl = None
     proxy_acc = None
@@ -470,15 +446,15 @@ def verify_partition_invariance(
     """
     if params is not None and params.model in (PrivacyModel.LOCAL, PrivacyModel.SHUFFLE_SINGLE):
         return InvarianceResult(False, None, None, "per-client noise depends on the partition")
-    connections = reverse_knn_connect(records.embeddings, queries, k)
+    votes = record_votes(records, reverse_knn_connect(records.embeddings, queries, k))
     aggregates = []
     for i, scheme in enumerate(schemes):
         n = records.m if scheme is PartitionScheme.SINGLE_RECORD else n_clients
         part = partition_records(
             records, scheme, n, seeds_mod.generator(master_seed, "partition", i), dirichlet_alpha
         )
-        answers = _client_answers(records.labels, connections, part, records.label_count)
-        aggregates.append(exact_aggregate(list(answers)))
+        answers = _client_answers(votes, part, (queries.s, records.label_count))
+        aggregates.append(answers.sum(axis=0))
     equal = all(np.array_equal(aggregates[0], agg) for agg in aggregates[1:])
     noisy_identical = None
     if params is not None and params.model is PrivacyModel.CENTRAL:

@@ -1,10 +1,15 @@
+import argparse
+import dataclasses
 import json
 import math
 import re
 
 import pytest
 
-from privlabel.cli import main
+from privlabel.cli import build_parser, main
+from privlabel.config import ExperimentConfig
+from privlabel.data import SyntheticSpec
+from privlabel.simulate import MODEL_MECHANISMS
 
 
 def run_cli(capsys, *argv):
@@ -174,6 +179,36 @@ class TestGenAndSimulate:
         with pytest.raises(SystemExit) as exc:
             main(["unknown-command"])
         assert exc.value.code == 2
+
+
+def subcommand_options(name):
+    """dest -> action of one subcommand's flags."""
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {a.dest: a for a in sub.choices[name]._actions if a.option_strings and a.dest != "help"}
+
+
+class TestFlagsFromFields:
+    def test_simulate_has_one_flag_per_config_field(self):
+        options = subcommand_options("simulate")
+        fields = {f.name: f for f in dataclasses.fields(ExperimentConfig)}
+        assert set(options) == set(fields) | {"config"}
+        for name, field in fields.items():
+            action = options[name]
+            assert action.option_strings == ["--" + name.replace("_", "-")]
+            assert action.type.__name__ == field.type
+            assert action.required == (name == "seed")
+            assert action.default is None
+        assert options["mechanism"].choices == sorted({"auto"}.union(*MODEL_MECHANISMS.values()))
+
+    def test_gen_has_one_flag_per_spec_field_with_config_defaults(self):
+        options = subcommand_options("gen")
+        spec_fields = [f.name for f in dataclasses.fields(SyntheticSpec)]
+        assert set(options) == set(spec_fields) | {"seed", "out"}
+        defaults = ExperimentConfig()
+        for name in spec_fields:
+            assert options[name].default == getattr(defaults, name)
+            assert options[name].type is type(getattr(defaults, name))
+        assert options["seed"].required and options["out"].required
 
 
 class TestConfigChecksBeforeData:

@@ -7,50 +7,22 @@ from hypothesis import strategies as st
 
 from privlabel.central import laplace_accuracy_bound, pipeline_aggregate, sample_laplace
 from privlabel.core import (
+    ConnectionMap,
     PrivacyModel,
     PrivacyParams,
+    RecordSet,
     count_gap,
     degenerate_buckets,
-    exact_aggregate,
+    flatten_support,
     hard_label,
     hard_labels,
     label_vector,
+    record_votes,
     soft_label,
+    vote_counts,
 )
+from privlabel.simulate import Partition, PartitionScheme, _client_answers
 from conftest import random_queries, random_record_set, swap_one_record
-
-
-class TestExactAggregate:
-    def test_elementwise_sum(self):
-        a1 = np.array([[1, 0], [0, 0]])
-        a2 = np.array([[1, 0], [0, 1]])
-        assert np.array_equal(exact_aggregate([a1, a2]), [[2, 0], [0, 1]])
-
-    def test_single_input_identity(self):
-        a = np.array([[3, 1], [2, 5]])
-        assert np.array_equal(exact_aggregate([a]), a)
-
-    def test_empty_with_declared_shape(self):
-        assert np.array_equal(exact_aggregate([], shape=(2, 2)), np.zeros((2, 2)))
-
-    def test_empty_without_shape_rejected(self):
-        with pytest.raises(ValueError):
-            exact_aggregate([])
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="shape"):
-            exact_aggregate([np.zeros((2, 2)), np.zeros((3, 2))])
-
-    def test_l1_norm_adds_up(self, rng):
-        mats = [rng.integers(0, 5, size=(3, 4)) for _ in range(6)]
-        total = exact_aggregate(mats)
-        assert total.sum() == sum(m.sum() for m in mats)
-
-    @given(st.lists(st.integers(0, 5), min_size=8, max_size=8), st.permutations(range(3)))
-    def test_order_invariant(self, flat, order):
-        mats = [np.array(flat).reshape(2, 4), np.ones((2, 4), dtype=int), np.arange(8).reshape(2, 4)]
-        expected = exact_aggregate(mats)
-        assert np.array_equal(exact_aggregate([mats[i] for i in order]), expected)
 
 
 class TestLabels:
@@ -206,3 +178,65 @@ class TestAccuracySpecAndRecords:
         labels = np.array([[1, 0, 0], [1, 1, 0]], dtype=np.uint8)
         with pytest.raises(ValueError, match="cardinality"):
             RecordSet(np.zeros((2, 2)), labels)
+
+
+@st.composite
+def vote_instances(draw):
+    """Records with r labels each over |Y| labels, connected to min(k, s) of s
+    buckets, plus a random split over 1..5 clients."""
+    m, s = draw(st.integers(0, 60)), draw(st.integers(1, 6))
+    k, r = draw(st.integers(1, s + 2)), draw(st.integers(1, 3))
+    label_count = draw(st.integers(max(2, r), 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    buckets = np.sort(np.argsort(rng.random((m, s)), axis=1)[:, : min(k, s)], axis=1)
+    labels = np.zeros((m, label_count), dtype=np.uint8)
+    for row in labels:
+        row[rng.choice(label_count, r, replace=False)] = 1
+    records = RecordSet(rng.normal(size=(m, 2)), labels)
+    n_clients = draw(st.integers(1, 5))
+    partition = Partition(rng.integers(0, n_clients, size=m), n_clients, PartitionScheme.IID)
+    return records, ConnectionMap(buckets, s=s, k=k), partition
+
+
+def loop_counts(records, connections, rows):
+    """Reference count matrix: one vote per (record, bucket, label)."""
+    counts = np.zeros((connections.s, records.label_count), dtype=np.int64)
+    for i in rows:
+        for bucket in connections.indices[i]:
+            for label in np.flatnonzero(records.labels[i]):
+                counts[bucket, label] += 1
+    return counts
+
+
+class TestVotes:
+    @settings(max_examples=150, deadline=None)
+    @given(vote_instances())
+    def test_counts_and_client_slices_match_the_loop(self, instance):
+        records, connections, partition = instance
+        shape = (connections.s, records.label_count)
+        votes = record_votes(records, connections)
+        assert votes.shape == (records.m, connections.degree * records.r)
+        assert (np.diff(votes, axis=1) > 0).all()
+        whole = vote_counts(votes, shape)
+        assert np.array_equal(whole, loop_counts(records, connections, range(records.m)))
+        answers = _client_answers(votes, partition, shape)
+        for client in range(partition.n_clients):
+            mine = np.flatnonzero(partition.client_of == client)
+            assert np.array_equal(answers[client], loop_counts(records, connections, mine))
+        assert np.array_equal(answers.sum(axis=0), whole)
+
+    @pytest.mark.parametrize("votes", ([-1, 0], [0, 4], [[1], [7]]))
+    def test_out_of_range_votes_rejected(self, votes):
+        with pytest.raises(ValueError, match="out of range"):
+            vote_counts(votes, (2, 2))
+
+    def test_empty_votes_give_zeros(self):
+        assert vote_counts(np.zeros((0, 3), dtype=np.int64), (2, 2)).tolist() == [[0, 0], [0, 0]]
+
+    def test_batched_flatten_matches_rows(self):
+        buckets = np.array([[0, 2], [1, 3]])
+        labels = np.array([[1, 4], [0, 2]])
+        flat = flatten_support(buckets, labels, label_count=5)
+        assert flat.shape == (2, 4)
+        for row, b, y in zip(flat, buckets, labels):
+            assert np.array_equal(row, flatten_support(b, y, 5))

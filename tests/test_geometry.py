@@ -7,14 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import privlabel.geometry as geometry_mod
-from privlabel.core import ConnectionMap, QuerySet
+from privlabel.core import ConnectionMap, QuerySet, RecordSet, record_votes, vote_counts
 from privlabel.geometry import (
     ConnectionObjective,
     Metric,
     brute_force_best_connection,
     connection_scores,
     kmeans,
-    local_answer,
     margins,
     objective_value,
     pairwise_distances,
@@ -276,52 +275,59 @@ class TestBlockedConnect:
         assert peak < m * s * 8 / 4
 
 
-class TestLocalAnswer:
+def connected_counts(records, conn):
+    """The (s, label_count) vote counts of ``records`` under ``conn``."""
+    return vote_counts(record_votes(records, conn), (conn.s, records.label_count))
+
+
+class TestVoteCounts:
     def test_partial_client(self):
         records, queries = four_point_fixture()
         client = records.subset(np.array([0, 3]))
         conn = reverse_knn_connect(client.embeddings, queries, k=1)
-        counts = local_answer(client.labels, conn)
+        counts = connected_counts(client, conn)
         assert counts.tolist() == [[2, 0], [0, 0], [0, 0]]
 
     def test_zero_records_zero_matrix(self):
         _, queries = four_point_fixture()
         conn = reverse_knn_connect(np.zeros((0, 2)), queries, k=1)
-        counts = local_answer(np.zeros((0, 2), dtype=np.uint8), conn)
+        counts = connected_counts(RecordSet(np.zeros((0, 2)), np.zeros((0, 2), dtype=np.uint8)), conn)
         assert counts.shape == (3, 2) and counts.sum() == 0
 
     def test_full_fixture_aggregate(self):
         records, queries = four_point_fixture()
         conn = reverse_knn_connect(records.embeddings, queries, k=1)
-        assert local_answer(records.labels, conn).tolist() == [[2, 0], [0, 1], [0, 1]]
+        assert connected_counts(records, conn).tolist() == [[2, 0], [0, 1], [0, 1]]
 
     def test_l1_norm_is_m_times_degree_times_r(self, rng):
         records = random_record_set(rng, m=7, dim=2, label_count=5, r=2)
         queries = random_queries(rng, s=4, dim=2)
         conn = reverse_knn_connect(records.embeddings, queries, k=3)
-        counts = local_answer(records.labels, conn)
+        counts = connected_counts(records, conn)
         assert counts.sum() == 7 * conn.degree * 2
 
     def test_record_order_irrelevant(self, rng):
         records = random_record_set(rng, m=6, dim=2, label_count=3)
         queries = random_queries(rng, s=3, dim=2)
         perm = rng.permutation(6)
-        a = local_answer(
-            records.labels, reverse_knn_connect(records.embeddings, queries, 2)
-        )
-        b = local_answer(
-            records.labels[perm],
-            reverse_knn_connect(records.embeddings[perm], queries, 2),
-        )
+        a = connected_counts(records, reverse_knn_connect(records.embeddings, queries, 2))
+        shuffled = records.subset(perm)
+        b = connected_counts(shuffled, reverse_knn_connect(shuffled.embeddings, queries, 2))
         assert np.array_equal(a, b)
 
     def test_label_out_of_range_rejected(self):
-        records, queries = four_point_fixture()
-        conn = reverse_knn_connect(records.embeddings, queries, k=1)
+        # labels are checked once, where the record set is built
+        records, _ = four_point_fixture()
         bad = records.labels.copy().astype(np.int64)
         bad[0, 0] = 2
         with pytest.raises(ValueError):
-            local_answer(bad, conn)
+            RecordSet(records.embeddings, bad)
+
+    def test_connections_must_cover_the_records(self):
+        records, queries = four_point_fixture()
+        conn = reverse_knn_connect(records.embeddings[:3], queries, k=1)
+        with pytest.raises(ValueError, match="cover"):
+            record_votes(records, conn)
 
 
 class TestScoresAndObjectives:
@@ -427,7 +433,7 @@ class TestPropagation:
     def test_perfect_fixture_accuracy(self):
         records, queries = four_point_fixture()
         conn = reverse_knn_connect(records.embeddings, queries, k=1)
-        counts = local_answer(records.labels, conn)
+        counts = connected_counts(records, conn)
         bucket_labels = np.argmax(counts, axis=1)
         assignment = np.array([0, 1, 2, 0])
         truth = np.array([0, 1, 1, 0])

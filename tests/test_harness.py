@@ -166,11 +166,11 @@ class TestMseGrid:
         # reference: each trial's sum of (est - truth)^2 over explicit
         # per-report estimate rows, with outer products for the composites
         from privlabel import seeds as seeds_mod
+        from privlabel.core import flatten_support
         from privlabel.local import (
             collision_encode_batch,
             collision_report_estimates,
             concatenation_params,
-            flatten_support,
             separation_params,
         )
 

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from privlabel.core import PrivacyModel, PrivacyParams
+from privlabel.core import PrivacyModel, PrivacyParams, flatten_support
 from privlabel.local import (
     MECHANISMS,
     CollisionParams,
@@ -22,7 +22,6 @@ from privlabel.local import (
     concatenation_estimate,
     concatenation_params,
     default_filter_length,
-    flatten_support,
     gse_encode_batch,
     gse_estimate,
     gse_pmfs,

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from privlabel.core import PrivacyModel, PrivacyParams, exact_aggregate
+from privlabel.core import PrivacyModel, PrivacyParams
 from privlabel.shuffle import (
     amplification_validity_limit,
     amplify_forward,
@@ -121,9 +121,9 @@ class TestMultiMessage:
         params = shuffle_params(epsilon=math.inf, k=1, r=1, s=3, labels=2)
         answers = [rng.integers(0, 3, size=(3, 2)) for _ in range(7)]
         decoded = multi_message_pipeline(
-            exact_aggregate(answers), [a.sum() for a in answers], params, rng
+            np.sum(answers, axis=0), [a.sum() for a in answers], params, rng
         )
-        assert np.array_equal(decoded, exact_aggregate(answers))
+        assert np.array_equal(decoded, np.sum(answers, axis=0))
 
     def test_decode_invariant_under_shuffling(self, rng):
         modulus = choose_modulus(8, 1, 1, 1.0)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from privlabel import simulate as simulate_mod
-from privlabel.core import PrivacyModel, PrivacyParams, QuerySet
+from privlabel.core import PrivacyModel, PrivacyParams, QuerySet, record_votes
 from privlabel.geometry import reverse_knn_connect
 from privlabel.simulate import (
     MODEL_MECHANISMS,
@@ -13,7 +13,6 @@ from privlabel.simulate import (
     Partition,
     PartitionScheme,
     ProxyStudent,
-    _record_supports,
     account_budget,
     partition_records,
     run_algorithm1,
@@ -389,7 +388,8 @@ def test_shuffle_multi_modulus_matches_per_client_reference(monkeypatch, scheme,
     partition = result.partition
     queries = QuerySet(result.iterations[0].query_embeddings)
     connections = reverse_knn_connect(records.embeddings, queries, 2)
-    mass = simulate_mod._client_answers(records.labels, connections, partition, 3).sum(axis=(1, 2))
+    votes = record_votes(records, connections)
+    mass = simulate_mod._client_answers(votes, partition, (4, 3)).sum(axis=(1, 2))
     if scheme is PartitionScheme.DIRICHLET:
         assert (mass == 0).any()
     expected = shuffle_mod.choose_modulus(partition.n_clients * max(int(mass.max()), 1), 2, 2, 0.9)
@@ -397,8 +397,8 @@ def test_shuffle_multi_modulus_matches_per_client_reference(monkeypatch, scheme,
 
 
 @pytest.mark.parametrize("k, r, s", itertools.product((1, 2), (1, 2), (3, 1)))
-def test_record_supports_match_dense_votes(k, r, s):
-    # the flat supports equal the nonzero cells of each chosen record's dense
+def test_record_votes_match_dense_votes(k, r, s):
+    # the flat votes equal the nonzero cells of each chosen record's dense
     # vote matrix, also when s < k caps the degree
     rng = np.random.default_rng(10 * k + r)
     records = random_record_set(rng, m=50, dim=2, label_count=4, r=r)
@@ -408,7 +408,7 @@ def test_record_supports_match_dense_votes(k, r, s):
     for col in range(connections.degree):
         dense[np.arange(20), connections.indices[chosen, col], :] |= records.labels[chosen]
     expected = np.stack([np.flatnonzero(row) for row in dense.reshape(20, -1)])
-    assert np.array_equal(_record_supports(records, connections, chosen), expected)
+    assert np.array_equal(record_votes(records, connections)[chosen], expected)
 
 
 def test_eta_exceed_rate_is_per_bucket():
