@@ -9,7 +9,10 @@ deviate from a unary "+1 per message" format because negative shares cannot
 be expressed as unit increments -- the aggregate distribution and accuracy
 are unchanged.  The analyzer sees only the shuffled pool, and every data
 message is a (cell, 1) pair, so the pool is built from the exact aggregate
-and each client's vote total rather than client by client.
+and each client's vote total rather than client by client.  Almost every
+share is zero, so ``sample_noise_messages`` draws only the nonzero ones, per
+cell, from the exact law of n independent shares: the pool costs
+O(d + messages) instead of O(n * d), and its distribution is unchanged.
 
 Single-message mode: each client runs any local randomizer of
 ``local.MECHANISMS`` at an enlarged budget eps0 and anonymity does the rest;
@@ -31,10 +34,17 @@ from .core import PrivacyModel, PrivacyParams
 
 
 def discrete_laplace_parameter(epsilon: float, k: int, r: int) -> float:
-    """q = exp(-eps / (4kr)); the n-client noise total is DLap(q)."""
+    """q = exp(-eps / (4kr)); the n-client noise total is DLap(q).
+
+    q is 0 at eps = inf and wherever it underflows, both the noiseless
+    limit; an eps so small that q rounds to 1 has no noise distribution.
+    """
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")
-    return math.exp(-epsilon / (4.0 * k * r))
+    q = math.exp(-epsilon / (4.0 * k * r))
+    if q == 1.0:
+        raise ValueError(f"epsilon = {epsilon} is too small: q = exp(-eps/(4kr)) rounds to 1")
+    return q
 
 
 def discrete_laplace_pmf(x: np.ndarray, q: float) -> np.ndarray:
@@ -72,10 +82,57 @@ def sample_noise_share(
     return plus - minus
 
 
+def _positive_negative_binomial(
+    q: float, lam: float, a: float, size: int, rng: np.random.Generator
+) -> np.ndarray:
+    """``size`` draws of NB(1/n, q) conditioned to be positive.
+
+    NB(1/n, q) is a Poisson(lam) count of logseries(q) terms, lam =
+    -ln(1-q)/n, and it is positive exactly when the first arrival of the
+    rate-lam process on [0, 1) falls inside it (probability ``a``).  That
+    arrival is drawn by inverse CDF conditioned below 1; the remaining
+    terms are Poisson over what is left of the interval.
+    """
+    rest = np.maximum(lam + np.log1p(-rng.random(size) * a), 0.0)  # lam * (1 - first arrival)
+    terms = 1 + rng.poisson(rest)
+    totals = np.cumsum(rng.logseries(q, size=int(terms.sum())))
+    return np.diff(totals[np.cumsum(terms) - 1], prepend=0)
+
+
+def sample_noise_messages(
+    n: int, d: int, epsilon: float, k: int, r: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """(cells, shares) of every nonzero share n clients send over d cells.
+
+    The pooled multiset has the law of n independent ``sample_noise_share``
+    vectors with their zeros dropped, at cost O(d + messages).  Per cell, a
+    client's (plus > 0, minus > 0) pair is two Bernoulli(a) draws, so one
+    multinomial gives how many clients fall in the plus-only, minus-only and
+    both-positive classes; their nonzero parts are zero-truncated
+    NB(1/n, q) values, and a both-positive share is zero when its two
+    values tie.  None are sent when q is 0 (eps = inf, or so large that q
+    underflows): DLap(0) is the point mass at 0.
+    """
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    q = discrete_laplace_parameter(epsilon, k, r)
+    if q == 0.0:
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+    lam = -math.log1p(-q) / n
+    a = -math.expm1(-lam)  # P(NB(1/n, q) > 0)
+    classes = rng.multinomial(n, [a * (1.0 - a), a * (1.0 - a), a * a, (1.0 - a) ** 2], size=d)
+    counts = classes[:, :3].T  # (plus-only, minus-only, both) clients per cell
+    cells = np.repeat(np.tile(np.arange(d, dtype=np.int64), 3), counts.ravel())
+    sizes = counts.sum(axis=1)
+    values = _positive_negative_binomial(q, lam, a, int(sizes.sum() + sizes[2]), rng)
+    plus, minus, both_plus, both_minus = np.split(values, np.cumsum(sizes))
+    shares = np.concatenate([plus, -minus, both_plus - both_minus])
+    keep = shares != 0
+    return cells[keep], shares[keep]
+
+
 # ---------------------------------------------------------------------------
 # multi-message protocol
-
-_NOISE_CHUNK_CELLS = 1 << 18  # (client, cell) noise shares drawn per chunk of clients
 
 
 def choose_modulus(total_mass: int, k: int, r: int, epsilon: float) -> int:
@@ -114,9 +171,26 @@ def multi_message_accuracy_bound(params: PrivacyParams, beta: float) -> float:
 
 
 def expected_noise_messages(n: int, d: int, epsilon: float, k: int, r: int) -> float:
-    """Expected count of nonzero share messages per client: d * (1 - (1-q)^(2/n))."""
+    """Expected count of nonzero share messages per client.
+
+    A share plus - minus is zero exactly when its two NB(1/n, q) draws tie,
+    so this is d * (1 - sum_x P(NB = x)^2), with the pmf from its recurrence
+    P(x+1) = P(x) q (x + 1/n) / (x + 1).  The ratio is at most q, so the
+    sum stops once the tail P(x)^2 / (1 - q^2) is below double precision.
+    """
     q = discrete_laplace_parameter(epsilon, k, r)
-    return d * (1.0 - (1.0 - q) ** (2.0 / n))
+    if q == 0.0:
+        return 0.0
+    lam = -math.log1p(-q) / n
+    nonzero = -math.expm1(-2.0 * lam)  # 1 - P(NB = 0)^2
+    pmf, x = math.exp(-lam), 0
+    while True:
+        pmf *= q * (x + 1.0 / n) / (x + 1.0)
+        x += 1
+        tie = pmf * pmf
+        nonzero -= tie
+        if tie <= 1e-17 * (1.0 - q * q) * nonzero:
+            return d * nonzero
 
 
 def multi_message_pipeline(
@@ -130,8 +204,10 @@ def multi_message_pipeline(
     ``counts`` is the exact (s, label_count) aggregate and ``client_mass``
     each client's vote total; empty clients count toward n and still send
     noise shares.  The pooled data messages are one (cell, 1) pair per vote;
-    each client adds one (cell, share mod M) message per nonzero share, and
-    none at eps = inf, the noiseless limit.
+    the clients' nonzero noise shares (``sample_noise_messages``) add one
+    (cell, share mod M) message each, and none in the noiseless limit.  The
+    cost is O(d + messages), not O(n * d); the pool's law is that of n
+    clients each sending their own shares.
     """
     if params.model is not PrivacyModel.SHUFFLE_MULTI:
         raise ValueError("multi-message pipeline requires the shuffle-multi model")
@@ -147,16 +223,12 @@ def multi_message_pipeline(
         raise ValueError("client vote totals must sum to the aggregate")
     modulus = choose_modulus(n * max(int(client_mass.max()), 1), params.k, params.r, params.epsilon)
     data_idx = np.repeat(np.arange(d, dtype=np.int64), flat)
-    pool = [np.column_stack([data_idx, np.ones(data_idx.size, dtype=np.int64)])]
-    if not math.isinf(params.epsilon):
-        rows = max(1, _NOISE_CHUNK_CELLS // max(d, 1))
-        for start in range(0, n, rows):
-            shares = sample_noise_share(
-                n, params.epsilon, params.k, params.r, rng, size=(min(rows, n - start), d)
-            ).ravel()
-            nz = np.flatnonzero(shares)
-            pool.append(np.column_stack([nz % d, np.mod(shares[nz], modulus)]))
-    mixed = shuffle_messages(np.concatenate(pool, axis=0), rng)
+    noise_idx, shares = sample_noise_messages(n, d, params.epsilon, params.k, params.r, rng)
+    pool = np.concatenate([
+        np.column_stack([data_idx, np.ones(data_idx.size, dtype=np.int64)]),
+        np.column_stack([noise_idx, np.mod(shares, modulus)]),
+    ])
+    mixed = shuffle_messages(pool, rng)
     return multi_message_decode(mixed, d, modulus).reshape(counts.shape).astype(np.float64)
 
 

@@ -206,8 +206,8 @@ class SimulationResult:
 
 def _client_answers(votes: np.ndarray, partition: Partition, shape: tuple[int, int]) -> np.ndarray:
     """(n_clients, s, label_count) exact vote matrices per client from the
-    records' flat votes; the per-client reference for
-    ``verify_partition_invariance``."""
+    records' flat votes; the per-client reference that the folded sums of
+    ``verify_partition_invariance`` are tested against."""
     offsets = partition.client_of[:, None] * (shape[0] * shape[1])
     return vote_counts(votes + offsets, (partition.n_clients, *shape))
 
@@ -240,9 +240,12 @@ def resolve_mechanism(model: PrivacyModel, mechanism: str) -> str:
 
 def randomizer_params(params: PrivacyParams, n: int | None) -> PrivacyParams:
     """The parameters a release runs at: shuffle-single's are amplified to
-    eps0 over its n reporting clients, every other model's are ``params``."""
+    eps0 over its n reporting clients, every other model's are ``params``.
+    Shuffle-multi's budget must leave its noise parameter q below 1."""
     if params.model is PrivacyModel.SHUFFLE_SINGLE:
         return shuffle_mod.single_message_params(params, n)
+    if params.model is PrivacyModel.SHUFFLE_MULTI:
+        shuffle_mod.discrete_laplace_parameter(params.epsilon, params.k, params.r)
     return params
 
 
@@ -447,14 +450,16 @@ def verify_partition_invariance(
     if params is not None and params.model in (PrivacyModel.LOCAL, PrivacyModel.SHUFFLE_SINGLE):
         return InvarianceResult(False, None, None, "per-client noise depends on the partition")
     votes = record_votes(records, reverse_knn_connect(records.embeddings, queries, k))
+    shape = (queries.s, records.label_count)
     aggregates = []
     for i, scheme in enumerate(schemes):
         n = records.m if scheme is PartitionScheme.SINGLE_RECORD else n_clients
         part = partition_records(
             records, scheme, n, seeds_mod.generator(master_seed, "partition", i), dirichlet_alpha
         )
-        answers = _client_answers(votes, part, (queries.s, records.label_count))
-        aggregates.append(answers.sum(axis=0))
+        # the clients' answers summed, from votes offset by client as in _client_answers
+        offsets = part.client_of[:, None] * (shape[0] * shape[1])
+        aggregates.append(vote_counts(votes + offsets, shape, copies=part.n_clients))
     equal = all(np.array_equal(aggregates[0], agg) for agg in aggregates[1:])
     noisy_identical = None
     if params is not None and params.model is PrivacyModel.CENTRAL:

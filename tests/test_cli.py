@@ -256,6 +256,20 @@ class TestMechanismChecks:
         assert code == 3
         assert "too small" in err
 
+    def test_shuffle_multi_eps_too_small_for_noise_exits_3(self, capsys, monkeypatch):
+        import privlabel.simulate as simulate_mod
+
+        selections = []
+        monkeypatch.setattr(simulate_mod, "select_queries_cluster", lambda *a, **kw: selections.append(a))
+        code, _, err = run_cli(
+            capsys, "simulate", "--seed", "1", "--model", "shuffle-multi", "--epsilon", "1e-17",
+            "--delta", "1e-6", "--classes", "2", "--per-class", "20", "--dim", "2",
+            "--pub-per-class", "8", "--s", "2",
+        )
+        assert code == 3
+        assert "rounds to 1" in err
+        assert selections == []
+
 
 class TestMseCompare:
     def test_writes_csv(self, tmp_path, capsys):

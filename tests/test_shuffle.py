@@ -17,6 +17,7 @@ from privlabel.shuffle import (
     multi_message_accuracy_bound,
     multi_message_decode,
     multi_message_pipeline,
+    sample_noise_messages,
     sample_noise_share,
     shuffle_messages,
     single_message_params,
@@ -105,17 +106,23 @@ class TestMultiMessage:
         assert sorted(msgs[:, 0].tolist()) == [1, 4]
         assert (msgs[:, 1] == 1).all()
 
-    def test_expected_message_count(self, rng):
+    @pytest.mark.parametrize("n", (1, 40))
+    def test_expected_message_count(self, n):
         params = shuffle_params(epsilon=1.0, s=2, labels=2)
-        n, d = 40, 4
-        # one chunk of 3000 clients' shares, drawn as the pipeline draws them
-        shares = sample_noise_share(n, 1.0, 1, 1, rng, size=(3000, d))
-        extra = np.count_nonzero(shares, axis=1).mean()
+        d = 20_000
+        cells, _ = sample_noise_messages(n, d, 1.0, 1, 1, np.random.default_rng(n))
+        extra = cells.size / n  # nonzero shares per client
         predicted = expected_noise_messages(n, d, 1.0, 1, 1)
-        assert extra == pytest.approx(predicted, rel=0.15)
+        assert extra == pytest.approx(predicted, rel=0.02)
         # stays within a constant factor of the d k^2 r^2 log^2(1/delta)/(eps^2 n) envelope
         envelope = d * math.log(1 / params.delta) ** 2 / (1.0 * n)
         assert extra <= 2.0 * envelope
+
+    def test_expected_message_count_counts_ties(self):
+        # one client's share is zero exactly when its two geometric draws tie
+        q = discrete_laplace_parameter(1.0, 1, 1)
+        assert expected_noise_messages(1, 1, 1.0, 1, 1) == pytest.approx(1 - (1 - q) / (1 + q), rel=1e-12)
+        assert expected_noise_messages(7, 5, math.inf, 1, 1) == 0.0
 
     def test_noiseless_round_trip_is_exact_aggregate(self, rng):
         params = shuffle_params(epsilon=math.inf, k=1, r=1, s=3, labels=2)
@@ -182,6 +189,53 @@ class TestMultiMessage:
             noisy = multi_message_pipeline(counts, np.zeros(n, dtype=int), params, rng)
             fails += np.abs(noisy).max(axis=1) >= eta
         assert (fails / trials <= beta + 0.02).all()
+
+
+def share_histogram(cells, shares, d, span):
+    """Pooled counts of (cell, share) messages, shares clipped to +-span."""
+    return np.bincount(cells * (2 * span + 1) + np.clip(shares, -span, span) + span, minlength=d * (2 * span + 1))
+
+
+class TestSparseNoiseMessages:
+    @pytest.mark.parametrize("n", (1, 3, 50))
+    def test_pool_matches_dense_shares(self, n):
+        # the sparse pool against n clients' dense shares with zeros dropped,
+        # pooled over the same number of (client, cell) slots: equal-mean
+        # Poisson-like counts per bin, so sum (x - y)^2 / (x + y) is chi-square
+        rng = np.random.default_rng(100 + n)
+        d, cells_drawn, span = 3, 2_000_000 // n, 12
+        dense = sample_noise_share(n, 1.0, 1, 1, rng, size=(n, cells_drawn)).ravel()
+        nz = np.flatnonzero(dense)
+        x = share_histogram(nz % cells_drawn % d, dense[nz], d, span)
+        cells, shares = sample_noise_messages(n, cells_drawn, 1.0, 1, 1, rng)
+        y = share_histogram(cells % d, shares, d, span)
+        assert x[span::2 * span + 1].sum() == y[span::2 * span + 1].sum() == 0  # no zero shares sent
+        used = x + y >= 10
+        stat = ((x - y)[used] ** 2 / (x + y)[used]).sum()
+        assert stats.chi2.sf(stat, used.sum()) > 0.01
+
+    @pytest.mark.parametrize("n", (1, 3, 50, 60_000))
+    def test_cell_totals_are_discrete_laplace(self, n):
+        rng = np.random.default_rng(200 + n)
+        d = 40_000
+        q = discrete_laplace_parameter(1.0, 1, 1)
+        cells, shares = sample_noise_messages(n, d, 1.0, 1, 1, rng)
+        totals = np.zeros(d, dtype=np.int64)
+        np.add.at(totals, cells, shares)
+        assert dlap_chisquare(totals, q) > 0.01
+
+    def test_noiseless_limits_send_nothing(self, rng):
+        # eps = inf, and a finite eps whose q underflows to 0: DLap(0) is 0
+        assert discrete_laplace_parameter(5000.0, 1, 1) == 0.0
+        for eps in (math.inf, 5000.0):
+            cells, shares = sample_noise_messages(4, 6, eps, 1, 1, rng)
+            assert cells.size == shares.size == 0
+
+    def test_q_rounding_to_one_rejected(self):
+        with pytest.raises(ValueError, match="rounds to 1"):
+            discrete_laplace_parameter(1e-17, 1, 1)
+        with pytest.raises(ValueError, match="rounds to 1"):
+            choose_modulus(10, 1, 1, 1e-17)
 
 
 class TestAmplification:

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -190,6 +191,25 @@ class TestRunAlgorithm1:
         with pytest.raises(ValueError, match=match):
             run_algorithm1(records, pub, params, T=1, s=3, k=1, master_seed=0, mechanism=mechanism)
 
+    def test_shuffle_multi_q_underflow_is_noiseless(self):
+        # q = exp(-5000/4) underflows to 0: DLap(0) is the point mass at 0,
+        # as at eps = inf, so the release is the exact aggregate
+        records, pub, _ = fixture_world()
+        params = make_params(PrivacyModel.SHUFFLE_MULTI, 5000.0, delta=1e-6)
+        result = run_algorithm1(records, pub, params, T=1, s=3, k=1, master_seed=2)
+        iteration = result.iterations[0]
+        assert np.array_equal(iteration.report.noisy_counts, iteration.exact)
+
+    def test_shuffle_multi_q_of_one_fails_before_any_stage(self, monkeypatch):
+        def must_not_run(*args, **kwargs):
+            pytest.fail("query selection ran before the noise parameter was checked")
+
+        monkeypatch.setattr(simulate_mod, "select_queries_cluster", must_not_run)
+        records, pub, _ = fixture_world()
+        params = make_params(PrivacyModel.SHUFFLE_MULTI, 1e-17, delta=1e-6)
+        with pytest.raises(ValueError, match="rounds to 1"):
+            run_algorithm1(records, pub, params, T=1, s=3, k=1, master_seed=0)
+
     def test_parameter_consistency_enforced(self):
         records, pub, truth = fixture_world()
         params = make_params(PrivacyModel.CENTRAL, 1.0)
@@ -247,6 +267,39 @@ class TestPartitionInvariance:
                 n_clients=9, master_seed=trial,
             )
             assert outcome.pre_noise_equal
+
+    def test_memory_independent_of_client_count(self, rng):
+        # each scheme's aggregate is folded from offset votes; the dense
+        # (n_clients, s, |Y|) tensor would be m * s * |Y| * 8 = 15.6 MiB here
+        m, s, labels = 5000, 40, 10
+        records = random_record_set(rng, m=m, dim=4, label_count=labels)
+        queries = QuerySet(rng.normal(size=(s, 4)))
+        tracemalloc.start()
+        try:
+            outcome = verify_partition_invariance(
+                records, queries, 2, [PartitionScheme.IID, PartitionScheme.SINGLE_RECORD],
+                n_clients=50, master_seed=3,
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert outcome.pre_noise_equal
+        assert peak < m * s * labels * 8 / 4
+
+    def test_out_of_range_client_rejected(self, monkeypatch):
+        # the per-client offsets keep vote_counts' range check: a client id
+        # past n_clients fails instead of folding onto another client's cells
+        records, queries = four_point_fixture()
+        real = simulate_mod.partition_records
+
+        def corrupt(*args, **kwargs):
+            part = real(*args, **kwargs)
+            object.__setattr__(part, "client_of", part.client_of + part.n_clients)
+            return part
+
+        monkeypatch.setattr(simulate_mod, "partition_records", corrupt)
+        with pytest.raises(ValueError, match="out of range"):
+            verify_partition_invariance(records, queries, 1, [PartitionScheme.IID], 2, 0)
 
     def test_local_model_reports_inapplicable(self):
         records, queries = four_point_fixture()
