@@ -259,17 +259,13 @@ def record_votes(records: RecordSet, connections: ConnectionMap) -> np.ndarray:
     return flatten_support(connections.indices, labels, records.label_count)
 
 
-def vote_counts(votes: np.ndarray, shape: tuple[int, ...], copies: int = 1) -> np.ndarray:
-    """Count array of ``shape``: how many votes fall on each flat cell.
-
-    Votes may index ``copies`` stacked arrays of ``shape`` (one per client,
-    say); the copies are summed without being built.
-    """
+def vote_counts(votes: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """Count array of ``shape``: how many votes fall on each flat cell."""
     votes = np.asarray(votes, dtype=np.int64).ravel()
     size = math.prod(shape)
-    if votes.size and (votes.min() < 0 or votes.max() >= copies * size):
-        raise ValueError(f"vote index out of range [0, {copies * size})")
-    return np.bincount(votes % size if copies > 1 else votes, minlength=size).reshape(shape)
+    if votes.size and (votes.min() < 0 or votes.max() >= size):
+        raise ValueError(f"vote index out of range [0, {size})")
+    return np.bincount(votes, minlength=size).reshape(shape)
 
 
 def hard_label(row: np.ndarray) -> int:

@@ -206,8 +206,8 @@ class SimulationResult:
 
 def _client_answers(votes: np.ndarray, partition: Partition, shape: tuple[int, int]) -> np.ndarray:
     """(n_clients, s, label_count) exact vote matrices per client from the
-    records' flat votes; the per-client reference that the folded sums of
-    ``verify_partition_invariance`` are tested against."""
+    records' flat votes; the per-client reference whose sum over clients
+    ``verify_partition_invariance`` takes as ``vote_counts(votes, shape)``."""
     offsets = partition.client_of[:, None] * (shape[0] * shape[1])
     return vote_counts(votes + offsets, (partition.n_clients, *shape))
 
@@ -454,12 +454,13 @@ def verify_partition_invariance(
     aggregates = []
     for i, scheme in enumerate(schemes):
         n = records.m if scheme is PartitionScheme.SINGLE_RECORD else n_clients
-        part = partition_records(
+        # Partition validates every client id; summed cell by cell, the
+        # clients' answers count each vote in its own cell whichever client
+        # holds it, in O(s * |Y|) memory
+        partition_records(
             records, scheme, n, seeds_mod.generator(master_seed, "partition", i), dirichlet_alpha
         )
-        # the clients' answers summed, from votes offset by client as in _client_answers
-        offsets = part.client_of[:, None] * (shape[0] * shape[1])
-        aggregates.append(vote_counts(votes + offsets, shape, copies=part.n_clients))
+        aggregates.append(vote_counts(votes, shape))
     equal = all(np.array_equal(aggregates[0], agg) for agg in aggregates[1:])
     noisy_identical = None
     if params is not None and params.model is PrivacyModel.CENTRAL:

@@ -224,8 +224,6 @@ class TestVotes:
             mine = np.flatnonzero(partition.client_of == client)
             assert np.array_equal(answers[client], loop_counts(records, connections, mine))
         assert np.array_equal(answers.sum(axis=0), whole)
-        offsets = partition.client_of[:, None] * (shape[0] * shape[1])
-        assert np.array_equal(vote_counts(votes + offsets, shape, copies=partition.n_clients), whole)
 
     @pytest.mark.parametrize("votes", ([-1, 0], [0, 4], [[1], [7]]))
     def test_out_of_range_votes_rejected(self, votes):

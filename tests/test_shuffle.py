@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -123,6 +124,27 @@ class TestMultiMessage:
         q = discrete_laplace_parameter(1.0, 1, 1)
         assert expected_noise_messages(1, 1, 1.0, 1, 1) == pytest.approx(1 - (1 - q) / (1 + q), rel=1e-12)
         assert expected_noise_messages(7, 5, math.inf, 1, 1) == 0.0
+
+    @pytest.mark.parametrize("n", (2, 40, 1000))
+    @pytest.mark.parametrize("epsilon", (0.1, 1.0, 5.0))
+    def test_expected_message_count_matches_pmf_sum(self, n, epsilon):
+        # 1 - sum_x P(NB(1/n, q) = x)^2, summed out to a 1e-18 tail
+        q = discrete_laplace_parameter(epsilon, 1, 1)
+        nb = stats.nbinom(1.0 / n, 1.0 - q)
+        x = np.arange(int(nb.isf(1e-18)) + 1)
+        exact = 1.0 - math.fsum(nb.pmf(x) ** 2)
+        assert expected_noise_messages(n, 3, epsilon, 1, 1) == pytest.approx(3 * exact, rel=1e-10)
+
+    @pytest.mark.parametrize("epsilon", (1e-6, 1e-9, 1e-12))
+    def test_expected_message_count_at_tiny_epsilon_is_quick(self, epsilon):
+        # q -> 1 needs no series out to the O(1/(1-q)) tail
+        q = discrete_laplace_parameter(epsilon, 1, 1)
+        start = time.perf_counter()
+        one = expected_noise_messages(1, 1, epsilon, 1, 1)
+        many = expected_noise_messages(60_000, 1, epsilon, 1, 1)
+        assert time.perf_counter() - start < 1.0
+        assert one == pytest.approx(1 - (1 - q) / (1 + q), rel=1e-12)
+        assert 0.0 < many < one
 
     def test_noiseless_round_trip_is_exact_aggregate(self, rng):
         params = shuffle_params(epsilon=math.inf, k=1, r=1, s=3, labels=2)
