@@ -6,6 +6,11 @@ record's contribution to the aggregate (the forward rule would let one record
 touch every query).  Query selection uses k-means++ seeded Lloyd iterations on
 the public embeddings; later rounds switch to smallest-margin uncertainty
 sampling.
+
+Every distance comes from ``pairwise_distances``: a row's distances depend on
+that row and the queries alone, never on the rows sharing the call or on the
+row's memory offset, so a record connects alone as it does inside any record
+set.  The aggregate's 2kr sensitivity relies on this.
 """
 from __future__ import annotations
 
@@ -29,19 +34,23 @@ class ConnectionObjective(enum.Enum):
 
 
 def pairwise_distances(points: np.ndarray, queries: np.ndarray, metric: Metric = Metric.EUCLIDEAN) -> np.ndarray:
-    """(m, s) distance matrix between row vectors of the two arrays."""
-    x = np.asarray(points, dtype=np.float64)
+    """(m, s) distance matrix between row vectors of the two arrays.
+
+    Each row's cross term is its own (1, dim) @ (dim, s) product: a gemm over
+    all rows rounds a row's last bit by how many rows share the call."""
+    x = np.ascontiguousarray(points, dtype=np.float64)
     q = np.asarray(queries, dtype=np.float64)
     if x.ndim != 2 or q.ndim != 2 or x.shape[1] != q.shape[1]:
         raise ValueError("points and queries must be 2-D with a shared dimension")
+    cross = np.matmul(x[:, None, :], np.ascontiguousarray(q.T))[:, 0]
     if metric is Metric.EUCLIDEAN:
-        sq = (x * x).sum(axis=1)[:, None] + (q * q).sum(axis=1)[None, :] - 2.0 * (x @ q.T)
+        sq = (x * x).sum(axis=1)[:, None] + (q * q).sum(axis=1)[None, :] - 2.0 * cross
         return np.sqrt(np.maximum(sq, 0.0))
     xn = np.linalg.norm(x, axis=1)
     qn = np.linalg.norm(q, axis=1)
     if (xn == 0).any() or (qn == 0).any():
         raise ValueError("cosine distance requires nonzero vectors")
-    cos = (x @ q.T) / np.outer(xn, qn)
+    cos = cross / np.outer(xn, qn)
     return 1.0 - np.clip(cos, -1.0, 1.0)
 
 
@@ -92,27 +101,29 @@ def kmeans(
     if not 1 <= s <= n:
         raise ValueError(f"cluster count s={s} must lie in [1, {n}]")
     centers = _kmeans_plus_plus_init(points, s, rng)
-    assignment = np.zeros(n, dtype=np.int64)
     for _ in range(max_iter):
-        dists = pairwise_distances(points, centers)
-        assignment = np.argmin(dists, axis=1)
+        queries = QuerySet(centers)
+        assignment = reverse_knn_connect(points, queries, 1).indices[:, 0]
         counts = np.bincount(assignment, minlength=s)
-        # add.at sums rows in index order from 0.0, as an axis-0 mean does, so
-        # each mean equals points[assignment == j].mean(axis=0) bytewise
-        sums = np.zeros((s, points.shape[1]))
-        np.add.at(sums, assignment, points)
+        # bincount sums rows in index order from 0.0, as an axis-0 mean does,
+        # so each mean equals points[assignment == j].mean(axis=0) bytewise
+        sums = np.stack([np.bincount(assignment, col, s) for col in points.T], axis=1)
         new_centers = centers.copy()
         filled = counts > 0
         new_centers[filled] = sums[filled] / counts[filled, None]
         empty = np.flatnonzero(~filled)
+        if empty.size:
+            assigned = _connected_distances(points, queries, assignment[:, None])[:, 0]
         while empty.size:
             # reseed in index order; a donor with a larger index takes its
             # mean without the moved point, and may empty in turn
             j = int(empty[0])
-            far = int(np.argmax(dists[np.arange(n), assignment]))
+            far = int(np.argmax(assigned))
             donor = int(assignment[far])
             new_centers[j] = points[far]
             assignment[far] = j
+            # a lone row's distances equal its row of the whole matrix
+            assigned[far] = pairwise_distances(points[far : far + 1], centers)[0, j]
             counts[donor] -= 1
             counts[j] += 1
             if donor > j and counts[donor]:
@@ -122,8 +133,7 @@ def kmeans(
         centers = new_centers
         if shift < tol:
             break
-    assignment = np.argmin(pairwise_distances(points, centers), axis=1)
-    return centers, assignment
+    return centers, reverse_knn_connect(points, QuerySet(centers), 1).indices[:, 0]
 
 
 def select_queries_cluster(
@@ -174,17 +184,20 @@ def _distance_blocks(points: np.ndarray, queries: QuerySet, metric: Metric):
     ``pairwise_distances(points, queries, metric)``, at most
     ``_DISTANCE_BLOCK_CELLS`` cells (and at least one row) each; the caller
     owns every block."""
-    m, s = points.shape[0], queries.s
-    rows = max(1, _DISTANCE_BLOCK_CELLS // s)
-    for start in range(0, m, rows):
-        end = min(start + rows, m)
-        lo, hi = start, end
-        if end - start == 1 and m > 1:
-            # BLAS multiplies a lone row by another kernel (gemv), whose sums
-            # can differ in the last bit from the whole matrix's: use two rows
-            lo = min(start, m - 2)
-            hi = lo + 2
-        yield start, pairwise_distances(points[lo:hi], queries.embeddings, metric)[start - lo : end - lo]
+    rows = max(1, _DISTANCE_BLOCK_CELLS // queries.s)
+    for start in range(0, points.shape[0], rows):
+        yield start, pairwise_distances(points[start : start + rows], queries.embeddings, metric)
+
+
+def _connected_distances(
+    embeddings: np.ndarray, queries: QuerySet, indices: np.ndarray, metric: Metric = Metric.EUCLIDEAN
+) -> np.ndarray:
+    """(m, degree) distances from each record to the queries its ``indices`` row names."""
+    picked = np.empty(indices.shape)
+    for start, block in _distance_blocks(embeddings, queries, metric):
+        rows = slice(start, start + len(block))
+        picked[rows] = np.take_along_axis(block, indices[rows], axis=1)
+    return picked
 
 
 def reverse_knn_connect(
@@ -240,13 +253,7 @@ def connection_scores(
     if embeddings.shape[0] != connections.m:
         raise ValueError("connections must cover exactly these records")
     scores = np.zeros(queries.s)
-    if connections.m == 0:
-        return scores
-    picked = np.empty((connections.m, connections.degree))
-    for start, block in _distance_blocks(embeddings, queries, metric):
-        idx = connections.indices[start : start + len(block)]
-        picked[start : start + len(block)] = np.take_along_axis(block, idx, axis=1)
-    sims = similarity_from_distance(picked)
+    sims = similarity_from_distance(_connected_distances(embeddings, queries, connections.indices, metric))
     for col in range(connections.degree):
         np.add.at(scores, connections.indices[:, col], sims[:, col])
     return scores
@@ -293,10 +300,8 @@ def brute_force_best_connection(
     dists = pairwise_distances(embeddings, queries.embeddings, metric)
     sims = similarity_from_distance(dists)
     # per-record score contribution of each candidate bucket set
-    contrib = np.zeros((m, len(combos), s))
-    for j in range(m):
-        for ci, combo in enumerate(combos):
-            contrib[j, ci, list(combo)] = sims[j, list(combo)]
+    member = np.array([[q in combo for q in range(s)] for combo in combos])
+    contrib = np.where(member, sims[:, None, :], 0.0)
     total = contrib[0]
     for j in range(1, m):
         total = (total[:, None, :] + contrib[j][None, :, :]).reshape(-1, s)
@@ -307,13 +312,8 @@ def brute_force_best_connection(
     else:
         inverted = 1.0 / np.maximum(total, 1e-300)
         values = np.where((total <= 0).any(axis=1), 0.0, s / inverted.sum(axis=1))
-    best = int(np.argmax(values))
-    picks = []
-    for j in reversed(range(m)):
-        best, choice = divmod(best, len(combos))
-        picks.append(combos[choice])
-    picks.reverse()
-    return ConnectionMap(np.asarray(picks, dtype=np.int64), s=s, k=k)
+    choices = np.unravel_index(int(np.argmax(values)), (len(combos),) * m)
+    return ConnectionMap(np.asarray([combos[c] for c in choices], dtype=np.int64), s=s, k=k)
 
 
 # ---------------------------------------------------------------------------

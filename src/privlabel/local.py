@@ -499,13 +499,25 @@ def _collision_run_bound(params: PrivacyParams, n: int, beta: float) -> float:
     return collision_accuracy_bound(_run_collision_params(params), n, params.label_count, beta)
 
 
-def _release_gse(supports: np.ndarray, params: PrivacyParams, rng: np.random.Generator) -> np.ndarray:
-    n, c = np.shape(supports)
-    d = params.flat_domain_size
+def _run_gse_params(params: PrivacyParams) -> GseParams:
+    """A run's GSE report shape: min(k, s)*r votes released as a subset of
+    l = min(filter length, d - 1) cells, rejected if it cannot be estimated."""
+    d, c = params.flat_domain_size, min(params.k, params.s) * params.r
     gparams = GseParams(d, c, params.epsilon, min(default_filter_length(c, params.epsilon), d - 1))
+    if gparams.estimator_denominator <= 0:
+        raise ValueError(
+            f"gse with l={gparams.output_size} of d={d} cells at eps={params.epsilon:g}: "
+            "p_true must exceed p_false for estimation"
+        )
+    return gparams
+
+
+def _release_gse(supports: np.ndarray, params: PrivacyParams, rng: np.random.Generator) -> np.ndarray:
+    gparams = _run_gse_params(params)
+    d = gparams.domain_size
     rows = max(1, _GSE_CHUNK_CELLS // d)
     estimate = np.zeros(d)
-    for start in range(0, n, rows):
+    for start in range(0, len(supports), rows):
         chunk = supports[start : start + rows]
         estimate += gse_estimate(gse_encode_batch(chunk, gparams, rng, len(chunk)), gparams)
     return estimate

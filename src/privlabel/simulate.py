@@ -32,6 +32,7 @@ from .core import (
 )
 from .geometry import (
     Metric,
+    pairwise_distances,
     propagate_labels,
     propagation_accuracy,
     reverse_knn_connect,
@@ -169,8 +170,6 @@ class ProxyStudent:
         return cls(centroids, classes, label_count)
 
     def _distances(self, x: np.ndarray) -> np.ndarray:
-        from .geometry import pairwise_distances
-
         return pairwise_distances(np.asarray(x, dtype=np.float64), self.centroids)
 
     def predict(self, x: np.ndarray) -> np.ndarray:
@@ -213,10 +212,13 @@ def _client_answers(votes: np.ndarray, partition: Partition, shape: tuple[int, i
 
 
 def _one_record_per_client(partition: Partition, rng: np.random.Generator) -> np.ndarray:
-    """One uniformly chosen record index per client that has records."""
-    perm = rng.permutation(partition.m)
-    _, first = np.unique(partition.client_of[perm], return_index=True)
-    return perm[first]
+    """One uniformly chosen record index per client that has records, in
+    client order: each client's first record in a random permutation."""
+    m = partition.m
+    perm = rng.permutation(m)
+    first = np.full(partition.n_clients, m)
+    np.minimum.at(first, partition.client_of[perm], np.arange(m))
+    return perm[first[first < m]]
 
 
 # the mechanisms each model runs; "auto" picks the first
@@ -342,6 +344,10 @@ def run_algorithm1(
     reporting = np.count_nonzero(np.bincount(partition.client_of))  # clients holding a record
     mech_params = randomizer_params(iter_params, reporting)
     eta = eta_bound(mech_params, mechanism, reporting, beta)
+    if mechanism == "gse":
+        # eta_bound has built every other release's parameters; gse has no
+        # bound, so build its own here to reject them before any stage runs
+        local_mod._run_gse_params(mech_params)
     mech_name = f"shuffled-{mechanism}" if params.model is PrivacyModel.SHUFFLE_SINGLE else mechanism
 
     ledger = BudgetLedger.empty(records.m)

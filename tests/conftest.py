@@ -81,6 +81,23 @@ def swap_one_record(
     return RecordSet(emb, labels)
 
 
+def bisector_near_ties(seed: int, label_count: int = 3) -> tuple[RecordSet, QuerySet]:
+    """Fewer than 40 one-label records on the bisector of two of 2-4 random
+    queries: each record is exactly equidistant from the two, so its computed
+    distances tie up to their last bit."""
+    gen = np.random.default_rng(seed)
+    dim = int(gen.choice([2, 3, 8, 50]))
+    s, m = int(gen.integers(2, 5)), int(gen.integers(2, 40))
+    queries = gen.normal(size=(s, dim))
+    a, b = gen.choice(s, size=2, replace=False)
+    normal = queries[b] - queries[a]
+    offsets = gen.normal(scale=0.3, size=(m, dim))
+    offsets -= np.outer(offsets @ normal / (normal @ normal), normal)
+    labels = np.zeros((m, label_count), dtype=np.uint8)
+    labels[np.arange(m), gen.integers(0, label_count, size=m)] = 1
+    return RecordSet((queries[a] + queries[b]) / 2 + offsets, labels), QuerySet(queries)
+
+
 def four_point_fixture():
     """Three far-apart queries and four records with forced connections.
 

@@ -14,8 +14,8 @@ from privlabel.central import (
     verify_sensitivity,
     worst_case_neighbor_pair,
 )
-from privlabel.core import PrivacyModel, PrivacyParams
-from conftest import random_queries, random_record_set, swap_one_record
+from privlabel.core import PrivacyModel, PrivacyParams, RecordSet
+from conftest import bisector_near_ties, random_queries, random_record_set, swap_one_record
 
 
 def make_params(epsilon=0.1, k=1, r=1, s=2, labels=10):
@@ -157,3 +157,16 @@ class TestSensitivityVerifier:
         ).sum()
         assert diff == 2 * 3 * 2
 
+    def test_near_ties_keep_remove_one_within_kr_and_swap_within_2kr(self):
+        # records on the bisector of two queries: if a record's connection
+        # depended on the other records, removing one could move their votes too
+        for seed in range(300):
+            records, queries = bisector_near_ties(seed)
+            full = pipeline_aggregate(records, queries, 1)
+            for j in range(records.m):
+                rest = records.subset(np.delete(np.arange(records.m), j))
+                assert np.abs(pipeline_aggregate(rest, queries, 1) - full).sum() <= 1, (seed, j)
+                emb, labels = records.embeddings.copy(), records.labels.copy()
+                emb[j], labels[j] = emb[j - 1], np.roll(labels[j], 1)
+                swapped = pipeline_aggregate(RecordSet(emb, labels), queries, 1)
+                assert np.abs(swapped - full).sum() <= 2, (seed, j)

@@ -270,6 +270,19 @@ class TestMechanismChecks:
         assert "rounds to 1" in err
         assert selections == []
 
+    def test_gse_without_an_unbiased_estimate_exits_3_before_query_selection(self, capsys, monkeypatch):
+        import privlabel.simulate as simulate_mod
+
+        selections = []
+        monkeypatch.setattr(simulate_mod, "select_queries_cluster", lambda *a, **kw: selections.append(a))
+        code, _, err = run_cli(
+            capsys, "simulate", "--seed", "1", "--model", "local", "--mechanism", "gse", "--epsilon", "1.7",
+            "--classes", "3", "--per-class", "50", "--dim", "2", "--pub-per-class", "10", "--s", "4", "--k", "2",
+        )
+        assert code == 3
+        assert "p_true must exceed p_false" in err
+        assert selections == []
+
 
 class TestMseCompare:
     def test_writes_csv(self, tmp_path, capsys):

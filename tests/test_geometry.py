@@ -24,7 +24,7 @@ from privlabel.geometry import (
     select_queries_uncertainty,
     similarity_from_distance,
 )
-from conftest import four_point_fixture, random_queries, random_record_set
+from conftest import bisector_near_ties, four_point_fixture, random_queries, random_record_set
 
 
 class TestMetrics:
@@ -42,6 +42,60 @@ class TestMetrics:
     def test_cosine_rejects_zero_vector(self):
         with pytest.raises(ValueError, match="nonzero"):
             pairwise_distances(np.zeros((1, 2)), np.ones((1, 2)), Metric.COSINE)
+
+
+@st.composite
+def _distance_instances(draw):
+    """Points, queries, metric and a small block size for the distance kernel."""
+    m, s = draw(st.integers(1, 40)), draw(st.integers(1, 12))
+    dim = draw(st.sampled_from([1, 2, 3, 8, 50]))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    metric = draw(st.sampled_from(list(Metric)))
+    return gen.normal(size=(m, dim)), gen.normal(size=(s, dim)), metric, draw(st.integers(1, 3 * s))
+
+
+class TestRowIndependence:
+    """A row's distances, and so its record's connection, depend on that row
+    and the queries alone: the 2kr sensitivity argument assumes it."""
+
+    @given(_distance_instances())
+    @settings(max_examples=150, deadline=None)
+    def test_row_distances_ignore_the_other_rows_and_the_memory_offset(self, instance):
+        x, q, metric, cells = instance
+        full = pairwise_distances(x, q, metric)
+        buf = np.empty(x.nbytes + 1, dtype=np.uint8)
+        shifted = np.frombuffer(buf, dtype=np.float64, count=x.size, offset=1).reshape(x.shape)
+        shifted[...] = x
+        with mock.patch.object(geometry_mod, "_DISTANCE_BLOCK_CELLS", cells):
+            blocks = [block for _, block in geometry_mod._distance_blocks(x, QuerySet(q), metric)]
+        for i in range(len(x)):
+            assert pairwise_distances(x[i : i + 1].copy(), q, metric).tobytes() == full[i].tobytes()
+        assert pairwise_distances(shifted, q, metric).tobytes() == full.tobytes()
+        assert np.concatenate(blocks).tobytes() == full.tobytes()
+
+    def test_record_connects_alone_as_inside_the_set(self):
+        # a kernel whose rows depend on the rows sharing the call (one gemm
+        # over all of them) fails here in about 3 datasets in 4
+        for seed in range(300):
+            records, queries = bisector_near_ties(seed)
+            x = records.embeddings
+            full = reverse_knn_connect(x, queries, 1).indices
+            for j in range(len(x)):
+                alone = reverse_knn_connect(x[j : j + 1].copy(), queries, 1).indices
+                assert alone.tobytes() == full[j].tobytes(), (seed, j)
+                rest = reverse_knn_connect(np.delete(x, j, 0), queries, 1).indices
+                assert rest.tobytes() == np.delete(full, j, 0).tobytes(), (seed, j)
+
+    def test_kmeans_memory_stays_below_8_mib_on_the_bench_pool_shape(self):
+        # the dense (5,000, 200) distance matrix alone is 7.6 MiB
+        points = np.random.default_rng(6).normal(size=(5_000, 8))
+        tracemalloc.start()
+        try:
+            kmeans(points, 200, np.random.default_rng(0), max_iter=5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
 
 class TestQuerySelection:

@@ -69,6 +69,16 @@ class TestPartition:
         with pytest.raises(ValueError):
             partition_records(records, PartitionScheme.DIRICHLET, 2, rng, dirichlet_alpha=0.0)
 
+    @pytest.mark.parametrize("n_clients, m", [(1, 1), (7, 50), (100, 30), (60, 60)])
+    def test_one_record_per_client_is_its_first_in_a_permutation(self, n_clients, m):
+        # the reference sorts every record by client to find each client's first
+        client_of = np.random.default_rng(m).integers(0, n_clients, m)
+        perm = np.random.default_rng(3).permutation(m)
+        _, first = np.unique(client_of[perm], return_index=True)
+        partition = Partition(client_of, n_clients, PartitionScheme.IID)
+        chosen = simulate_mod._one_record_per_client(partition, np.random.default_rng(3))
+        assert chosen.tobytes() == perm[first].tobytes()
+
     def test_every_record_assigned_once(self, rng):
         records = random_record_set(rng, m=300, dim=2, label_count=3)
         part = partition_records(records, PartitionScheme.DIRICHLET, 7, rng, 0.3)
@@ -190,6 +200,18 @@ class TestRunAlgorithm1:
         params = make_params(model, 1.0, delta=delta)
         with pytest.raises(ValueError, match=match):
             run_algorithm1(records, pub, params, T=1, s=3, k=1, master_seed=0, mechanism=mechanism)
+
+    def test_gse_without_an_unbiased_estimate_fails_before_any_stage(self, monkeypatch):
+        # k = 2 of s = 3 buckets and 2 labels: l = d - 1 = 5 cells, so every
+        # output subset meets the 2-cell support and p_true = p_false
+        def must_not_run(*args, **kwargs):
+            pytest.fail("query selection ran before the gse parameters were checked")
+
+        monkeypatch.setattr(simulate_mod, "select_queries_cluster", must_not_run)
+        records, pub, _ = fixture_world()
+        params = make_params(PrivacyModel.LOCAL, 1.0, k=2)
+        with pytest.raises(ValueError, match="p_true must exceed p_false"):
+            run_algorithm1(records, pub, params, T=1, s=3, k=2, master_seed=0, mechanism="gse")
 
     def test_shuffle_multi_q_underflow_is_noiseless(self):
         # q = exp(-5000/4) underflows to 0: DLap(0) is the point mass at 0,
