@@ -8,10 +8,8 @@ from .core import (
     QuerySet,
     RecordSet,
     count_gap,
-    hard_label,
     label_vector,
     record_votes,
-    soft_label,
     vote_counts,
 )
 from .geometry import (

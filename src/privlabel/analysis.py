@@ -26,11 +26,15 @@ def bounds_table(
 
     Local and shuffle-single rows need the client count n and shuffle rows a
     delta > 0: rows lacking them are skipped, or an error if ``model`` asks for
-    them.  Per-report rows are named as a run names its mechanism (``laplace``,
-    ``shuffled-laplace``), the others after their model.
+    them.  A mechanism whose run shape the inputs reject (as ``eta_bound``
+    rejects it before a run) has no row.  Per-report rows are named as a run
+    names its mechanism (``laplace``, ``shuffled-laplace``), the others after
+    their model.
     """
     if n is not None and n < 1:
         raise ValueError(f"--n must be at least 1, got {n}")
+    if not 0.0 < beta < 1.0:
+        raise ValueError(f"--beta must lie in (0, 1), got {beta}")
     rows: dict[str, float] = {}
     for privacy_model in [PrivacyModel(model)] if model else MODEL_MECHANISMS:
         prefix = _ROW_PREFIX.get(privacy_model)
@@ -44,7 +48,10 @@ def bounds_table(
         params = PrivacyParams(epsilon, privacy_model, k, r, s, label_count, delta if shuffled else 0.0)
         randomizer = randomizer_params(params, n)
         for mechanism in MODEL_MECHANISMS[privacy_model]:
-            eta = eta_bound(randomizer, mechanism, n, beta)
+            try:
+                eta = eta_bound(randomizer, mechanism, n, beta)
+            except ValueError:
+                continue
             if eta is not None:
                 rows[privacy_model.value if prefix is None else prefix + mechanism] = eta
     return rows

@@ -13,7 +13,7 @@ from typing import Callable
 import numpy as np
 
 from .core import PrivacyModel, PrivacyParams, QuerySet, RecordSet, record_votes, vote_counts
-from .geometry import Metric, reverse_knn_connect
+from .geometry import reverse_knn_connect
 
 
 def laplace_inverse_cdf(u: float | np.ndarray, scale: float) -> float | np.ndarray:
@@ -80,20 +80,16 @@ def log_density_ratio(aggregate: np.ndarray, neighbor: np.ndarray, output: np.nd
     return float(((np.abs(z - ap) - np.abs(z - a)) / scale).sum())
 
 
-def pipeline_aggregate(
-    records: RecordSet, queries: QuerySet, k: int, metric: Metric = Metric.EUCLIDEAN
-) -> np.ndarray:
+def pipeline_aggregate(records: RecordSet, queries: QuerySet, k: int) -> np.ndarray:
     """Exact aggregate of the full connect-and-count pipeline (no privacy)."""
-    conn = reverse_knn_connect(records.embeddings, queries, k, metric)
+    conn = reverse_knn_connect(records.embeddings, queries, k)
     return vote_counts(record_votes(records, conn), (queries.s, records.label_count))
 
 
 def verify_sensitivity(
     pair_generator: Callable[[], tuple[RecordSet, RecordSet, QuerySet]],
     k: int,
-    r: int,
     trials: int,
-    metric: Metric = Metric.EUCLIDEAN,
 ) -> float:
     """Max observed L1 aggregate difference over generated neighboring datasets.
 
@@ -105,8 +101,8 @@ def verify_sensitivity(
         left, right, queries = pair_generator()
         if left.m != right.m:
             raise ValueError("neighboring datasets must have equal size")
-        a = pipeline_aggregate(left, queries, k, metric)
-        b = pipeline_aggregate(right, queries, k, metric)
+        a = pipeline_aggregate(left, queries, k)
+        b = pipeline_aggregate(right, queries, k)
         diff = float(np.abs(a - b).sum())
         worst = max(worst, diff)
     return worst

@@ -268,34 +268,22 @@ def vote_counts(votes: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return np.bincount(votes, minlength=size).reshape(shape)
 
 
-def hard_label(row: np.ndarray) -> int:
-    """Argmax with ties broken by the smallest index."""
-    row = np.asarray(row)
-    if row.ndim != 1:
-        raise ValueError("hard_label expects a single count row")
-    return int(np.argmax(row))
-
-
 def hard_labels(counts: np.ndarray) -> np.ndarray:
+    """Each count row's argmax, ties broken by the smallest index."""
     return np.argmax(np.asarray(counts), axis=1)
 
 
-def soft_label(row: np.ndarray) -> np.ndarray:
-    """Normalize a count row to a probability vector.
-
-    Negative (post-noise) entries are clamped to zero first; an all-zero row
-    after clamping maps to the uniform distribution.
-    """
-    row = np.asarray(row, dtype=np.float64)
-    clamped = np.maximum(row, 0.0)
-    total = clamped.sum()
-    if total == 0.0:
-        return np.full(row.shape, 1.0 / row.size)
-    return clamped / total
-
-
 def soft_labels(counts: np.ndarray) -> np.ndarray:
-    return np.vstack([soft_label(row) for row in np.asarray(counts)])
+    """Normalize each count row to a probability vector.
+
+    Negative (post-noise) entries are clamped to zero first; a row that is
+    all zero after clamping maps to the uniform distribution.
+    """
+    # C order sums each row as one contiguous run, as a lone row is summed
+    clamped = np.maximum(np.asarray(counts, dtype=np.float64, order="C"), 0.0)
+    total = clamped.sum(axis=1, keepdims=True)
+    empty = total == 0.0
+    return np.where(empty, 1.0 / clamped.shape[1], clamped / np.where(empty, 1.0, total))
 
 
 def degenerate_buckets(counts: np.ndarray) -> np.ndarray:

@@ -27,6 +27,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -330,10 +331,14 @@ def collision_indicator_moments(params: CollisionParams, in_support: bool) -> tu
 # subset-release (GSE) mechanism
 
 
-def _comb(n: int, k: int) -> int:
-    if k < 0 or n < 0 or k > n:
-        return 0
-    return math.comb(n, k)
+class GseLaw(NamedTuple):
+    """Law of a report's overlap i = |Z & support| over i = 0..min(c, l),
+    and the release probabilities it implies."""
+
+    pmf: np.ndarray  # P[overlap = i]
+    log_omega: float  # log of the summed weight of every size-l subset
+    p_true: float
+    p_false: float
 
 
 @dataclass(frozen=True)
@@ -357,39 +362,58 @@ class GseParams:
         if self.epsilon < 0:
             raise ValueError("epsilon cannot be negative")
 
-    def _weighted_sum(self, choose_support: Callable[[int], int], choose_rest: Callable[[int], int]) -> float:
-        tilt = math.exp(self.epsilon)
-        high = sum(
-            choose_support(i) * choose_rest(i)
-            for i in range(self.alpha_min, self.support_size + 1)
-        )
-        low = sum(choose_support(i) * choose_rest(i) for i in range(0, self.alpha_min))
-        return tilt * high + low
+    def log_tilt(self, overlap):
+        """Log-weight of one output subset meeting the support in ``overlap``
+        cells: eps once the overlap reaches alpha_min, else 0."""
+        return self.epsilon * (np.asarray(overlap) >= self.alpha_min)
+
+    @cached_property
+    def law(self) -> GseLaw:
+        """Overlap i has log-weight log C(c, i) + log C(d - c, l - i) +
+        log_tilt(i), or -inf when the d - c non-members cannot fill l - i
+        cells.  A member is released with probability E[i]/c and a non-member
+        with (l - E[i])/(d - c), or 0 when d = c.  A tilt that is the same at
+        every feasible overlap leaves the output uniform, and then both are
+        l/d exactly rather than rounded means that may differ in the last bit.
+        """
+        d, c, l = self.domain_size, self.support_size, self.output_size
+        i = np.arange(min(c, l) + 1)
+        feasible = l - i <= d - c
+        log_w = self.log_tilt(i) + np.array([
+            math.lgamma(c + 1) - math.lgamma(j + 1) - math.lgamma(c - j + 1)
+            + math.lgamma(d - c + 1) - math.lgamma(l - j + 1) - math.lgamma(d - c - l + j + 1)
+            if ok else -math.inf
+            for j, ok in zip(i, feasible)
+        ])
+        top = log_w.max()
+        weights = np.exp(log_w - top)
+        total = weights.sum()
+        pmf = weights / total
+        uniform = np.ptp(self.log_tilt(i[feasible])) == 0
+        mean = float(i @ pmf)
+        p_true = l / d if uniform else mean / c
+        p_false = 0.0 if d == c else l / d if uniform else (l - mean) / (d - c)
+        return GseLaw(pmf, top + math.log(total), p_true, p_false)
 
     @property
     def omega(self) -> float:
-        d, c, l = self.domain_size, self.support_size, self.output_size
-        return self._weighted_sum(lambda i: _comb(c, i), lambda i: _comb(d - c, l - i))
+        """Summed weight of every size-l subset (inf beyond float range)."""
+        with np.errstate(over="ignore"):
+            return float(np.exp(self.law.log_omega))
 
     @property
     def p_true(self) -> float:
         """P[v in Z] for a support member v."""
-        d, c, l = self.domain_size, self.support_size, self.output_size
-        return self._weighted_sum(lambda i: _comb(c - 1, i - 1), lambda i: _comb(d - c, l - i)) / self.omega
+        return self.law.p_true
 
     @property
     def p_false(self) -> float:
         """P[v in Z] for a non-member v."""
-        d, c, l = self.domain_size, self.support_size, self.output_size
-        return self._weighted_sum(lambda i: _comb(c, i), lambda i: _comb(d - c - 1, l - i - 1)) / self.omega
+        return self.law.p_false
 
     @property
     def estimator_denominator(self) -> float:
         return self.p_true - self.p_false
-
-
-def gse_subset_log_weight(overlap: int, params: GseParams) -> float:
-    return params.epsilon if overlap >= params.alpha_min else 0.0
 
 
 def gse_subset_probability(subset: Iterable[int], support: np.ndarray, params: GseParams) -> float:
@@ -398,19 +422,7 @@ def gse_subset_probability(subset: Iterable[int], support: np.ndarray, params: G
     if len(subset) != params.output_size:
         return 0.0
     overlap = len(subset & set(int(v) for v in support))
-    return math.exp(gse_subset_log_weight(overlap, params)) / params.omega
-
-
-def _overlap_pmf(params: GseParams) -> np.ndarray:
-    d, c, l = params.domain_size, params.support_size, params.output_size
-    tilt = math.exp(params.epsilon)
-    weights = np.array(
-        [
-            (tilt if i >= params.alpha_min else 1.0) * _comb(c, i) * _comb(d - c, l - i)
-            for i in range(0, min(c, l) + 1)
-        ]
-    )
-    return weights / weights.sum()
+    return math.exp(params.log_tilt(overlap) - params.law.log_omega)
 
 
 def gse_encode_batch(
@@ -425,7 +437,7 @@ def gse_encode_batch(
     """
     support = _check_support(support, params, n_reports)
     d, c, l = params.domain_size, params.support_size, params.output_size
-    pmf = _overlap_pmf(params)
+    pmf = params.law.pmf
     overlaps = rng.choice(pmf.size, size=n_reports, p=pmf)[:, None]
     outside = np.ones((n_reports, d), dtype=bool)
     np.put_along_axis(outside, np.broadcast_to(support, (n_reports, c)), False, axis=1)
@@ -523,11 +535,17 @@ def _release_gse(supports: np.ndarray, params: PrivacyParams, rng: np.random.Gen
     return estimate
 
 
+def _gse_run_bound(params: PrivacyParams, n: int, beta: float) -> None:
+    """GSE has no eta(beta) bound yet; building its run shape still rejects
+    one it cannot estimate before any stage runs."""
+    _run_gse_params(params)
+
+
 MECHANISMS: dict[str, Mechanism] = {
     "rr": Mechanism(_release_rr, rr_accuracy_bound),
     "laplace": Mechanism(_release_laplace, local_laplace_accuracy_bound),
     "collision": Mechanism(_release_collision, _collision_run_bound),
-    "gse": Mechanism(_release_gse, lambda params, n, beta: None),
+    "gse": Mechanism(_release_gse, _gse_run_bound),
 }
 
 

@@ -31,7 +31,6 @@ from .core import (
     vote_counts,
 )
 from .geometry import (
-    Metric,
     pairwise_distances,
     propagate_labels,
     propagation_accuracy,
@@ -203,14 +202,6 @@ class SimulationResult:
     cluster_assignment: np.ndarray | None = None
 
 
-def _client_answers(votes: np.ndarray, partition: Partition, shape: tuple[int, int]) -> np.ndarray:
-    """(n_clients, s, label_count) exact vote matrices per client from the
-    records' flat votes; the per-client reference whose sum over clients
-    ``verify_partition_invariance`` takes as ``vote_counts(votes, shape)``."""
-    offsets = partition.client_of[:, None] * (shape[0] * shape[1])
-    return vote_counts(votes + offsets, (partition.n_clients, *shape))
-
-
 def _one_record_per_client(partition: Partition, rng: np.random.Generator) -> np.ndarray:
     """One uniformly chosen record index per client that has records, in
     client order: each client's first record in a random permutation."""
@@ -300,7 +291,6 @@ def run_algorithm1(
     partition_scheme: PartitionScheme = PartitionScheme.SINGLE_RECORD,
     n_clients: int | None = None,
     dirichlet_alpha: float = 0.5,
-    metric: Metric = Metric.EUCLIDEAN,
     mechanism: str = "auto",
     label_mode: str = "hard",
     beta: float = 0.05,
@@ -344,10 +334,6 @@ def run_algorithm1(
     reporting = np.count_nonzero(np.bincount(partition.client_of))  # clients holding a record
     mech_params = randomizer_params(iter_params, reporting)
     eta = eta_bound(mech_params, mechanism, reporting, beta)
-    if mechanism == "gse":
-        # eta_bound has built every other release's parameters; gse has no
-        # bound, so build its own here to reject them before any stage runs
-        local_mod._run_gse_params(mech_params)
     mech_name = f"shuffled-{mechanism}" if params.model is PrivacyModel.SHUFFLE_SINGLE else mechanism
 
     ledger = BudgetLedger.empty(records.m)
@@ -370,7 +356,7 @@ def run_algorithm1(
                 break
             queries = QuerySet(pub_embeddings[query_indices])
 
-        connections = reverse_knn_connect(records.embeddings, queries, k, metric)
+        connections = reverse_knn_connect(records.embeddings, queries, k)
         votes = record_votes(records, connections)
         exact = vote_counts(votes, (s, records.label_count))
         ledger.charge(iter_params.epsilon, connections.degree)

@@ -129,7 +129,7 @@ class TestSensitivityVerifier:
             neighbor.labels = labels
             return records, neighbor, queries
 
-        assert verify_sensitivity(pairs, k=1, r=1, trials=50) <= 2
+        assert verify_sensitivity(pairs, k=1, trials=50) <= 2
 
     def test_identical_connections_same_label_no_change(self, rng):
         def pairs():
@@ -141,7 +141,7 @@ class TestSensitivityVerifier:
             neighbor.embeddings = emb
             return records, neighbor, queries
 
-        assert verify_sensitivity(pairs, k=2, r=1, trials=20) == 0.0
+        assert verify_sensitivity(pairs, k=2, trials=20) == 0.0
 
     def test_adversarial_swap_attains_exactly_2kr(self):
         left, right, queries = worst_case_neighbor_pair(s=4, k=2, r=1, label_count=3)

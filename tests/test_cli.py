@@ -1,5 +1,6 @@
 import argparse
 import dataclasses
+import itertools
 import json
 import math
 import re
@@ -282,6 +283,21 @@ class TestMechanismChecks:
         assert code == 3
         assert "p_true must exceed p_false" in err
         assert selections == []
+
+    @pytest.mark.parametrize("model, mechanism", [
+        (model.value, mechanism) for model, mechanisms in MODEL_MECHANISMS.items() for mechanism in mechanisms
+    ])
+    def test_every_pair_exits_0_or_3(self, capsys, model, mechanism):
+        # 500 records, 200 public samples, 10 labels: s = 200 gives d = 2000
+        # cells, where gse at eps = 5 releases l = 300 of them
+        for eps, s in itertools.product(("0.05", "1", "5"), ("4", "200")):
+            code, _, err = run_cli(
+                capsys, "simulate", "--seed", "1", "--model", model, "--mechanism", mechanism,
+                "--epsilon", eps, "--delta", "1e-6" if model.startswith("shuffle") else "0",
+                "--classes", "10", "--per-class", "50", "--dim", "2", "--pub-per-class", "20",
+                "--s", s, "--k", "2",
+            )
+            assert code in (0, 3), (eps, s, err)
 
 
 class TestMseCompare:

@@ -14,45 +14,43 @@ from privlabel.core import (
     count_gap,
     degenerate_buckets,
     flatten_support,
-    hard_label,
     hard_labels,
     label_vector,
     record_votes,
-    soft_label,
+    soft_labels,
     vote_counts,
 )
-from privlabel.simulate import Partition, PartitionScheme, _client_answers
 from conftest import random_queries, random_record_set, swap_one_record
 
 
 class TestLabels:
     def test_hard_label_max(self):
-        assert hard_label(np.array([2, 0])) == 0
+        assert hard_labels(np.array([[2, 0]])).tolist() == [0]
 
     def test_hard_label_tie_smallest_index(self):
-        assert hard_label(np.array([1, 1])) == 0
+        assert hard_labels(np.array([[1, 1]])).tolist() == [0]
 
     def test_hard_label_noisy_reals(self):
-        assert hard_label(np.array([0.3, 5.1, -2.0])) == 1
+        assert hard_labels(np.array([[0.3, 5.1, -2.0]])).tolist() == [1]
 
     def test_all_zero_row_flagged_degenerate(self):
         counts = np.array([[0.0, 0.0], [1.0, 0.0]])
-        assert hard_label(counts[0]) == 0
+        assert hard_labels(counts)[0] == 0
         assert list(degenerate_buckets(counts)) == [0]
 
     def test_soft_label_normalizes(self):
-        assert np.allclose(soft_label(np.array([2, 2])), [0.5, 0.5])
-        assert np.allclose(soft_label(np.array([3, 0, 1])), [0.75, 0.0, 0.25])
+        assert np.allclose(soft_labels(np.array([[2, 2]])), [[0.5, 0.5]])
+        assert np.allclose(soft_labels(np.array([[3, 0, 1]])), [[0.75, 0.0, 0.25]])
 
     def test_soft_label_clamps_negatives(self):
-        assert np.allclose(soft_label(np.array([-1.0, 2.0])), [0.0, 1.0])
+        assert np.allclose(soft_labels(np.array([[-1.0, 2.0]])), [[0.0, 1.0]])
 
     def test_soft_label_degenerate_uniform(self):
-        assert np.allclose(soft_label(np.array([-3.0, -1.0])), [0.5, 0.5])
+        assert np.allclose(soft_labels(np.array([[-3.0, -1.0]])), [[0.5, 0.5]])
 
     @given(st.lists(st.floats(-10, 10, allow_nan=False), min_size=2, max_size=6))
     def test_soft_sums_to_one(self, row):
-        probs = soft_label(np.array(row))
+        probs = soft_labels(np.array([row]))
         assert probs.min() >= 0
         assert abs(probs.sum() - 1.0) < 1e-12
 
@@ -62,8 +60,8 @@ class TestLabels:
         )
     )
     def test_hard_soft_agree_without_ties_or_clamping(self, row):
-        counts = np.array(row, dtype=float)
-        assert hard_label(counts) == int(np.argmax(soft_label(counts)))
+        counts = np.array([row], dtype=float)
+        assert hard_labels(counts)[0] == int(np.argmax(soft_labels(counts)[0]))
 
 
 class TestCountGap:
@@ -84,7 +82,7 @@ class TestCountGap:
         row = np.array([10.0, 4.0, 1.0])  # gap 6 = 2*alpha
         for _ in range(200):
             noise = rng.uniform(-alpha, alpha, size=3) * 0.999
-            assert hard_label(row + noise) == 0
+            assert hard_labels([row + noise])[0] == 0
 
 
 class TestEmpiricalAccuracy:
@@ -183,7 +181,7 @@ class TestAccuracySpecAndRecords:
 @st.composite
 def vote_instances(draw):
     """Records with r labels each over |Y| labels, connected to min(k, s) of s
-    buckets, plus a random split over 1..5 clients."""
+    buckets."""
     m, s = draw(st.integers(0, 60)), draw(st.integers(1, 6))
     k, r = draw(st.integers(1, s + 2)), draw(st.integers(1, 3))
     label_count = draw(st.integers(max(2, r), 6))
@@ -193,15 +191,13 @@ def vote_instances(draw):
     for row in labels:
         row[rng.choice(label_count, r, replace=False)] = 1
     records = RecordSet(rng.normal(size=(m, 2)), labels)
-    n_clients = draw(st.integers(1, 5))
-    partition = Partition(rng.integers(0, n_clients, size=m), n_clients, PartitionScheme.IID)
-    return records, ConnectionMap(buckets, s=s, k=k), partition
+    return records, ConnectionMap(buckets, s=s, k=k)
 
 
-def loop_counts(records, connections, rows):
+def loop_counts(records, connections):
     """Reference count matrix: one vote per (record, bucket, label)."""
     counts = np.zeros((connections.s, records.label_count), dtype=np.int64)
-    for i in rows:
+    for i in range(records.m):
         for bucket in connections.indices[i]:
             for label in np.flatnonzero(records.labels[i]):
                 counts[bucket, label] += 1
@@ -211,19 +207,13 @@ def loop_counts(records, connections, rows):
 class TestVotes:
     @settings(max_examples=150, deadline=None)
     @given(vote_instances())
-    def test_counts_and_client_slices_match_the_loop(self, instance):
-        records, connections, partition = instance
-        shape = (connections.s, records.label_count)
+    def test_counts_match_the_loop(self, instance):
+        records, connections = instance
         votes = record_votes(records, connections)
         assert votes.shape == (records.m, connections.degree * records.r)
         assert (np.diff(votes, axis=1) > 0).all()
-        whole = vote_counts(votes, shape)
-        assert np.array_equal(whole, loop_counts(records, connections, range(records.m)))
-        answers = _client_answers(votes, partition, shape)
-        for client in range(partition.n_clients):
-            mine = np.flatnonzero(partition.client_of == client)
-            assert np.array_equal(answers[client], loop_counts(records, connections, mine))
-        assert np.array_equal(answers.sum(axis=0), whole)
+        whole = vote_counts(votes, (connections.s, records.label_count))
+        assert np.array_equal(whole, loop_counts(records, connections))
 
     @pytest.mark.parametrize("votes", ([-1, 0], [0, 4], [[1], [7]]))
     def test_out_of_range_votes_rejected(self, votes):

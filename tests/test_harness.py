@@ -10,7 +10,7 @@ from privlabel.core import PrivacyModel, PrivacyParams
 from privlabel.local import CollisionParams
 from privlabel.mse import mse_comparison, parse_grid
 from privlabel.results import build_results, read_results, write_results
-from privlabel.simulate import MODEL_MECHANISMS, PartitionScheme, run_algorithm1
+from privlabel.simulate import MODEL_MECHANISMS, PartitionScheme, eta_bound, run_algorithm1
 from conftest import random_record_set
 
 
@@ -282,3 +282,16 @@ class TestBoundsRules:
     def test_no_model_skips_rows_lacking_n(self):
         rows = bounds_table(None, 0.5, 1e-6, 1, 1, 2, 10, 0.05)
         assert set(rows) == {"central", "shuffle-multi"}
+
+    def test_a_shape_a_run_rejects_has_no_row(self):
+        # d = 12 cells, c = 2 and l = 11 at eps = 1.7 leave gse with
+        # p_true = p_false: a gse run stops before any stage, the other rows stay
+        rows = bounds_table("local", 1.7, 0.0, 2, 1, 4, 3, 0.05, n=100)
+        assert set(rows) == {"rr", "laplace", "collision"}
+        with pytest.raises(ValueError, match="p_true must exceed p_false"):
+            eta_bound(PrivacyParams(1.7, PrivacyModel.LOCAL, 2, 1, 4, 3), "gse", 100, 0.05)
+
+    @pytest.mark.parametrize("beta", [0.0, 1.0])
+    def test_beta_outside_the_unit_interval_rejected(self, beta):
+        with pytest.raises(ValueError, match="--beta"):
+            bounds_table("local", 1.0, 0.0, 1, 1, 2, 10, beta, n=100)

@@ -412,6 +412,40 @@ class TestGse:
         sd = math.sqrt(n * per_report_var)
         assert (np.abs(est - truth) <= 4 * sd + 1e-9).all()
 
+    @pytest.mark.parametrize("eps", [0.0, 0.7, 3.0])
+    def test_law_matches_subset_enumeration(self, eps):
+        # reference: weigh every size-l subset of the domain on its own,
+        # e^eps when it meets the support {0..c-1} in at least alpha cells
+        for d in range(1, 9):
+            for c, l in itertools.product(range(1, d + 1), repeat=2):
+                subsets = list(itertools.combinations(range(d), l))
+                overlaps = [sum(v < c for v in z) for z in subsets]
+                for alpha in range(1, min(c, l) + 1):
+                    params = GseParams(d, c, eps, l, alpha)
+                    weights = np.array([math.exp(eps) if i >= alpha else 1.0 for i in overlaps])
+                    probs = weights / weights.sum()
+                    pmf = np.bincount(overlaps, weights=probs, minlength=min(c, l) + 1)
+                    p_true = sum(p for z, p in zip(subsets, probs) if 0 in z)
+                    p_false = sum(p for z, p in zip(subsets, probs) if d - 1 in z) if d > c else 0.0
+                    case = (d, c, l, alpha)
+                    assert params.omega == pytest.approx(weights.sum(), rel=1e-12), case
+                    assert np.abs(params.law.pmf - pmf).max() <= 1e-12, case
+                    assert abs(params.p_true - p_true) <= 1e-12, case
+                    assert abs(params.p_false - p_false) <= 1e-12, case
+                    support = np.arange(c)
+                    exact = [gse_subset_probability(z, support, params) for z in subsets]
+                    assert np.abs(np.array(exact) - probs).max() <= 1e-12, case
+                    if d > c and np.ptp(weights) == 0:  # uniform output: nothing to estimate
+                        assert params.estimator_denominator == 0.0, case
+
+    @pytest.mark.parametrize("l", [300, 800])
+    @pytest.mark.parametrize("eps", [1.0, 5.0])
+    def test_law_finite_on_a_large_domain(self, l, eps):
+        params = GseParams(2000, 2, eps, l)
+        assert math.isfinite(params.law.log_omega) and np.isfinite(params.law.pmf).all()
+        assert params.law.pmf.sum() == pytest.approx(1.0, abs=1e-12)
+        assert 0.0 < params.p_false < params.p_true < 1.0
+
 
 class TestSeparationConcatenation:
     def test_separation_zero_entries_unbiased(self, rng):
