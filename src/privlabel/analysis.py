@@ -78,8 +78,8 @@ def predict_labeling_accuracy(
     assignment = np.asarray(assignment, dtype=np.int64)
     pub_truth = np.asarray(pub_truth, dtype=np.int64)
     # frac[t, c]: share of public samples sitting in bucket t with true class c
-    frac = np.zeros((s, label_count))
-    np.add.at(frac, (assignment, pub_truth), 1.0)
+    cells = np.ravel_multi_index((assignment, pub_truth), (s, label_count))
+    frac = np.bincount(cells, weights=np.ones(cells.size), minlength=s * label_count).reshape(s, label_count)
     frac /= pub_truth.size
     noisy = exact[None, :, :] + entry_std[None, :, :] * rng.standard_normal(
         (draws, s, label_count)

@@ -10,7 +10,12 @@ sampling.
 Every distance comes from ``pairwise_distances``: a row's distances depend on
 that row and the queries alone, never on the rows sharing the call or on the
 row's memory offset, so a record connects alone as it does inside any record
-set.  The aggregate's 2kr sensitivity relies on this.
+set.  The aggregate's 2kr sensitivity relies on this.  A Euclidean row is one
+augmented product, [x, |x|², 1] @ [-2qᵀ; 1; |q|²], so a distance block costs
+one product per row plus an in-place clamp and square root.  Connection checks
+only the cells it picks: a non-finite pick means the record has no finite
+distance left, and a squared norm that overflows is rejected before any
+product.
 """
 from __future__ import annotations
 
@@ -36,16 +41,33 @@ class ConnectionObjective(enum.Enum):
 def pairwise_distances(points: np.ndarray, queries: np.ndarray, metric: Metric = Metric.EUCLIDEAN) -> np.ndarray:
     """(m, s) distance matrix between row vectors of the two arrays.
 
-    Each row's cross term is its own (1, dim) @ (dim, s) product: a gemm over
-    all rows rounds a row's last bit by how many rows share the call."""
-    x = np.ascontiguousarray(points, dtype=np.float64)
+    Each row is its own product: a gemm over all rows rounds a row's last bit
+    by how many rows share the call.  A Euclidean row is one
+    (1, dim + 2) @ (dim + 2, s) product of [x, |x|², 1] with
+    [-2qᵀ; 1; |q|²], which gives |x|² + |q|² − 2x·q directly.  A Euclidean
+    call raises ValueError when a row's or query's squared norm overflows."""
+    x = np.asarray(points, dtype=np.float64)
     q = np.asarray(queries, dtype=np.float64)
     if x.ndim != 2 or q.ndim != 2 or x.shape[1] != q.shape[1]:
         raise ValueError("points and queries must be 2-D with a shared dimension")
-    cross = np.matmul(x[:, None, :], np.ascontiguousarray(q.T))[:, 0]
+    dim = x.shape[1]
     if metric is Metric.EUCLIDEAN:
-        sq = (x * x).sum(axis=1)[:, None] + (q * q).sum(axis=1)[None, :] - 2.0 * cross
-        return np.sqrt(np.maximum(sq, 0.0))
+        rows = np.empty((x.shape[0], dim + 2))
+        rows[:, :dim] = x
+        np.sum(x * x, axis=1, out=rows[:, dim])
+        rows[:, dim + 1] = 1.0
+        cols = np.empty((dim + 2, q.shape[0]))
+        np.multiply(q.T, -2.0, out=cols[:dim])
+        cols[dim] = 1.0
+        np.sum(q * q, axis=1, out=cols[dim + 1])
+        if not (np.isfinite(rows[:, dim]).all() and np.isfinite(cols[dim + 1]).all()):
+            # finite coordinates beyond ~1e154 overflow the squared norms
+            raise ValueError("distances overflow: coordinates too large to square")
+        sq = np.matmul(rows[:, None, :], cols)[:, 0]
+        np.maximum(sq, 0.0, out=sq)
+        return np.sqrt(sq, out=sq)
+    x = np.ascontiguousarray(x)
+    cross = np.matmul(x[:, None, :], np.ascontiguousarray(q.T))[:, 0]
     xn = np.linalg.norm(x, axis=1)
     qn = np.linalg.norm(q, axis=1)
     if (xn == 0).any() or (qn == 0).any():
@@ -65,19 +87,32 @@ def similarity_from_distance(dist: np.ndarray) -> np.ndarray:
 
 def _kmeans_plus_plus_init(points: np.ndarray, s: int, rng: np.random.Generator) -> np.ndarray:
     n = points.shape[0]
+    # D² runs down the columns of a (dim, n) copy, one coordinate at a time: a
+    # row-wise sum of (points - c)**2 makes an (n, dim) temporary per center
+    columns = np.ascontiguousarray(points.T)
     centers = np.empty((s, points.shape[1]))
-    first = int(rng.integers(n))
-    centers[0] = points[first]
-    closest_sq = ((points - centers[0]) ** 2).sum(axis=1)
-    for j in range(1, s):
-        total = closest_sq.sum()
-        if total == 0.0:
-            # all remaining mass collapsed onto chosen centers; pick uniformly
-            pick = int(rng.integers(n))
-        else:
-            pick = int(rng.choice(n, p=closest_sq / total))
+    closest_sq = np.full(n, np.inf)
+    dist_sq, diff = np.empty(n), np.empty(n)
+    pick = int(rng.integers(n))
+    for j in range(s):
+        if j:
+            total = closest_sq.sum()
+            if not np.isfinite(total):
+                raise ValueError("k-means++ weights overflow: points too large to cluster")
+            if total == 0.0:
+                # all remaining mass collapsed onto chosen centers; pick uniformly
+                pick = int(rng.integers(n))
+            else:
+                # rng.choice(n, p=closest_sq / total) without its validation:
+                # the same cdf searched with the same draw
+                cdf = np.cumsum(closest_sq / total)
+                cdf /= cdf[-1]
+                pick = int(cdf.searchsorted(rng.random(), side="right"))
         centers[j] = points[pick]
-        closest_sq = np.minimum(closest_sq, ((points - centers[j]) ** 2).sum(axis=1))
+        np.square(np.subtract(columns[0], centers[j, 0], out=dist_sq), out=dist_sq)
+        for column, coordinate in zip(columns[1:], centers[j, 1:]):
+            dist_sq += np.square(np.subtract(column, coordinate, out=diff), out=diff)
+        np.minimum(closest_sq, dist_sq, out=closest_sq)
     return centers
 
 
@@ -111,6 +146,9 @@ def kmeans(
         new_centers = centers.copy()
         filled = counts > 0
         new_centers[filled] = sums[filled] / counts[filled, None]
+        if filled.all() and new_centers.tobytes() == centers.tobytes():
+            # a connect to these centers would repeat this assignment
+            return centers, assignment
         empty = np.flatnonzero(~filled)
         if empty.size:
             assigned = _connected_distances(points, queries, assignment[:, None])[:, 0]
@@ -228,15 +266,16 @@ def reverse_knn_connect(
         return ConnectionMap(np.tile(np.arange(degree, dtype=np.int64), (m, 1)), s=s, k=k)
     chosen = np.empty((m, degree), dtype=np.int64)
     for start, block in _distance_blocks(embeddings, queries, metric):
-        if not np.isfinite(block).all():
-            # finite coordinates beyond ~1e154 overflow the squared norms, and
-            # an all-inf row would let argmin pick one query twice
-            raise ValueError("distances overflow: embeddings too large to connect")
         picks = chosen[start : start + len(block)]
         rows = np.arange(len(block))
         for col in range(degree):
             # argmin keeps the first minimum: ties go to the smaller index
             picks[:, col] = np.argmin(block, axis=1)
+            picked = block[rows, picks[:, col]]
+            if not np.isfinite(picked).all():
+                # an inf or NaN pick means the row has no finite distance
+                # left, and the next pass would pick one query twice
+                raise ValueError("distances overflow: embeddings too large to connect")
             block[rows, picks[:, col]] = np.inf
         picks.sort(axis=1)
     return ConnectionMap(chosen, s=s, k=k)
@@ -252,11 +291,9 @@ def connection_scores(
     embeddings = np.asarray(embeddings, dtype=np.float64)
     if embeddings.shape[0] != connections.m:
         raise ValueError("connections must cover exactly these records")
-    scores = np.zeros(queries.s)
     sims = similarity_from_distance(_connected_distances(embeddings, queries, connections.indices, metric))
-    for col in range(connections.degree):
-        np.add.at(scores, connections.indices[:, col], sims[:, col])
-    return scores
+    # column by column, each in record order, as a sum from 0.0 per query
+    return np.bincount(connections.indices.T.ravel(), weights=sims.T.ravel(), minlength=queries.s)
 
 
 def objective_value(scores: np.ndarray, objective: ConnectionObjective) -> float:

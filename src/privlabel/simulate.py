@@ -94,8 +94,9 @@ def partition_records(
         members = members[rng.permutation(members.size)]
         props = rng.dirichlet(np.full(n_clients, dirichlet_alpha))
         cuts = np.floor(np.cumsum(props)[:-1] * members.size).astype(np.int64)
-        for cid, chunk in enumerate(np.split(members, cuts)):
-            client_of[chunk] = cid
+        # the client of the member at position p is the number of cuts <= p,
+        # as np.split(members, cuts) deals the members out
+        client_of[members] = np.searchsorted(cuts, np.arange(members.size), side="right")
     return Partition(client_of, n_clients, scheme)
 
 

@@ -39,6 +39,18 @@ class TestMetrics:
         d = pairwise_distances(x, x, Metric.COSINE)
         assert np.allclose(np.diag(d), 0.0, atol=1e-9)
 
+    @pytest.mark.parametrize("dim", [8, 50])
+    @pytest.mark.parametrize("offset", [0.0, 1e2, 1e4])
+    def test_euclidean_matches_the_direct_difference(self, dim, offset):
+        # the expansion |x|² + |q|² − 2x·q cancels as the points move away
+        # from the origin; its error must stay within 1e-11 of |x| + |q|
+        gen = np.random.default_rng(dim)
+        x = gen.normal(size=(200, dim)) + offset
+        q = gen.normal(size=(40, dim)) + offset
+        direct = np.sqrt(((x[:, None, :] - q[None, :, :]) ** 2).sum(axis=2))
+        scale = np.linalg.norm(x, axis=1)[:, None] + np.linalg.norm(q, axis=1)[None, :]
+        assert (np.abs(pairwise_distances(x, q) - direct) <= 1e-11 * scale).all()
+
     def test_cosine_rejects_zero_vector(self):
         with pytest.raises(ValueError, match="nonzero"):
             pairwise_distances(np.zeros((1, 2)), np.ones((1, 2)), Metric.COSINE)
@@ -149,6 +161,42 @@ class TestQuerySelection:
             centers, _ = kmeans(points, 3, np.random.default_rng(0), max_iter=1)
         assert centers.tolist() == expected
 
+    def test_lloyd_stops_on_unchanged_centers_without_a_final_connect(self):
+        # cluster 0 starts empty and takes a (4, 0); the other (4, 0) follows
+        # it, and at the fixed point (0, 0) is 1 from centers 1 and 2
+        points = np.array([[4, 0], [4, 0], [-2, 0], [0, 0], [1, 0], [1, 0], [1, 0]], dtype=np.float64)
+        seeded = np.array([[1000, 1000], [-1, 0], [1, 0]], dtype=np.float64)
+        connected = []
+
+        def spy(points, queries, k):
+            connected.append(queries.embeddings.tobytes())
+            return reverse_knn_connect(points, queries, k)
+
+        with mock.patch.object(geometry_mod, "_kmeans_plus_plus_init", return_value=seeded), mock.patch.object(
+            geometry_mod, "reverse_knn_connect", side_effect=spy
+        ), mock.patch.object(geometry_mod, "_connected_distances", wraps=geometry_mod._connected_distances) as emptied:
+            centers, assignment = kmeans(points, 3, np.random.default_rng(0))
+        assert emptied.called
+        assert centers.tolist() == [[4, 0], [-1, 0], [1, 0]]
+        dists = pairwise_distances(points, centers)
+        assert dists[3, 1] == dists[3, 2]
+        assert assignment.tolist() == np.argmin(dists, axis=1).tolist() == [0, 0, 1, 1, 2, 2, 2]
+        # one connect per iteration, the last to the returned centers, and no repeat
+        assert connected[-1] == centers.tobytes()
+        assert len(set(connected)) == len(connected) == 3
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 300), st.integers(1, 7))
+    @settings(max_examples=100, deadline=None)
+    def test_seeding_picks_what_rng_choice_picks(self, seed, n, dim):
+        # below 8 coordinates a row sum adds them in order, as the column
+        # updates do, so the D² weights and the picks match bytewise
+        gen = np.random.default_rng(seed)
+        distinct = gen.normal(size=(int(gen.integers(1, n + 1)), dim)).round(1)
+        points = distinct[gen.integers(0, len(distinct), size=n)]
+        s = int(gen.integers(1, n + 1))
+        centers = geometry_mod._kmeans_plus_plus_init(points, s, np.random.default_rng(seed))
+        assert centers.tobytes() == _reference_kmeans_plus_plus(points, s, np.random.default_rng(seed)).tobytes()
+
     @given(st.integers(0, 2**32 - 1), st.integers(2, 30), st.integers(2, 4))
     @settings(max_examples=60, deadline=None)
     def test_lloyd_update_matches_sequential_loop(self, seed, n, dim):
@@ -163,6 +211,20 @@ class TestQuerySelection:
         ref_centers, ref_assignment = _sequential_kmeans(points, s, np.random.default_rng(seed))
         assert centers.tobytes() == ref_centers.tobytes()
         assert assignment.tobytes() == ref_assignment.tobytes()
+
+
+def _reference_kmeans_plus_plus(points, s, rng):
+    """k-means++ seeding through rng.choice, with row-wise D² sums."""
+    n = points.shape[0]
+    centers = np.empty((s, points.shape[1]))
+    centers[0] = points[int(rng.integers(n))]
+    closest_sq = ((points - centers[0]) ** 2).sum(axis=1)
+    for j in range(1, s):
+        total = closest_sq.sum()
+        pick = int(rng.integers(n)) if total == 0.0 else int(rng.choice(n, p=closest_sq / total))
+        centers[j] = points[pick]
+        closest_sq = np.minimum(closest_sq, ((points - centers[j]) ** 2).sum(axis=1))
+    return centers
 
 
 def _sequential_kmeans(points, s, rng, max_iter=100, tol=1e-6):
@@ -236,6 +298,20 @@ class TestReverseKnn:
         queries = QuerySet(np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]))
         with np.errstate(over="ignore"), pytest.raises(ValueError, match="overflow"):
             reverse_knn_connect(np.array([[0.5, 0.0], [1e200, 0.0]]), queries, k=2)
+
+    def test_overflowing_query_rejected(self):
+        # every record's distance to the far query is inf, so no record picks
+        # it: only the query's squared norm shows the overflow
+        queries = QuerySet(np.array([[0.0, 0.0], [1e200, 0.0], [2.0, 0.0]]))
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="overflow"):
+            reverse_knn_connect(np.array([[0.5, 0.0], [1.5, 0.0]]), queries, k=1)
+
+    def test_overflowing_cells_with_finite_norms_rejected(self):
+        # |x|² and |q|² are finite but each cross term is beyond the float
+        # range, so the record has no finite distance to pick
+        queries = QuerySet(np.array([[-1.2e154, 0.0], [-1.1e154, 0.0]]))
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="overflow"):
+            reverse_knn_connect(np.array([[0.0, 0.0], [1.2e154, 0.0]]), queries, k=1)
 
     def test_k_below_one_rejected(self):
         records, queries = four_point_fixture()

@@ -113,6 +113,19 @@ class TestGapPrediction:
         acc = predict_labeling_accuracy(exact, assignment, truth, np.full((2, 2), 1e4), rng, draws=4000)
         assert acc == pytest.approx(0.5, abs=0.05)
 
+    def test_prediction_equals_the_add_at_reference(self):
+        gen = np.random.default_rng(12)
+        s, label_count, pub = 7, 4, 333
+        exact = gen.integers(0, 40, size=(s, label_count)).astype(np.float64)
+        assignment, truth = gen.integers(0, s, pub), gen.integers(0, label_count, pub)
+        sd = gen.uniform(0.5, 20.0, size=(s, label_count))
+        frac = np.zeros((s, label_count))
+        np.add.at(frac, (assignment, truth), 1.0)
+        frac /= pub
+        noisy = exact[None] + sd[None] * np.random.default_rng(3).standard_normal((500, s, label_count))
+        expected = float(frac[np.arange(s)[None, :], np.argmax(noisy, axis=2)].sum(axis=1).mean())
+        assert predict_labeling_accuracy(exact, assignment, truth, sd, np.random.default_rng(3), draws=500) == expected
+
     def test_collision_entry_std_interpolates(self):
         params = CollisionParams.for_budget(20, 1, 0.4)
         sd = collision_entry_std(np.array([[0.0, 100.0]]), params, n=100)

@@ -4,9 +4,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from privlabel import simulate as simulate_mod
-from privlabel.core import PrivacyModel, PrivacyParams, QuerySet, record_votes
+from privlabel.core import PrivacyModel, PrivacyParams, QuerySet, RecordSet, record_votes
 from privlabel.geometry import reverse_knn_connect
 from privlabel.simulate import (
     MODEL_MECHANISMS,
@@ -79,11 +81,64 @@ class TestPartition:
         chosen = simulate_mod._one_record_per_client(partition, np.random.default_rng(3))
         assert chosen.tobytes() == perm[first].tobytes()
 
+    @given(
+        st.lists(st.integers(0, 50), min_size=1, max_size=4),
+        st.integers(1, 200),
+        st.sampled_from([0.01, 0.5, 10.0]),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_dirichlet_split_equals_the_np_split_loop(self, class_sizes, n_clients, alpha, seed):
+        records = _records_with_class_sizes(class_sizes)
+        part = partition_records(records, PartitionScheme.DIRICHLET, n_clients, np.random.default_rng(seed), alpha)
+        expected, _ = _dirichlet_split_reference(records, n_clients, np.random.default_rng(seed), alpha)
+        assert part.client_of.tobytes() == expected.tobytes()
+
+    def test_dirichlet_split_with_empty_clients_and_end_cuts(self):
+        # alpha = 0.01 piles each class onto a few of 200 clients: most
+        # clients stay empty and cuts fall at 0 and at the class size
+        records = _records_with_class_sizes([50, 0, 1, 37])
+        at_zero = at_size = 0
+        for seed in range(20):
+            part = partition_records(records, PartitionScheme.DIRICHLET, 200, np.random.default_rng(seed), 0.01)
+            expected, cuts = _dirichlet_split_reference(records, 200, np.random.default_rng(seed), 0.01)
+            assert part.client_of.tobytes() == expected.tobytes()
+            assert np.unique(expected).size < 200
+            at_zero += sum(int((c == 0).any()) for c in cuts)
+            at_size += sum(int((c == size).any()) for c, size in zip(cuts, [50, 1, 37]))
+        assert at_zero > 10 and at_size > 10
+
     def test_every_record_assigned_once(self, rng):
         records = random_record_set(rng, m=300, dim=2, label_count=3)
         part = partition_records(records, PartitionScheme.DIRICHLET, 7, rng, 0.3)
         assert part.client_of.shape == (300,)
         assert part.client_of.min() >= 0 and part.client_of.max() < 7
+
+
+def _records_with_class_sizes(class_sizes):
+    """One-hot records: class c holds class_sizes[c] records, interleaved."""
+    primary = np.repeat(np.arange(len(class_sizes)), class_sizes)
+    primary = primary[np.random.default_rng(len(primary)).permutation(len(primary))]
+    labels = np.zeros((len(primary), len(class_sizes)), dtype=np.uint8)
+    labels[np.arange(len(primary)), primary] = 1
+    return RecordSet(np.zeros((len(primary), 2)), labels)
+
+
+def _dirichlet_split_reference(records, n_clients, rng, alpha):
+    """Dirichlet partition dealt out chunk by chunk with np.split, and each
+    class's cuts: the loop the vectorized split must reproduce."""
+    primary = np.argmax(records.labels, axis=1)
+    client_of = np.empty(records.m, dtype=np.int64)
+    all_cuts = []
+    for cls in np.unique(primary):
+        members = np.flatnonzero(primary == cls)
+        members = members[rng.permutation(members.size)]
+        props = rng.dirichlet(np.full(n_clients, alpha))
+        cuts = np.floor(np.cumsum(props)[:-1] * members.size).astype(np.int64)
+        for cid, chunk in enumerate(np.split(members, cuts)):
+            client_of[chunk] = cid
+        all_cuts.append(cuts)
+    return client_of, all_cuts
 
 
 class TestProxyStudent:
