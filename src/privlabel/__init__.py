@@ -14,7 +14,6 @@ from .core import (
 )
 from .geometry import (
     ConnectionObjective,
-    Metric,
     brute_force_best_connection,
     objective_value,
     propagate_labels,

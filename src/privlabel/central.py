@@ -37,10 +37,14 @@ def sample_laplace(scale: float, rng: np.random.Generator, size=None) -> float |
 
 
 def noise_scale(params: PrivacyParams) -> float:
-    """Per-entry Laplace scale 2kr/eps (0 in the eps -> inf limit)."""
+    """Per-entry Laplace scale 2kr/eps (0 in the eps -> inf limit); an eps
+    so small that the scale overflows is rejected."""
     if math.isinf(params.epsilon):
         return 0.0
-    return params.sensitivity / params.epsilon
+    scale = params.sensitivity / params.epsilon
+    if math.isinf(scale):
+        raise ValueError(f"epsilon = {params.epsilon} is too small: the Laplace scale 2kr/eps overflows")
+    return scale
 
 
 def central_laplace_mechanism(

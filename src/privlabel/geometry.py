@@ -7,15 +7,15 @@ touch every query).  Query selection uses k-means++ seeded Lloyd iterations on
 the public embeddings; later rounds switch to smallest-margin uncertainty
 sampling.
 
-Every distance comes from ``pairwise_distances``: a row's distances depend on
-that row and the queries alone, never on the rows sharing the call or on the
-row's memory offset, so a record connects alone as it does inside any record
-set.  The aggregate's 2kr sensitivity relies on this.  A Euclidean row is one
-augmented product, [x, |x|², 1] @ [-2qᵀ; 1; |q|²], so a distance block costs
-one product per row plus an in-place clamp and square root.  Connection checks
-only the cells it picks: a non-finite pick means the record has no finite
-distance left, and a squared norm that overflows is rejected before any
-product.
+Distances are Euclidean only, and every one comes from ``pairwise_distances``:
+a row's distances depend on that row and the queries alone, never on the rows
+sharing the call or on the row's memory offset, so a record connects alone as
+it does inside any record set.  The aggregate's 2kr sensitivity relies on
+this.  A row is one augmented product, [x, |x|², 1] @ [-2qᵀ; 1; |q|²], so a
+distance block costs one product per row plus an in-place clamp and square
+root.  Connection checks only the cells it picks: a non-finite pick means the
+record has no finite distance left, and a squared norm that overflows is
+rejected before any product.
 """
 from __future__ import annotations
 
@@ -24,12 +24,7 @@ import itertools
 
 import numpy as np
 
-from .core import ConnectionMap, QuerySet, RecordSet
-
-
-class Metric(enum.Enum):
-    EUCLIDEAN = "euclidean"
-    COSINE = "cosine"
+from .core import ConnectionMap, QuerySet
 
 
 class ConnectionObjective(enum.Enum):
@@ -38,42 +33,33 @@ class ConnectionObjective(enum.Enum):
     HARMONIC_MEAN = "harmonic-mean"
 
 
-def pairwise_distances(points: np.ndarray, queries: np.ndarray, metric: Metric = Metric.EUCLIDEAN) -> np.ndarray:
-    """(m, s) distance matrix between row vectors of the two arrays.
+def pairwise_distances(points: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """(m, s) Euclidean distance matrix between row vectors of the two arrays.
 
     Each row is its own product: a gemm over all rows rounds a row's last bit
-    by how many rows share the call.  A Euclidean row is one
+    by how many rows share the call.  A row is one
     (1, dim + 2) @ (dim + 2, s) product of [x, |x|², 1] with
-    [-2qᵀ; 1; |q|²], which gives |x|² + |q|² − 2x·q directly.  A Euclidean
-    call raises ValueError when a row's or query's squared norm overflows."""
+    [-2qᵀ; 1; |q|²], which gives |x|² + |q|² − 2x·q directly.  Raises
+    ValueError when a row's or query's squared norm overflows."""
     x = np.asarray(points, dtype=np.float64)
     q = np.asarray(queries, dtype=np.float64)
     if x.ndim != 2 or q.ndim != 2 or x.shape[1] != q.shape[1]:
         raise ValueError("points and queries must be 2-D with a shared dimension")
     dim = x.shape[1]
-    if metric is Metric.EUCLIDEAN:
-        rows = np.empty((x.shape[0], dim + 2))
-        rows[:, :dim] = x
-        np.sum(x * x, axis=1, out=rows[:, dim])
-        rows[:, dim + 1] = 1.0
-        cols = np.empty((dim + 2, q.shape[0]))
-        np.multiply(q.T, -2.0, out=cols[:dim])
-        cols[dim] = 1.0
-        np.sum(q * q, axis=1, out=cols[dim + 1])
-        if not (np.isfinite(rows[:, dim]).all() and np.isfinite(cols[dim + 1]).all()):
-            # finite coordinates beyond ~1e154 overflow the squared norms
-            raise ValueError("distances overflow: coordinates too large to square")
-        sq = np.matmul(rows[:, None, :], cols)[:, 0]
-        np.maximum(sq, 0.0, out=sq)
-        return np.sqrt(sq, out=sq)
-    x = np.ascontiguousarray(x)
-    cross = np.matmul(x[:, None, :], np.ascontiguousarray(q.T))[:, 0]
-    xn = np.linalg.norm(x, axis=1)
-    qn = np.linalg.norm(q, axis=1)
-    if (xn == 0).any() or (qn == 0).any():
-        raise ValueError("cosine distance requires nonzero vectors")
-    cos = cross / np.outer(xn, qn)
-    return 1.0 - np.clip(cos, -1.0, 1.0)
+    rows = np.empty((x.shape[0], dim + 2))
+    rows[:, :dim] = x
+    np.sum(x * x, axis=1, out=rows[:, dim])
+    rows[:, dim + 1] = 1.0
+    cols = np.empty((dim + 2, q.shape[0]))
+    np.multiply(q.T, -2.0, out=cols[:dim])
+    cols[dim] = 1.0
+    np.sum(q * q, axis=1, out=cols[dim + 1])
+    if not (np.isfinite(rows[:, dim]).all() and np.isfinite(cols[dim + 1]).all()):
+        # finite coordinates beyond ~1e154 overflow the squared norms
+        raise ValueError("distances overflow: coordinates too large to square")
+    sq = np.matmul(rows[:, None, :], cols)[:, 0]
+    np.maximum(sq, 0.0, out=sq)
+    return np.sqrt(sq, out=sq)
 
 
 def similarity_from_distance(dist: np.ndarray) -> np.ndarray:
@@ -217,33 +203,26 @@ def select_queries_uncertainty(
 _DISTANCE_BLOCK_CELLS = 1 << 16
 
 
-def _distance_blocks(points: np.ndarray, queries: QuerySet, metric: Metric):
+def _distance_blocks(points: np.ndarray, queries: QuerySet):
     """Yield (first row, block) for consecutive row blocks of
-    ``pairwise_distances(points, queries, metric)``, at most
+    ``pairwise_distances(points, queries)``, at most
     ``_DISTANCE_BLOCK_CELLS`` cells (and at least one row) each; the caller
     owns every block."""
     rows = max(1, _DISTANCE_BLOCK_CELLS // queries.s)
     for start in range(0, points.shape[0], rows):
-        yield start, pairwise_distances(points[start : start + rows], queries.embeddings, metric)
+        yield start, pairwise_distances(points[start : start + rows], queries.embeddings)
 
 
-def _connected_distances(
-    embeddings: np.ndarray, queries: QuerySet, indices: np.ndarray, metric: Metric = Metric.EUCLIDEAN
-) -> np.ndarray:
+def _connected_distances(embeddings: np.ndarray, queries: QuerySet, indices: np.ndarray) -> np.ndarray:
     """(m, degree) distances from each record to the queries its ``indices`` row names."""
     picked = np.empty(indices.shape)
-    for start, block in _distance_blocks(embeddings, queries, metric):
+    for start, block in _distance_blocks(embeddings, queries):
         rows = slice(start, start + len(block))
         picked[rows] = np.take_along_axis(block, indices[rows], axis=1)
     return picked
 
 
-def reverse_knn_connect(
-    embeddings: np.ndarray | RecordSet,
-    queries: QuerySet,
-    k: int,
-    metric: Metric = Metric.EUCLIDEAN,
-) -> ConnectionMap:
+def reverse_knn_connect(embeddings: np.ndarray, queries: QuerySet, k: int) -> ConnectionMap:
     """Connect each record to its min(k, s) nearest queries.
 
     Distance ties resolve toward the smaller query index, so the map is
@@ -254,8 +233,6 @@ def reverse_knn_connect(
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    if isinstance(embeddings, RecordSet):
-        embeddings = embeddings.embeddings
     embeddings = np.asarray(embeddings, dtype=np.float64)
     if embeddings.ndim != 2 or embeddings.shape[1] != queries.dim:
         raise ValueError("points and queries must be 2-D with a shared dimension")
@@ -265,7 +242,7 @@ def reverse_knn_connect(
     if m == 0 or degree == s:
         return ConnectionMap(np.tile(np.arange(degree, dtype=np.int64), (m, 1)), s=s, k=k)
     chosen = np.empty((m, degree), dtype=np.int64)
-    for start, block in _distance_blocks(embeddings, queries, metric):
+    for start, block in _distance_blocks(embeddings, queries):
         picks = chosen[start : start + len(block)]
         rows = np.arange(len(block))
         for col in range(degree):
@@ -281,34 +258,33 @@ def reverse_knn_connect(
     return ConnectionMap(chosen, s=s, k=k)
 
 
-def connection_scores(
-    embeddings: np.ndarray,
-    queries: QuerySet,
-    connections: ConnectionMap,
-    metric: Metric = Metric.EUCLIDEAN,
-) -> np.ndarray:
+def connection_scores(embeddings: np.ndarray, queries: QuerySet, connections: ConnectionMap) -> np.ndarray:
     """Per-query sum of similarities of its connected records (0 if none)."""
     embeddings = np.asarray(embeddings, dtype=np.float64)
     if embeddings.shape[0] != connections.m:
         raise ValueError("connections must cover exactly these records")
-    sims = similarity_from_distance(_connected_distances(embeddings, queries, connections.indices, metric))
+    sims = similarity_from_distance(_connected_distances(embeddings, queries, connections.indices))
     # column by column, each in record order, as a sum from 0.0 per query
     return np.bincount(connections.indices.T.ravel(), weights=sims.T.ravel(), minlength=queries.s)
 
 
-def objective_value(scores: np.ndarray, objective: ConnectionObjective) -> float:
-    """Aggregate per-query scores into a single connection-quality number.
+def objective_value(scores: np.ndarray, objective: ConnectionObjective) -> float | np.ndarray:
+    """Aggregate per-query scores (the last axis) into connection-quality numbers.
 
-    The harmonic mean is defined as 0 whenever any query scores 0.
+    A 1-D ``scores`` gives a float, a stack of score rows one value per row.
+    The harmonic mean is defined as 0 wherever any query scores 0.
     """
     scores = np.asarray(scores, dtype=np.float64)
     if objective is ConnectionObjective.ARITHMETIC_MEAN:
-        return float(scores.mean())
-    if objective is ConnectionObjective.MAX_MIN:
-        return float(scores.min())
-    if (scores <= 0).any():
-        return 0.0
-    return float(scores.size / (1.0 / scores).sum())
+        values = scores.mean(axis=-1)
+    elif objective is ConnectionObjective.MAX_MIN:
+        values = scores.min(axis=-1)
+    else:
+        positive = ~(scores <= 0).any(axis=-1)
+        # a row with a nonpositive score inverts ones instead, then reads 0
+        inverted = 1.0 / np.where(positive[..., None], scores, 1.0)
+        values = np.where(positive, scores.shape[-1] / inverted.sum(axis=-1), 0.0)
+    return float(values) if values.ndim == 0 else values
 
 
 def brute_force_best_connection(
@@ -316,7 +292,6 @@ def brute_force_best_connection(
     queries: QuerySet,
     k: int,
     objective: ConnectionObjective,
-    metric: Metric = Metric.EUCLIDEAN,
     max_candidates: int = 200_000,
 ) -> ConnectionMap:
     """Exhaustive search over every max-degree-k connection set (tiny instances).
@@ -334,7 +309,7 @@ def brute_force_best_connection(
     combos = list(itertools.combinations(range(s), degree))
     if len(combos) ** m > max_candidates:
         raise ValueError("instance too large for exhaustive search")
-    dists = pairwise_distances(embeddings, queries.embeddings, metric)
+    dists = pairwise_distances(embeddings, queries.embeddings)
     sims = similarity_from_distance(dists)
     # per-record score contribution of each candidate bucket set
     member = np.array([[q in combo for q in range(s)] for combo in combos])
@@ -342,14 +317,7 @@ def brute_force_best_connection(
     total = contrib[0]
     for j in range(1, m):
         total = (total[:, None, :] + contrib[j][None, :, :]).reshape(-1, s)
-    if objective is ConnectionObjective.ARITHMETIC_MEAN:
-        values = total.mean(axis=1)
-    elif objective is ConnectionObjective.MAX_MIN:
-        values = total.min(axis=1)
-    else:
-        inverted = 1.0 / np.maximum(total, 1e-300)
-        values = np.where((total <= 0).any(axis=1), 0.0, s / inverted.sum(axis=1))
-    choices = np.unravel_index(int(np.argmax(values)), (len(combos),) * m)
+    choices = np.unravel_index(int(np.argmax(objective_value(total, objective))), (len(combos),) * m)
     return ConnectionMap(np.asarray([combos[c] for c in choices], dtype=np.int64), s=s, k=k)
 
 

@@ -16,11 +16,12 @@ bound eta(beta):
 
 Two composite oracles trade budget differently for the low-privacy regime:
 ``separation`` spends eps/2 on the bucket set and eps/2 on the label vector,
-``concatenation`` spends the whole budget on their concatenation.  Both
-rebuild matrix entries as products of indicator estimates.  The separation
-product is unbiased (independent reports); the concatenation product shares
-one report between its factors and is biased at jointly-nonzero entries,
-which only the average MSE forgives -- see ``concatenation_entry_mse``.
+``concatenation`` spends the whole budget on their concatenation.  Only their
+report parameters and exact per-entry MSE live here, not the products of
+indicator estimates they rebuild matrix entries from.  The separation product
+is unbiased (independent reports); the concatenation product shares one
+report between its factors and is biased at jointly-nonzero entries, which
+only the average MSE forgives -- see ``concatenation_entry_mse``.
 """
 from __future__ import annotations
 
@@ -74,13 +75,23 @@ def bucket_hash(hash_seed: int | np.ndarray, values: np.ndarray, filter_length: 
 
 
 def rr_flip_probability(epsilon: float, k: int, r: int) -> float:
-    """Per-bit flip probability 1 / (e^(eps/(2kr)) + 1)."""
+    """Per-bit flip probability 1 / (e^(eps/(2kr)) + 1).
+
+    An eps so small that this rounds to 1/2 leaves every bit independent of
+    its record and is rejected, as ``shuffle.discrete_laplace_parameter``
+    rejects a q that rounds to 1.
+    """
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")
     try:
-        return 1.0 / (math.exp(epsilon / (2.0 * k * r)) + 1.0)
+        p = 1.0 / (math.exp(epsilon / (2.0 * k * r)) + 1.0)
     except OverflowError:
         return 0.0
+    if p == 0.5:
+        raise ValueError(
+            f"epsilon = {epsilon} is too small: the flip probability 1/(e^(eps/(2kr)) + 1) rounds to 1/2"
+        )
+    return p
 
 
 def rr_encode_batch(answers: np.ndarray, params: PrivacyParams, rng: np.random.Generator) -> np.ndarray:
@@ -99,19 +110,18 @@ def rr_estimate(bit_sums: np.ndarray, params: PrivacyParams, n: int) -> np.ndarr
     if n < 1:
         raise ValueError("n must be at least 1")
     p = rr_flip_probability(params.epsilon, params.k, params.r)
-    denom = 1.0 - 2.0 * p
-    if denom == 0.0:
-        raise ValueError("epsilon = 0 leaves the response uninformative")
-    return (np.asarray(bit_sums, dtype=np.float64) - n * p) / denom
+    return (np.asarray(bit_sums, dtype=np.float64) - n * p) / (1.0 - 2.0 * p)
 
 
 def rr_accuracy_bound(params: PrivacyParams, n: int, beta: float) -> float:
     """Max-error bound of randomized response over n single-record clients.
 
     The exponent is capped at 700 to stay in float range; beyond that the
-    bound is a vanishing e^(-eps'/2) tail anyway.
+    bound is a vanishing e^(-eps'/2) tail anyway.  A budget
+    ``rr_flip_probability`` rejects has no bound.
     """
     _check_beta(beta)
+    rr_flip_probability(params.epsilon, params.k, params.r)
     e = math.exp(min(params.epsilon / (2.0 * params.k * params.r), 700.0))
     return (e + 1.0) / (e - 1.0) * math.sqrt(
         3.0 * n * math.log(params.label_count / beta) / (e + 1.0)
@@ -561,38 +571,8 @@ def separation_params(s: int, label_count: int, k: int, r: int, epsilon: float) 
     )
 
 
-def separation_estimate(
-    bucket_reports: tuple[np.ndarray, np.ndarray],
-    label_reports: tuple[np.ndarray, np.ndarray],
-    params_pair: tuple[CollisionParams, CollisionParams],
-) -> np.ndarray:
-    """Sum over clients of outer(bucket estimate, label estimate) from the
-    two (seeds, cells) report streams of ``collision_encode_batch``.
-
-    The two factors come from independent reports, so each product is an
-    unbiased estimate of the client's vote matrix.
-    """
-    bucket_params, label_params = params_pair
-    t_hat = collision_report_estimates(*bucket_reports, bucket_params)
-    y_hat = collision_report_estimates(*label_reports, label_params)
-    return t_hat.T @ y_hat
-
-
 def concatenation_params(s: int, label_count: int, k: int, r: int, epsilon: float) -> CollisionParams:
     return CollisionParams.for_budget(s + label_count, k + r, epsilon)
-
-
-def concatenation_estimate(seeds: np.ndarray, cells: np.ndarray, s: int, params: CollisionParams) -> np.ndarray:
-    """Sum over clients of outer(bucket part, label part) of one report's
-    indicator estimates; each report's support lists its bucket indices,
-    then s + its label indices.
-
-    Both factors share the report, so entries where bucket and label are both
-    truly present carry a systematic offset of -1/(l * (e^eps/Omega - 1/l));
-    zero entries are estimated without bias.
-    """
-    est = collision_report_estimates(seeds, cells, params)
-    return est[:, :s].T @ est[:, s:]
 
 
 def separation_entry_mse(
@@ -687,8 +667,14 @@ def verify_local_dp(
 
 
 def rr_bit_pmfs(epsilon: float) -> tuple[list[int], Callable[[int], np.ndarray]]:
-    """Single-bit randomized response as (inputs, pmf) for the verifier."""
-    p = 1.0 / (math.exp(epsilon) + 1.0)
+    """Single-bit randomized response as (inputs, pmf) for the verifier.
+
+    An eps whose e^eps overflows is rejected: its flip probability rounds to
+    0, where no finite ratio can be checked."""
+    try:
+        p = 1.0 / (math.exp(epsilon) + 1.0)
+    except OverflowError:
+        raise ValueError(f"epsilon = {epsilon} is too large: e^eps overflows") from None
 
     def pmf(bit: int) -> np.ndarray:
         return np.array([1.0 - p, p]) if bit == 0 else np.array([p, 1.0 - p])

@@ -74,7 +74,9 @@ def build_results(
 
 
 def write_results(results: dict, path) -> None:
-    text = json.dumps(results, indent=2)
+    """Write strict JSON: a NaN or infinite value raises ValueError and
+    nothing is written."""
+    text = json.dumps(results, indent=2, allow_nan=False)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text + "\n")
 

@@ -271,6 +271,25 @@ class TestMechanismChecks:
         assert "rounds to 1" in err
         assert selections == []
 
+    @pytest.mark.parametrize("argv, message", [
+        (("simulate", "--model", "local", "--mechanism", "rr", "--epsilon", "1e-300"), "rounds to 1/2"),
+        (("bounds", "--eps", "1e-300", "--n", "100"), "rounds to 1/2"),
+        (("verify-dp", "--eps-list", "1,800"), "e^eps overflows"),
+        (("simulate", "--model", "central", "--epsilon", "1e-320"), "2kr/eps overflows"),
+        (("simulate", "--model", "local", "--mechanism", "laplace", "--epsilon", "1e-300"), "rounds to 1/2"),
+    ])
+    def test_extreme_budget_exits_3_before_any_stage(self, capsys, monkeypatch, tmp_path, argv, message):
+        import privlabel.simulate as simulate_mod
+
+        selections = []
+        monkeypatch.setattr(simulate_mod, "select_queries_cluster", lambda *a, **kw: selections.append(a))
+        results = tmp_path / "results.json"
+        simulate = ("--seed", "1", "--per-class", "30", "--out", str(results)) if argv[0] == "simulate" else ()
+        code, out, err = run_cli(capsys, *argv, *simulate)
+        assert code == 3
+        assert message in err and "Traceback" not in err
+        assert out == "" and selections == [] and not results.exists()
+
     def test_gse_without_an_unbiased_estimate_exits_3_before_query_selection(self, capsys, monkeypatch):
         import privlabel.simulate as simulate_mod
 

@@ -10,7 +10,6 @@ import privlabel.geometry as geometry_mod
 from privlabel.core import ConnectionMap, QuerySet, RecordSet, record_votes, vote_counts
 from privlabel.geometry import (
     ConnectionObjective,
-    Metric,
     brute_force_best_connection,
     connection_scores,
     kmeans,
@@ -34,11 +33,6 @@ class TestMetrics:
         d = pairwise_distances(x, x)
         assert np.allclose(np.diag(d), 0.0, atol=1e-6)
 
-    def test_cosine_self_distance_zero(self, rng):
-        x = rng.normal(size=(4, 3))
-        d = pairwise_distances(x, x, Metric.COSINE)
-        assert np.allclose(np.diag(d), 0.0, atol=1e-9)
-
     @pytest.mark.parametrize("dim", [8, 50])
     @pytest.mark.parametrize("offset", [0.0, 1e2, 1e4])
     def test_euclidean_matches_the_direct_difference(self, dim, offset):
@@ -51,19 +45,14 @@ class TestMetrics:
         scale = np.linalg.norm(x, axis=1)[:, None] + np.linalg.norm(q, axis=1)[None, :]
         assert (np.abs(pairwise_distances(x, q) - direct) <= 1e-11 * scale).all()
 
-    def test_cosine_rejects_zero_vector(self):
-        with pytest.raises(ValueError, match="nonzero"):
-            pairwise_distances(np.zeros((1, 2)), np.ones((1, 2)), Metric.COSINE)
-
 
 @st.composite
 def _distance_instances(draw):
-    """Points, queries, metric and a small block size for the distance kernel."""
+    """Points, queries and a small block size for the distance kernel."""
     m, s = draw(st.integers(1, 40)), draw(st.integers(1, 12))
     dim = draw(st.sampled_from([1, 2, 3, 8, 50]))
     gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    metric = draw(st.sampled_from(list(Metric)))
-    return gen.normal(size=(m, dim)), gen.normal(size=(s, dim)), metric, draw(st.integers(1, 3 * s))
+    return gen.normal(size=(m, dim)), gen.normal(size=(s, dim)), draw(st.integers(1, 3 * s))
 
 
 class TestRowIndependence:
@@ -73,16 +62,16 @@ class TestRowIndependence:
     @given(_distance_instances())
     @settings(max_examples=150, deadline=None)
     def test_row_distances_ignore_the_other_rows_and_the_memory_offset(self, instance):
-        x, q, metric, cells = instance
-        full = pairwise_distances(x, q, metric)
+        x, q, cells = instance
+        full = pairwise_distances(x, q)
         buf = np.empty(x.nbytes + 1, dtype=np.uint8)
         shifted = np.frombuffer(buf, dtype=np.float64, count=x.size, offset=1).reshape(x.shape)
         shifted[...] = x
         with mock.patch.object(geometry_mod, "_DISTANCE_BLOCK_CELLS", cells):
-            blocks = [block for _, block in geometry_mod._distance_blocks(x, QuerySet(q), metric)]
+            blocks = [block for _, block in geometry_mod._distance_blocks(x, QuerySet(q))]
         for i in range(len(x)):
-            assert pairwise_distances(x[i : i + 1].copy(), q, metric).tobytes() == full[i].tobytes()
-        assert pairwise_distances(shifted, q, metric).tobytes() == full.tobytes()
+            assert pairwise_distances(x[i : i + 1].copy(), q).tobytes() == full[i].tobytes()
+        assert pairwise_distances(shifted, q).tobytes() == full.tobytes()
         assert np.concatenate(blocks).tobytes() == full.tobytes()
 
     def test_record_connects_alone_as_inside_the_set(self):
@@ -328,16 +317,16 @@ class TestReverseKnn:
         assert conn.degree == min(k, s) <= k
 
 
-def _reference_connect(emb, queries, k, metric):
+def _reference_connect(emb, queries, k):
     """Full-sort connect: the whole (m, s) matrix, stable-argsorted per row."""
-    dists = pairwise_distances(emb, queries.embeddings, metric)
+    dists = pairwise_distances(emb, queries.embeddings)
     order = np.argsort(dists, axis=1, kind="stable")
     return np.sort(order[:, : min(k, queries.s)], axis=1)
 
 
-def _reference_scores(emb, queries, indices, metric):
+def _reference_scores(emb, queries, indices):
     """Scores read from the dense similarity matrix."""
-    sims = similarity_from_distance(pairwise_distances(emb, queries.embeddings, metric))
+    sims = similarity_from_distance(pairwise_distances(emb, queries.embeddings))
     scores = np.zeros(queries.s)
     for col in range(indices.shape[1]):
         np.add.at(scores, indices[:, col], sims[np.arange(len(indices)), indices[:, col]])
@@ -350,45 +339,43 @@ def _tied_instances(draw):
     so many distances tie exactly."""
     m, s = draw(st.integers(0, 300)), draw(st.integers(1, 12))
     k = draw(st.integers(1, s + 2))
-    metric = draw(st.sampled_from(list(Metric)))
     gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     dim = int(gen.integers(2, 4))
     if draw(st.booleans()):
         pool = gen.integers(1, 4, size=(max(1, s // 2), dim)).astype(np.float64)
     else:
-        pool = gen.normal(size=(max(1, s // 2), dim)) + 3.0  # away from 0 for cosine
+        pool = gen.normal(size=(max(1, s // 2), dim)) + 3.0
     queries = QuerySet(pool[gen.integers(0, len(pool), size=s)])
     records = np.vstack([pool, gen.normal(size=(5, dim)) + 3.0])[gen.integers(0, len(pool) + 5, size=m)]
-    return records, queries, k, metric
+    return records, queries, k
 
 
 class TestBlockedConnect:
     @given(_tied_instances())
     @settings(max_examples=150, deadline=None)
     def test_connect_and_scores_equal_dense_reference(self, instance):
-        emb, queries, k, metric = instance
-        expected = _reference_connect(emb, queries, k, metric)
-        expected_scores = _reference_scores(emb, queries, expected, metric)
+        emb, queries, k = instance
+        expected = _reference_connect(emb, queries, k)
+        expected_scores = _reference_scores(emb, queries, expected)
         # the default, one row per block, and three rows per block
         for cells in (geometry_mod._DISTANCE_BLOCK_CELLS, queries.s, 3 * queries.s):
             with mock.patch.object(geometry_mod, "_DISTANCE_BLOCK_CELLS", cells):
-                conn = reverse_knn_connect(emb, queries, k, metric)
+                conn = reverse_knn_connect(emb, queries, k)
                 assert conn.indices.tobytes() == expected.tobytes()
-                assert connection_scores(emb, queries, conn, metric).tobytes() == expected_scores.tobytes()
+                assert connection_scores(emb, queries, conn).tobytes() == expected_scores.tobytes()
 
-    @pytest.mark.parametrize("metric", list(Metric))
     @pytest.mark.parametrize("m", [1001, 1000])
-    def test_blocking_leaves_outputs_byte_identical(self, rng, monkeypatch, metric, m):
+    def test_blocking_leaves_outputs_byte_identical(self, rng, monkeypatch, m):
         # s = 7 divides neither m; m = 1001 leaves a lone row after 2-row blocks
         emb = rng.normal(size=(m, 8))
         queries = QuerySet(rng.normal(size=(7, 8)))
         maps, scores = [], []
         for cells in (geometry_mod._DISTANCE_BLOCK_CELLS, 7, 14, 7 * 333, 7 * m):
             monkeypatch.setattr(geometry_mod, "_DISTANCE_BLOCK_CELLS", cells)
-            conn = reverse_knn_connect(emb, queries, 3, metric)
+            conn = reverse_knn_connect(emb, queries, 3)
             maps.append(conn.indices.tobytes())
-            scores.append(connection_scores(emb, queries, conn, metric).tobytes())
-        assert maps == [_reference_connect(emb, queries, 3, metric).tobytes()] * len(maps)
+            scores.append(connection_scores(emb, queries, conn).tobytes())
+        assert maps == [_reference_connect(emb, queries, 3).tobytes()] * len(maps)
         assert len(set(scores)) == 1
 
     def test_memory_stays_below_a_quarter_of_the_dense_matrix(self):
@@ -496,6 +483,20 @@ class TestScoresAndObjectives:
     def test_harmonic_mean_zero_convention(self):
         assert objective_value(np.array([0.0, 1.0]), ConnectionObjective.HARMONIC_MEAN) == 0.0
 
+    @pytest.mark.parametrize("objective", list(ConnectionObjective))
+    def test_score_rows_reduce_as_single_rows(self, objective):
+        # the (candidates, s) form brute force reduces equals the 1-D value row by row
+        gen = np.random.default_rng(17)
+        for s in (1, 2, 4, 9):
+            scores = gen.random((300, s)) * 3.0
+            scores[gen.random((300, s)) < 0.15] = 0.0
+            values = objective_value(scores, objective)
+            assert values.shape == (300,)
+            rows = [objective_value(row, objective) for row in scores]
+            assert values.tobytes() == np.array(rows).tobytes()
+            if objective is ConnectionObjective.HARMONIC_MEAN:
+                assert (values[(scores == 0).any(axis=1)] == 0.0).all()
+
 
 class TestBruteForce:
     def test_reverse_knn_attains_arithmetic_optimum_on_fixture(self):
@@ -569,11 +570,3 @@ class TestPropagation:
         truth = np.array([0, 1, 1, 0])
         propagated = propagate_labels(assignment, bucket_labels)
         assert propagation_accuracy(propagated, truth) == 1.0
-
-
-def test_reverse_knn_with_cosine_metric():
-    # direction decides under cosine even when magnitudes mislead euclidean
-    queries = QuerySet(np.array([[1.0, 0.0], [0.0, 1.0]]))
-    emb = np.array([[100.0, 1.0], [1.0, 100.0]])
-    conn = reverse_knn_connect(emb, queries, k=1, metric=Metric.COSINE)
-    assert conn.indices.ravel().tolist() == [0, 1]

@@ -81,6 +81,13 @@ class TestResults:
         write_results(doc, path)
         assert read_results(path) == json.loads(json.dumps(doc))
 
+    def test_nan_is_never_written(self, tmp_path):
+        doc = build_results({"x": 1}, [{"acc_pl": 1.0, "acc_proxy": None, "max_error": math.nan, "labels": [2]}], {})
+        path = tmp_path / "results.json"
+        with pytest.raises(ValueError, match="JSON compliant"):
+            write_results(doc, path)
+        assert not path.exists()
+
 
 class TestBoundsTable:
     def test_central_row(self):

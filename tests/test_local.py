@@ -19,7 +19,6 @@ from privlabel.local import (
     collision_pmfs,
     collision_report_estimates,
     concatenation_entry_mse,
-    concatenation_estimate,
     concatenation_params,
     default_filter_length,
     gse_encode_batch,
@@ -34,7 +33,6 @@ from privlabel.local import (
     rr_flip_probability,
     rr_matrix_pmfs,
     separation_entry_mse,
-    separation_estimate,
     separation_params,
     verify_local_dp,
 )
@@ -454,7 +452,8 @@ class TestSeparationConcatenation:
         n = 30_000
         buckets = collision_encode_batch(np.array([0]), pair[0], rng, n)
         label_reports = collision_encode_batch(np.array([1]), pair[1], rng, n)
-        est = separation_estimate(buckets, label_reports, pair) / n
+        # the separation product: outer(bucket estimate, label estimate) summed over clients
+        est = collision_report_estimates(*buckets, pair[0]).T @ collision_report_estimates(*label_reports, pair[1]) / n
         # entries with a zero factor have mean zero; the (0,1) entry is 1
         sd = math.sqrt(separation_entry_mse(pair, False, False) / n)
         assert abs(est[2, 2]) < 6 * sd
@@ -477,7 +476,9 @@ class TestSeparationConcatenation:
         params = concatenation_params(s, labels, k, r, epsilon=1.0)
         n = 60_000
         seeds, cells = collision_encode_batch(np.array([0, s + 1]), params, rng, n)
-        est = concatenation_estimate(seeds, cells, s, params) / n
+        # the concatenation product: one report's bucket part times its label part
+        rows = collision_report_estimates(seeds, cells, params)
+        est = rows[:, :s].T @ rows[:, s:] / n
         sd00 = math.sqrt(concatenation_entry_mse(params, False, False) / n)
         assert abs(est[2, 2]) < 6 * sd00
         # the shared report leaves a known offset at jointly-nonzero entries
@@ -501,7 +502,7 @@ class TestSeparationConcatenation:
 
     def test_vectorized_estimates_equal_per_report_sums(self, rng):
         # reference: the sum over reports of outer products of each report's
-        # own indicator estimates, as the composites computed them one by one
+        # own indicator estimates, against the products of the report rows
         def one(seed, cell, params):
             return collision_indicator_estimates(np.array([seed], dtype=np.uint64), np.array([cell]), params)
 
@@ -512,11 +513,13 @@ class TestSeparationConcatenation:
         loop = sum(
             np.outer(one(*b, pair[0]), one(*y, pair[1])) for b, y in zip(zip(*buckets), zip(*label_reports))
         )
-        assert np.allclose(separation_estimate(buckets, label_reports, pair), loop, rtol=1e-12, atol=1e-9)
+        product = collision_report_estimates(*buckets, pair[0]).T @ collision_report_estimates(*label_reports, pair[1])
+        assert np.allclose(product, loop, rtol=1e-12, atol=1e-9)
         params = concatenation_params(s, labels, 1, 1, epsilon=1.0)
         seeds, cells = collision_encode_batch(np.array([0, s + 1]), params, rng, 50)
         loop = sum(np.outer(one(z, c, params)[:s], one(z, c, params)[s:]) for z, c in zip(seeds, cells))
-        assert np.allclose(concatenation_estimate(seeds, cells, s, params), loop, rtol=1e-12, atol=1e-9)
+        rows = collision_report_estimates(seeds, cells, params)
+        assert np.allclose(rows[:, :s].T @ rows[:, s:], loop, rtol=1e-12, atol=1e-9)
 
     def test_high_budget_mse_decreases(self, rng):
         s, labels, k, r = 4, 3, 1, 1
