@@ -26,8 +26,10 @@ def bounds_table(
 
     Local and shuffle-single rows need the client count n and shuffle rows a
     delta > 0: rows lacking them are skipped, or an error if ``model`` asks for
-    them.  A mechanism whose run shape the inputs reject (as ``eta_bound``
-    rejects it before a run) has no row.  Per-report rows are named as a run
+    them.  A mechanism whose run shape or budget the inputs reject (as
+    ``eta_bound`` rejects it before a run) has no row, but a model left with no
+    row at all, as every per-report mechanism is at a budget too small for
+    its noise, raises its first rejection.  Per-report rows are named as a run
     names its mechanism (``laplace``, ``shuffled-laplace``), the others after
     their model.
     """
@@ -47,13 +49,17 @@ def bounds_table(
             continue
         params = PrivacyParams(epsilon, privacy_model, k, r, s, label_count, delta if shuffled else 0.0)
         randomizer = randomizer_params(params, n)
+        rejections, row_count = [], len(rows)
         for mechanism in MODEL_MECHANISMS[privacy_model]:
             try:
                 eta = eta_bound(randomizer, mechanism, n, beta)
-            except ValueError:
+            except ValueError as exc:
+                rejections.append(exc)
                 continue
             if eta is not None:
                 rows[privacy_model.value if prefix is None else prefix + mechanism] = eta
+        if rejections and len(rows) == row_count:
+            raise rejections[0]
     return rows
 
 

@@ -205,49 +205,35 @@ def _parse_eps_list(text: str) -> list[float]:
     return out
 
 
-# (d, c, l, alpha_min) of the subset-release shapes verify-dp checks
-_VERIFY_GSE_SHAPES = ((4, 1, 1, 1), (5, 2, 2, 1), (5, 2, 2, 2))
-
-
 def _cmd_verify_dp(args) -> int:
-    # every check's parameters are built before the first check runs, so a
-    # budget one of them rejects exits 3 with no output
-    plans = [
-        (
-            eps,
-            local_mod.rr_bit_pmfs(eps),
-            [local_mod.CollisionParams.for_budget(4, c, eps) for c in (1, 2)],
-            [local_mod.GseParams(d, c, eps, l, alpha) for d, c, l, alpha in _VERIFY_GSE_SHAPES],
-        )
-        for eps in _parse_eps_list(args.eps_list)
-    ]
+    eps_values = _parse_eps_list(args.eps_list)
     failures = 0
-    for eps, (inputs, pmf), collision_params, gse_params in plans:
+    for eps in eps_values:
+        inputs, pmf = local_mod.rr_bit_pmfs(eps)
         ratio = local_mod.verify_local_dp(inputs, pmf)
         ok = ratio <= eps + 1e-9
         failures += not ok
         print(f"{'PASS' if ok else 'FAIL'} rr-bit eps={eps:.6g} max_ratio={ratio:.6g}")
-        for params in collision_params:
+        for c in (1, 2):
+            params = local_mod.CollisionParams.for_budget(4, c, eps)
             worst = 0.0
             for seed_idx in range(args.hash_seeds):
-                rng = seeds_mod.generator(7, "verify-dp", eps, params.support_size, seed_idx)
+                rng = seeds_mod.generator(7, "verify-dp", eps, c, seed_idx)
                 hash_seed = int(rng.integers(0, 2 ** 63))
                 inputs, pmf = local_mod.collision_pmfs(params, hash_seed)
                 worst = max(worst, local_mod.verify_local_dp(inputs, pmf))
             ok = worst <= eps + 1e-9
             failures += not ok
-            print(
-                f"{'PASS' if ok else 'FAIL'} collision d=4 c={params.support_size} "
-                f"eps={eps:.6g} max_ratio={worst:.6g}"
-            )
-        for params in gse_params:
+            print(f"{'PASS' if ok else 'FAIL'} collision d=4 c={c} eps={eps:.6g} max_ratio={worst:.6g}")
+        for d, c, l, alpha in ((4, 1, 1, 1), (5, 2, 2, 1), (5, 2, 2, 2)):
+            params = local_mod.GseParams(d, c, eps, l, alpha)
             inputs, pmf = local_mod.gse_pmfs(params)
             ratio = local_mod.verify_local_dp(inputs, pmf)
             ok = ratio <= eps + 1e-9
             failures += not ok
             print(
-                f"{'PASS' if ok else 'FAIL'} gse d={params.domain_size} c={params.support_size} "
-                f"l={params.output_size} alpha={params.alpha_min} eps={eps:.6g} max_ratio={ratio:.6g}"
+                f"{'PASS' if ok else 'FAIL'} gse d={d} c={c} l={l} alpha={alpha} "
+                f"eps={eps:.6g} max_ratio={ratio:.6g}"
             )
     if failures:
         print(f"{failures} check(s) failed")

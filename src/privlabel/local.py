@@ -134,13 +134,18 @@ def rr_accuracy_bound(params: PrivacyParams, n: int, beta: float) -> float:
 
 def local_laplace_accuracy_bound(params: PrivacyParams, n: int, beta: float) -> float:
     """Sub-exponential tail bound: the gaussian-like branch and the pure tail
-    branch, whichever dominates."""
+    branch, whichever dominates.  An eps so small that the bound overflows
+    (or eps^2 underflows to 0) is rejected."""
     _check_beta(beta)
     load = math.log(params.label_count / beta)
     kr = params.k * params.r
-    quad = math.sqrt(8.0 * load * kr * kr * n * n / (params.epsilon ** 2))
+    eps_squared = params.epsilon ** 2
+    quad = math.sqrt(8.0 * load * kr * kr * n * n / eps_squared) if eps_squared > 0 else math.inf
     tail = 4.0 * load * kr / params.epsilon
-    return max(quad, tail)
+    eta = max(quad, tail)
+    if math.isinf(eta):
+        raise ValueError(f"epsilon = {params.epsilon} is too small: the local Laplace bound overflows")
+    return eta
 
 
 # ---------------------------------------------------------------------------

@@ -11,10 +11,16 @@ Layout (insertion order is the stable key order):
 ``empirical_beta`` is the mean over trials of the share of buckets whose max
 error reaches the mechanism's eta(beta) bound, the per-bucket failure rate to
 compare with beta; it is null when the mechanism has no bound.
+
+The file is strict JSON.  The noiseless budget eps = inf, in ``config`` and
+``budget_ledger_summary``, is written as the string ``"inf"``, the form
+``--epsilon`` and config files parse; a NaN or infinity anywhere else is an
+error and nothing is written.
 """
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -29,6 +35,11 @@ def _clean(value):
     if isinstance(value, np.ndarray):
         return value.tolist()
     return value
+
+
+def _budget_value(value):
+    value = _clean(value)
+    return "inf" if value == math.inf else value
 
 
 def build_results(
@@ -66,16 +77,16 @@ def build_results(
     empirical_beta = float(np.mean(rates)) if rates else None
     return {
         "schema": SCHEMA_VERSION,
-        "config": {key: _clean(val) for key, val in config.items()},
+        "config": {key: _budget_value(val) for key, val in config.items()},
         "per_trial": trials,
         "summary": {"mean": mean, "std": std, "empirical_beta": empirical_beta},
-        "budget_ledger_summary": {key: _clean(val) for key, val in budget_ledger_summary.items()},
+        "budget_ledger_summary": {key: _budget_value(val) for key, val in budget_ledger_summary.items()},
     }
 
 
 def write_results(results: dict, path) -> None:
-    """Write strict JSON: a NaN or infinite value raises ValueError and
-    nothing is written."""
+    """Write strict JSON: a NaN or infinite value (``build_results`` has
+    already spelled eps = inf as "inf") raises ValueError and nothing is written."""
     text = json.dumps(results, indent=2, allow_nan=False)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text + "\n")

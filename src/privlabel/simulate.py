@@ -236,19 +236,18 @@ def randomizer_params(params: PrivacyParams, n: int | None) -> PrivacyParams:
     """The parameters a release runs at: shuffle-single's are amplified to
     eps0 over its n reporting clients, every other model's are ``params``.
 
-    A budget too small for the model's noise is rejected here, before any
-    stage: the central Laplace scale 2kr/eps must be finite, shuffle-multi's
-    noise parameter q must stay below 1, and a local randomizer's per-vote
-    flip probability 1/(e^(eps/(2kr)) + 1) must stay below 1/2.
+    A budget too small for a model-wide noise is rejected here, before any
+    stage: the central Laplace scale 2kr/eps must be finite and shuffle-multi's
+    noise parameter q must stay below 1.  A per-report mechanism rejects a
+    budget too small for it in its ``eta_bound``, which also runs before any
+    stage.
     """
+    if params.model is PrivacyModel.SHUFFLE_SINGLE:
+        return shuffle_mod.single_message_params(params, n)
     if params.model is PrivacyModel.CENTRAL:
         central_mod.noise_scale(params)
     elif params.model is PrivacyModel.SHUFFLE_MULTI:
         shuffle_mod.discrete_laplace_parameter(params.epsilon, params.k, params.r)
-    else:
-        if params.model is PrivacyModel.SHUFFLE_SINGLE:
-            params = shuffle_mod.single_message_params(params, n)
-        local_mod.rr_flip_probability(params.epsilon, params.k, params.r)
     return params
 
 

@@ -10,6 +10,7 @@ import pytest
 from privlabel.cli import build_parser, main
 from privlabel.config import ExperimentConfig
 from privlabel.data import SyntheticSpec
+from privlabel.results import read_results
 from privlabel.simulate import MODEL_MECHANISMS
 
 
@@ -124,6 +125,18 @@ class TestGenAndSimulate:
         blobs = [p.read_bytes() for p in paths]
         assert blobs[0] == blobs[1]
         assert blobs[0] == blobs[2]  # parallel execution changes nothing
+
+    def test_noiseless_run_writes_strict_json(self, tmp_path, capsys):
+        out_json = tmp_path / "r.json"
+        code, _, _ = run_cli(
+            capsys, "simulate", "--seed", "1", "--classes", "2", "--per-class", "20", "--dim", "2",
+            "--pub-per-class", "8", "--s", "2", "--epsilon", "inf", "--out", str(out_json),
+        )
+        assert code == 0
+        doc = read_results(out_json)
+        assert doc["config"]["epsilon"] == "inf"
+        assert doc["budget_ledger_summary"]["total_epsilon"] == "inf"
+        assert doc["summary"]["mean"]["max_error"] == 0.0
 
     def test_config_file_with_flag_override(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -274,9 +287,9 @@ class TestMechanismChecks:
     @pytest.mark.parametrize("argv, message", [
         (("simulate", "--model", "local", "--mechanism", "rr", "--epsilon", "1e-300"), "rounds to 1/2"),
         (("bounds", "--eps", "1e-300", "--n", "100"), "rounds to 1/2"),
-        (("verify-dp", "--eps-list", "1,800"), "e^eps overflows"),
+        (("verify-dp", "--eps-list", "800"), "e^eps overflows"),
         (("simulate", "--model", "central", "--epsilon", "1e-320"), "2kr/eps overflows"),
-        (("simulate", "--model", "local", "--mechanism", "laplace", "--epsilon", "1e-300"), "rounds to 1/2"),
+        (("simulate", "--model", "local", "--mechanism", "laplace", "--epsilon", "1e-300"), "Laplace bound overflows"),
     ])
     def test_extreme_budget_exits_3_before_any_stage(self, capsys, monkeypatch, tmp_path, argv, message):
         import privlabel.simulate as simulate_mod

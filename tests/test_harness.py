@@ -100,6 +100,13 @@ class TestBoundsTable:
         rows = bounds_table("local", 1.0, 0.0, 1, 1, 2, 10, 0.05, n=100)
         assert set(rows) == {"rr", "laplace", "collision"}
 
+    def test_each_mechanism_rejects_only_a_budget_too_small_for_it(self):
+        # at eps/(2kr) = 5e-18, e^(eps/(2kr)) rounds to 1: rr and collision
+        # reject the budget, Laplace's scale 2e17 still gives a finite bound
+        assert set(bounds_table("local", 1e-17, 0.0, 1, 1, 2, 10, 0.05, n=100)) == {"laplace"}
+        with pytest.raises(ValueError, match="rounds to 1/2"):
+            bounds_table("local", 1e-300, 0.0, 1, 1, 2, 10, 0.05, n=100)
+
     def test_all_rows_with_full_inputs(self):
         rows = bounds_table(None, 0.5, 1e-6, 1, 1, 2, 10, 0.05, n=100_000)
         assert {"central", "shuffle-multi", "rr", "collision", "shuffled-rr"} <= set(rows)
