@@ -157,6 +157,48 @@ class TestLocalLaplace:
         assert MECHANISMS["laplace"].bound(params, 3, 0.05) == 0.0
 
 
+_M64 = (1 << 64) - 1
+
+
+def _splitmix64(x: int) -> int:
+    x = (x + 0x9E3779B97F4A7C15) & _M64
+    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _M64
+    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _M64
+    return x ^ (x >> 31)
+
+
+def _reference_hash(seed: int, value: int, filter_length: int) -> int:
+    """The bucket hash in Python integers, one (seed, value) cell at a time."""
+    x = (_splitmix64(seed) ^ _splitmix64(value + 1)) * 0xD6E8FEB86659FD93 & _M64
+    return (x ^ (x >> 29)) % filter_length
+
+
+class TestBucketHash:
+    LENGTHS = (2, 3, 139, 2 ** 31 + 11, 2 ** 62 - 57)
+
+    def test_scalar_seed_matches_python_integer_reference(self, rng):
+        values = np.arange(10_001, dtype=np.int64)
+        for seed in (0, 1, 2 ** 63 - 1, int(rng.integers(2 ** 63, dtype=np.uint64))):
+            for l in self.LENGTHS:
+                got = bucket_hash(seed, values, l)
+                assert got.dtype == np.int64 and got.shape == values.shape
+                step = 1 if l == 139 else 97  # every value once, a stride for the rest
+                want = [_reference_hash(seed, v, l) for v in range(0, 10_001, step)]
+                assert got[::step].tolist() == want
+
+    def test_seed_column_matches_python_integer_reference(self, rng):
+        seeds = np.concatenate([
+            np.array([0, 1, 2 ** 63 - 1], dtype=np.uint64),
+            rng.integers(0, 2 ** 63, size=5, dtype=np.uint64),
+        ])
+        values = np.concatenate([[0, 1, 10_000], rng.integers(0, 10_001, size=60)])
+        for l in self.LENGTHS:
+            got = bucket_hash(seeds[:, None], values, l)
+            assert got.dtype == np.int64 and got.shape == (seeds.size, values.size)
+            want = [[_reference_hash(int(s), int(v), l) for v in values] for s in seeds]
+            assert got.tolist() == want
+
+
 class TestCollisionEncoding:
     def test_default_filter_length(self):
         assert default_filter_length(1, math.log(2)) == 3
