@@ -3,7 +3,7 @@
 
 One client, s=200 buckets, 50 labels, k=2, r=2; budgets 1..6.  Writes a
 plot-ready CSV with one row per budget.  At full trial count this takes
-several minutes; pass --trials 10000 for a quick look.
+about a minute on one core; pass --trials 10000 for a quick look.
 """
 import argparse
 import sys

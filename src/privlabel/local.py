@@ -58,16 +58,24 @@ def bucket_hash(hash_seed: int | np.ndarray, values: np.ndarray, filter_length: 
 
     Broadcasts: a scalar seed with a vector of values, or a seed column with a
     value row, yielding a (n_seeds, n_values) matrix.  Seeds and values are
-    mixed separately (cheap, pre-broadcast) and combined with a single
-    multiply/xorshift pass so the broadcast matrix is touched few times.
+    mixed separately (cheap, pre-broadcast); the broadcast matrix is then
+    written once and every later pass runs in place on it and one scratch
+    array, since fresh matrices cost more memory traffic than the arithmetic.
     """
-    seeds = np.asarray(hash_seed, dtype=_U64)
-    vals = np.asarray(values, dtype=_U64)
-    with np.errstate(over="ignore"):
-        x = np.bitwise_xor(_mix64(seeds), _mix64(vals + _U64(1)))
-        x *= _U64(0xD6E8FEB86659FD93)
-        x ^= x >> _U64(29)
-        return (x % _U64(filter_length)).astype(np.int64)
+    seeds = _mix64(np.asarray(hash_seed, dtype=_U64))
+    vals = _mix64(np.asarray(values, dtype=_U64) + _U64(1))
+    l = _U64(filter_length)
+    x = np.empty(np.broadcast_shapes(seeds.shape, vals.shape), dtype=_U64)
+    scratch = np.empty_like(x)
+    np.bitwise_xor(seeds, vals, out=x)
+    x *= _U64(0xD6E8FEB86659FD93)
+    np.right_shift(x, _U64(29), out=scratch)
+    x ^= scratch
+    # x mod l as x - (x // l) * l: exact in uint64, and scalar division is faster than %
+    np.floor_divide(x, l, out=scratch)
+    scratch *= l
+    x -= scratch
+    return x.view(np.int64)  # every value is below l < 2**63
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +265,7 @@ def collision_encode_batch(
     return seeds, cells
 
 
-_COLLISION_CHUNK_CELLS = 1 << 18  # (report, coordinate) hash cells per hit block
+_COLLISION_CHUNK_CELLS = 1 << 17  # (report, coordinate) hash cells per hit block: 1 MiB of uint64
 
 
 def _hit_blocks(seeds: np.ndarray, cells: np.ndarray, params: CollisionParams):
@@ -287,7 +295,7 @@ def collision_indicator_estimates(seeds: np.ndarray, cells: np.ndarray, params: 
     """
     hits = np.zeros(params.domain_size, dtype=np.int64)
     for _, block in _hit_blocks(seeds, cells, params):
-        hits += block.sum(axis=0)
+        hits += np.count_nonzero(block, axis=0)
     return (hits - np.size(seeds) / params.filter_length) / params.estimator_denominator
 
 
@@ -312,7 +320,7 @@ def collision_hit_counts(
     counts = np.empty((len(columns), np.size(seeds)), dtype=np.int64)
     for start, block in _hit_blocks(seeds, cells, params):
         for j, cols in enumerate(columns):
-            counts[j, start : start + len(block)] = block[:, cols].sum(axis=1)
+            counts[j, start : start + len(block)] = np.count_nonzero(block[:, cols], axis=1)
     return counts
 
 

@@ -262,18 +262,21 @@ def amplify_forward(eps0: float, n: int, delta: float) -> float:
             f"validity violated: ln(n / (16 ln(2/delta))) = {limit:.6f} < eps0 = {eps0}"
         )
     ee = math.exp(eps0)
-    term = (8.0 * math.sqrt(ee * math.log(4.0 / delta)) / math.sqrt(n) + 8.0 * ee / n) * (
-        (ee - 1.0) / (ee + 1.0)
+    # tanh(eps0 / 2) is (e^eps0 - 1) / (e^eps0 + 1) without cancellation at small eps0
+    term = (8.0 * math.sqrt(ee * math.log(4.0 / delta)) / math.sqrt(n) + 8.0 * ee / n) * math.tanh(
+        0.5 * eps0
     )
     return math.log1p(term)
 
 
-def amplify_invert(target_epsilon: float, n: int, delta: float, tol: float = 1e-9) -> float:
-    """Local budget whose shuffled central budget equals the target.
+def amplify_invert(target_epsilon: float, n: int, delta: float, rtol: float = 1e-9) -> float:
+    """Largest local budget found whose shuffled central budget stays within
+    the target: target * (1 - rtol) <= amplify_forward(eps0) <= target.
 
-    Bisection over (0, validity limit]; the forward map is strictly increasing
-    in eps0.  Targets outside the achievable interval are rejected with that
-    interval reported.
+    Bisection over (0, validity limit] that keeps its lower end, where the
+    forward map, strictly increasing in eps0, never exceeds the target.
+    Targets outside the achievable interval, and targets too small for any
+    representable eps0 > 0 to reach, are rejected.
     """
     if not target_epsilon > 0:
         raise ValueError("target epsilon must be positive")
@@ -283,18 +286,19 @@ def amplify_invert(target_epsilon: float, n: int, delta: float, tol: float = 1e-
         raise ValueError(
             f"target {target_epsilon} outside the achievable interval (0, {top:.6f}]"
         )
-    lo, hi = 0.0, limit
-    while hi - lo > tol:
+    lo, hi, reached = 0.0, limit, 0.0
+    while reached < target_epsilon * (1.0 - rtol):
         mid = 0.5 * (lo + hi)
-        if amplify_forward(mid, n, delta) < target_epsilon:
-            lo = mid
+        if not lo < mid < hi:
+            raise ValueError(
+                f"no local budget eps0 > 0 amplifies to within a relative {rtol} below target {target_epsilon}"
+            )
+        achieved = amplify_forward(mid, n, delta)
+        if achieved <= target_epsilon:
+            lo, reached = mid, achieved
         else:
             hi = mid
-    eps0 = 0.5 * (lo + hi)
-    achieved = amplify_forward(eps0, n, delta)
-    if abs(achieved - target_epsilon) > 1e-6:
-        raise ValueError("bisection failed to reach the target within 1e-6")
-    return eps0
+    return lo
 
 
 def single_message_params(params: PrivacyParams, n: int) -> PrivacyParams:

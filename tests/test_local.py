@@ -272,23 +272,28 @@ class TestCollisionEstimation:
         sd = np.sqrt(np.where(truth > 0, m2_one - 1.0, m2_zero))
         assert (np.abs(est / n - truth) <= 4 * sd / math.sqrt(n)).all()
 
-    def test_chunking_leaves_estimates_byte_identical(self, rng, monkeypatch):
+    @pytest.mark.parametrize("d, c, n", [(8, 2, 500), (10_000, 4, 40), (None, 2, 5)])
+    def test_chunking_leaves_estimates_byte_identical(self, d, c, n, rng, monkeypatch):
         import privlabel.local as local_mod
 
-        params = CollisionParams.for_budget(8, 2, 1.0)
-        n = 500
-        supports = np.sort(np.argsort(rng.random((n, 8)), axis=1)[:, :2], axis=1)
+        default = local_mod._COLLISION_CHUNK_CELLS
+        d = d or default + 3  # a domain wider than one block: one report per block
+        params = CollisionParams.for_budget(d, c, 1.0)
+        supports = np.sort(np.argsort(rng.random((n, d)), axis=1)[:, :c], axis=1)
         seeds, cells = collision_encode_batch(supports, params, rng, n)
         columns = (slice(None), np.array([2, 5]), slice(3, 6))
-        hits = bucket_hash(seeds[:, None], np.arange(8), params.filter_length) == cells[:, None]
+        # the dense recomputation every block layout must reproduce
+        hits = bucket_hash(seeds[:, None], np.arange(d), params.filter_length) == cells[:, None]
         expected_counts = np.stack([hits[:, cols].sum(axis=1) for cols in columns])
-        estimates = []
-        # the default, one report per chunk, and the whole batch in one chunk
-        for chunk_cells in (local_mod._COLLISION_CHUNK_CELLS, 1, n * params.domain_size):
+        expected_rows = (hits - 1.0 / params.filter_length) / params.estimator_denominator
+        expected_sums = (hits.sum(axis=0) - n / params.filter_length) / params.estimator_denominator
+        # the default, one report per block, 7-report blocks with a short last
+        # one, and the whole batch in one block
+        for chunk_cells in (default, 1, 7 * d, n * d):
             monkeypatch.setattr(local_mod, "_COLLISION_CHUNK_CELLS", chunk_cells)
-            estimates.append(collision_indicator_estimates(seeds, cells, params).tobytes())
             assert np.array_equal(collision_hit_counts(seeds, cells, params, columns), expected_counts)
-        assert estimates[1] == estimates[0] and estimates[2] == estimates[0]
+            assert collision_report_estimates(seeds, cells, params).tobytes() == expected_rows.tobytes()
+            assert collision_indicator_estimates(seeds, cells, params).tobytes() == expected_sums.tobytes()
 
     def test_estimation_rejects_zero_budget(self):
         params = CollisionParams(8, 1, 0.0, 3)

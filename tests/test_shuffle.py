@@ -293,6 +293,23 @@ class TestAmplification:
         with pytest.raises(ValueError, match="achievable"):
             amplify_invert(50.0, 10_000, 1e-6)
 
+    @pytest.mark.parametrize("target, n", [(0.4, 60_000), (3.3e-301, 300)])
+    def test_invert_never_overspends(self, target, n):
+        spent = amplify_forward(amplify_invert(target, n, 1e-6), n, 1e-6)
+        assert target * (1 - 1e-9) <= spent <= target
+
+    def test_invert_within_relative_tolerance_below_target_on_a_grid(self):
+        for n in (1_000, 10_000, 1_000_000):
+            for delta in (1e-5, 1e-8):
+                top = amplify_forward(amplification_validity_limit(n, delta), n, delta)
+                for target in np.concatenate([np.geomspace(1e-300, 1e-3, 12), np.linspace(0.01, 1, 12) * top]):
+                    spent = amplify_forward(amplify_invert(float(target), n, delta), n, delta)
+                    assert target * (1 - 1e-9) <= spent <= target
+
+    def test_target_without_a_positive_eps0_rejected(self):
+        with pytest.raises(ValueError, match="no local budget"):
+            amplify_invert(5e-324, 300, 1e-6)
+
 
 class TestSingleMessage:
     def test_requires_single_model(self):
