@@ -7,15 +7,19 @@ touch every query).  Query selection uses k-means++ seeded Lloyd iterations on
 the public embeddings; later rounds switch to smallest-margin uncertainty
 sampling.
 
-Distances are Euclidean only, and every one comes from ``pairwise_distances``:
-a row's distances depend on that row and the queries alone, never on the rows
-sharing the call or on the row's memory offset, so a record connects alone as
-it does inside any record set.  The aggregate's 2kr sensitivity relies on
-this.  A row is one augmented product, [x, |x|², 1] @ [-2qᵀ; 1; |q|²], so a
-distance block costs one product per row plus an in-place clamp and square
-root.  Connection checks only the cells it picks: a non-finite pick means the
-record has no finite distance left, and a squared norm that overflows is
-rejected before any product.
+Distances are Euclidean only, and every one is sqrt(max(sq, 0)) of one
+squared-distance product: a row is [x, |x|², 1] @ [-2qᵀ; 1; |q|²], whose
+query side is built and checked once per call.  A row's values depend on that
+row and the queries alone, never on the rows sharing the call or on the row's
+memory offset, so a record connects alone as it does inside any record set.
+The aggregate's 2kr sensitivity relies on this.  ``pairwise_distances``
+returns the rooted matrix.  Connection reads row blocks of the squared values
+and roots nothing: it picks on the squares, and a flat compare finds the rare
+row where an unpicked square could round to its last pick's distance, which
+is picked again from ``pairwise_distances`` so that ties follow the rounded
+distance.  Scores root only the cells they take.  A squared norm that
+overflows is rejected before any product; a row whose picks are not all
+finite takes the exact pass too, which rejects a non-finite distance.
 """
 from __future__ import annotations
 
@@ -33,31 +37,58 @@ class ConnectionObjective(enum.Enum):
     HARMONIC_MEAN = "harmonic-mean"
 
 
-def pairwise_distances(points: np.ndarray, queries: np.ndarray) -> np.ndarray:
-    """(m, s) Euclidean distance matrix between row vectors of the two arrays.
+_OVERFLOW = "distances overflow: coordinates too large to square"
 
-    Each row is its own product: a gemm over all rows rounds a row's last bit
-    by how many rows share the call.  A row is one
-    (1, dim + 2) @ (dim + 2, s) product of [x, |x|², 1] with
-    [-2qᵀ; 1; |q|²], which gives |x|² + |q|² − 2x·q directly.  Raises
-    ValueError when a row's or query's squared norm overflows."""
+
+def _points(points: np.ndarray, dim: int) -> np.ndarray:
     x = np.asarray(points, dtype=np.float64)
-    q = np.asarray(queries, dtype=np.float64)
-    if x.ndim != 2 or q.ndim != 2 or x.shape[1] != q.shape[1]:
+    if x.ndim != 2 or x.shape[1] != dim:
         raise ValueError("points and queries must be 2-D with a shared dimension")
+    return x
+
+
+def _query_side(queries: np.ndarray) -> np.ndarray:
+    """The (dim + 2, s) right factor [-2qᵀ; 1; |q|²] of every distance
+    product.  Raises ValueError when a query's squared norm overflows."""
+    dim = queries.shape[1]
+    cols = np.empty((dim + 2, queries.shape[0]))
+    np.multiply(queries.T, -2.0, out=cols[:dim])
+    cols[dim] = 1.0
+    np.sum(queries * queries, axis=1, out=cols[dim + 1])
+    if not np.isfinite(cols[dim + 1]).all():
+        # finite coordinates beyond ~1e154 overflow the squared norms
+        raise ValueError(_OVERFLOW)
+    return cols
+
+
+def _squared(x: np.ndarray, cols: np.ndarray, rows: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Squared distances of x's rows to the queries behind ``cols``, into
+    ``out`` (n, 1, s).  ``rows`` (n, dim + 2), whose last column holds ones,
+    takes [x, |x|², 1].
+
+    Each row is its own (1, dim + 2) @ (dim + 2, s) product, which gives
+    |x|² + |q|² − 2x·q directly: a gemm over all rows rounds a row's last bit
+    by how many rows share the call.  Raises ValueError when a row's squared
+    norm overflows."""
     dim = x.shape[1]
-    rows = np.empty((x.shape[0], dim + 2))
     rows[:, :dim] = x
     np.sum(x * x, axis=1, out=rows[:, dim])
-    rows[:, dim + 1] = 1.0
-    cols = np.empty((dim + 2, q.shape[0]))
-    np.multiply(q.T, -2.0, out=cols[:dim])
-    cols[dim] = 1.0
-    np.sum(q * q, axis=1, out=cols[dim + 1])
-    if not (np.isfinite(rows[:, dim]).all() and np.isfinite(cols[dim + 1]).all()):
-        # finite coordinates beyond ~1e154 overflow the squared norms
-        raise ValueError("distances overflow: coordinates too large to square")
-    sq = np.matmul(rows[:, None, :], cols)[:, 0]
+    if not np.isfinite(rows[:, dim]).all():
+        raise ValueError(_OVERFLOW)
+    return np.matmul(rows[:, None, :], cols, out=out)
+
+
+def pairwise_distances(points: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """(m, s) Euclidean distance matrix between row vectors of the two arrays:
+    sqrt(max(sq, 0)) of the squared distances every connection reads, one
+    augmented product per row.  Raises ValueError when a row's or query's
+    squared norm overflows."""
+    q = np.asarray(queries, dtype=np.float64)
+    if q.ndim != 2:
+        raise ValueError("points and queries must be 2-D with a shared dimension")
+    x = _points(points, q.shape[1])
+    m, s = x.shape[0], q.shape[0]
+    sq = _squared(x, _query_side(q), np.ones((m, x.shape[1] + 2)), np.empty((m, 1, s)))[:, 0]
     np.maximum(sq, 0.0, out=sq)
     return np.sqrt(sq, out=sq)
 
@@ -203,64 +234,101 @@ def select_queries_uncertainty(
 _DISTANCE_BLOCK_CELLS = 1 << 16
 
 
-def _distance_blocks(points: np.ndarray, queries: QuerySet):
-    """Yield (first row, block) for consecutive row blocks of
-    ``pairwise_distances(points, queries)``, at most
-    ``_DISTANCE_BLOCK_CELLS`` cells (and at least one row) each; the caller
-    owns every block."""
-    rows = max(1, _DISTANCE_BLOCK_CELLS // queries.s)
-    for start in range(0, points.shape[0], rows):
-        yield start, pairwise_distances(points[start : start + rows], queries.embeddings)
+def _squared_blocks(points: np.ndarray, cols: np.ndarray):
+    """Yield (first row, block) for consecutive row blocks of the squared
+    distances from ``points`` to the queries behind ``cols``, at most
+    ``_DISTANCE_BLOCK_CELLS`` cells (and at least one row) each.  Every block
+    is a view of one buffer that the next block overwrites."""
+    m, s = points.shape[0], cols.shape[1]
+    size = max(1, min(m, _DISTANCE_BLOCK_CELLS // s))
+    rows, out = np.ones((size, points.shape[1] + 2)), np.empty((size, 1, s))
+    for start in range(0, m, size):
+        n = min(size, m - start)
+        yield start, _squared(points[start : start + n], cols, rows[:n], out[:n])[:, 0]
 
 
 def _connected_distances(embeddings: np.ndarray, queries: QuerySet, indices: np.ndarray) -> np.ndarray:
     """(m, degree) distances from each record to the queries its ``indices`` row names."""
     picked = np.empty(indices.shape)
-    for start, block in _distance_blocks(embeddings, queries):
+    for start, block in _squared_blocks(embeddings, _query_side(queries.embeddings)):
         rows = slice(start, start + len(block))
         picked[rows] = np.take_along_axis(block, indices[rows], axis=1)
-    return picked
+    # the cells of pairwise_distances: sqrt and maximum act cell by cell
+    np.maximum(picked, 0.0, out=picked)
+    return np.sqrt(picked, out=picked)
+
+
+def _nearest(dist: np.ndarray, degree: int) -> np.ndarray:
+    """(rows, degree) picks of ``degree`` argmin passes over ``dist``, which
+    they overwrite; raises ValueError on a non-finite pick."""
+    rows = np.arange(len(dist))
+    picks = np.empty((len(dist), degree), dtype=np.int64)
+    for col in range(degree):
+        picks[:, col] = np.argmin(dist, axis=1)
+        if not np.isfinite(dist[rows, picks[:, col]]).all():
+            # an inf or NaN pick means the row has no finite distance
+            # left, and the next pass would pick one query twice
+            raise ValueError("distances overflow: embeddings too large to connect")
+        dist[rows, picks[:, col]] = np.inf
+    return picks
+
+
+# a square above max(last·(1 + 2⁻⁴⁹), 2⁻¹⁰⁷⁰) roots to more than last does: a
+# root's rounding spans a relative 2⁻⁵¹ of its square, and the floor covers
+# last <= 0, where every square <= 0 clamps to distance 0
+_ROOT_MARGIN, _ROOT_FLOOR = 1.0 + 2.0**-49, 2.0**-1070
 
 
 def reverse_knn_connect(embeddings: np.ndarray, queries: QuerySet, k: int) -> ConnectionMap:
     """Connect each record to its min(k, s) nearest queries.
 
-    Distance ties resolve toward the smaller query index, so the map is
-    deterministic.  Distances are taken in row blocks and each record's
-    buckets by min(k, s) argmin passes, so memory is O(m·min(k, s)) plus one
-    block; with k >= s every record takes every query and no distance is
-    computed.
+    The picks are those of argmin passes over ``pairwise_distances``: ties in
+    the rounded distance sqrt(max(sq, 0)) resolve toward the smaller query
+    index, so the map is deterministic.  Each record's buckets are taken by
+    min(k, s) argmin passes over its squared distances, which order the
+    queries as the rounded distances do except where two squares round to
+    one distance.  A row where an unpicked query's square could round to its
+    last pick's distance, or whose picks are not all finite, is picked again
+    from ``pairwise_distances`` of that row alone, which raises when the row
+    has no finite distance left.  Distances are taken in row blocks, so
+    memory is O(m·min(k, s)) plus one block; with k >= s every record takes
+    every query and no distance is computed.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    embeddings = np.asarray(embeddings, dtype=np.float64)
-    if embeddings.ndim != 2 or embeddings.shape[1] != queries.dim:
-        raise ValueError("points and queries must be 2-D with a shared dimension")
+    embeddings = _points(embeddings, queries.dim)
     s = queries.s
     degree = min(k, s)
     m = embeddings.shape[0]
     if m == 0 or degree == s:
         return ConnectionMap(np.tile(np.arange(degree, dtype=np.int64), (m, 1)), s=s, k=k)
     chosen = np.empty((m, degree), dtype=np.int64)
-    for start, block in _distance_blocks(embeddings, queries):
-        picks = chosen[start : start + len(block)]
-        rows = np.arange(len(block))
+    for start, block in _squared_blocks(embeddings, _query_side(queries.embeddings)):
+        n = len(block)
+        picks, flat, offsets = chosen[start : start + n], block.reshape(-1), np.arange(0, n * s, s)
         for col in range(degree):
             # argmin keeps the first minimum: ties go to the smaller index
             picks[:, col] = np.argmin(block, axis=1)
-            picked = block[rows, picks[:, col]]
-            if not np.isfinite(picked).all():
-                # an inf or NaN pick means the row has no finite distance
-                # left, and the next pass would pick one query twice
-                raise ValueError("distances overflow: embeddings too large to connect")
-            block[rows, picks[:, col]] = np.inf
-        picks.sort(axis=1)
+            cells = offsets + picks[:, col]
+            last = flat[cells]
+            if col == 0:
+                first = last
+            flat[cells] = np.inf
+        # a NaN or -inf square is picked first, so finite first and last
+        # picks mean every pick is finite
+        finite = np.isfinite(first) & np.isfinite(last)
+        near = block <= np.maximum(last * _ROOT_MARGIN, _ROOT_FLOOR)[:, None]
+        if near.any() or not finite.all():
+            redo = np.flatnonzero(near.any(axis=1) | ~finite)
+            picks[redo] = _nearest(pairwise_distances(embeddings[start + redo], queries.embeddings), degree)
+    if degree > 1:
+        chosen.sort(axis=1)
     return ConnectionMap(chosen, s=s, k=k)
 
 
 def connection_scores(embeddings: np.ndarray, queries: QuerySet, connections: ConnectionMap) -> np.ndarray:
     """Per-query sum of similarities of its connected records (0 if none)."""
-    embeddings = np.asarray(embeddings, dtype=np.float64)
+    embeddings = _points(embeddings, queries.dim)
     if embeddings.shape[0] != connections.m:
         raise ValueError("connections must cover exactly these records")
     sims = similarity_from_distance(_connected_distances(embeddings, queries, connections.indices))

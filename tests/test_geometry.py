@@ -68,11 +68,12 @@ class TestRowIndependence:
         shifted = np.frombuffer(buf, dtype=np.float64, count=x.size, offset=1).reshape(x.shape)
         shifted[...] = x
         with mock.patch.object(geometry_mod, "_DISTANCE_BLOCK_CELLS", cells):
-            blocks = [block for _, block in geometry_mod._distance_blocks(x, QuerySet(q))]
+            # each block is a view of one reused buffer: copy it out
+            blocks = [block.copy() for _, block in geometry_mod._squared_blocks(x, geometry_mod._query_side(q))]
         for i in range(len(x)):
             assert pairwise_distances(x[i : i + 1].copy(), q).tobytes() == full[i].tobytes()
         assert pairwise_distances(shifted, q).tobytes() == full.tobytes()
-        assert np.concatenate(blocks).tobytes() == full.tobytes()
+        assert np.sqrt(np.maximum(np.concatenate(blocks), 0.0)).tobytes() == full.tobytes()
 
     def test_record_connects_alone_as_inside_the_set(self):
         # a kernel whose rows depend on the rows sharing the call (one gemm
@@ -302,6 +303,25 @@ class TestReverseKnn:
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="overflow"):
             reverse_knn_connect(np.array([[0.0, 0.0], [1.2e154, 0.0]]), queries, k=1)
 
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_overflowing_cell_among_finite_ones_follows_the_distances(self, dim):
+        # the norms are finite but the record's product with query 0 is not:
+        # as the product sums its terms the square is -inf, which clamps to
+        # distance 0, or NaN, which no pass may pick past (query 2 stays finite)
+        x = np.zeros((1, dim))
+        x[0, 0] = 1.3e154
+        q = np.zeros((3, dim))
+        q[0, 0], q[1, 1], q[2, 0] = 1.3e154, 1.3e154, 1.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            nan = np.isnan(pairwise_distances(x, q)).any()
+            for k in (1, 2):
+                if nan:
+                    with pytest.raises(ValueError, match="overflow"):
+                        reverse_knn_connect(x, QuerySet(q), k)
+                else:
+                    expected = _reference_connect(x, QuerySet(q), k)
+                    assert reverse_knn_connect(x, QuerySet(q), k).indices.tobytes() == expected.tobytes()
+
     def test_k_below_one_rejected(self):
         records, queries = four_point_fixture()
         with pytest.raises(ValueError):
@@ -377,6 +397,50 @@ class TestBlockedConnect:
             scores.append(connection_scores(emb, queries, conn).tobytes())
         assert maps == [_reference_connect(emb, queries, 3).tobytes()] * len(maps)
         assert len(set(scores)) == 1
+
+    def test_near_ties_follow_the_rounded_distance(self):
+        # the picks read squared distances; where two squares round to one
+        # distance they must tie toward the smaller index, as the distances do
+        for seed in range(300):
+            records, queries = bisector_near_ties(seed)
+            for k in (1, 2):
+                expected = _reference_connect(records.embeddings, queries, k)
+                assert reverse_knn_connect(records.embeddings, queries, k).indices.tobytes() == expected.tobytes(), (seed, k)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-155])
+    def test_clamped_and_subnormal_squares_follow_the_rounded_distance(self, scale):
+        # records on exact and last-bit duplicates of the queries have squares
+        # at or below 0, which clamp to a tie at distance 0; at scale 1e-155
+        # the squares are subnormal
+        for seed in range(100):
+            gen = np.random.default_rng(seed)
+            dim = int(gen.integers(2, 9))
+            base = gen.normal(size=(3, dim))
+            pool = np.vstack([base, base[:2], np.nextafter(base[:1], np.inf), base[2:] * (1 + 2.0**-52)])
+            pool = pool[gen.permutation(len(pool))]
+            emb = np.vstack([pool, pool + gen.normal(scale=1e-9, size=pool.shape), gen.normal(size=(4, dim))]) * scale
+            queries = QuerySet(pool * scale)
+            for k in (1, 2, queries.s - 1):
+                expected = _reference_connect(emb, queries, k)
+                conn = reverse_knn_connect(emb, queries, k)
+                assert conn.indices.tobytes() == expected.tobytes(), (seed, k)
+                scores = connection_scores(emb, queries, conn)
+                assert scores.tobytes() == _reference_scores(emb, queries, expected).tobytes(), (seed, k)
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_memory_stays_within_a_few_blocks_on_the_bench_record_shape(self, k):
+        # picks, block buffers and one block's temporaries: augmenting every
+        # record at once instead would take about 8 MiB here
+        gen = np.random.default_rng(8)
+        emb = gen.normal(size=(60_000, 8))
+        queries = QuerySet(gen.normal(size=(200, 8)))
+        tracemalloc.start()
+        try:
+            reverse_knn_connect(emb, queries, k)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 2**20
 
     def test_memory_stays_below_a_quarter_of_the_dense_matrix(self):
         gen = np.random.default_rng(5)
