@@ -4,7 +4,8 @@
 Runs the full pipeline on a 10-class Gaussian mixture (60k private records,
 5k public samples) and prints mean labeling accuracy per model over a few
 seeds.  The central run mirrors the headline setting (s=40, k=1, eps=0.1);
-the local run uses the collision mechanism at eps=0.4 with s=10.
+the local runs use randomized response, the collision mechanism and subset
+release (GSE) at eps=0.4 with s=10.
 """
 import argparse
 import math
@@ -35,6 +36,7 @@ def main() -> int:
         ("central eps=0.1", PrivacyParams(0.1, PrivacyModel.CENTRAL, 1, 1, 40, 10), 40, "auto"),
         ("local rr eps=0.4", PrivacyParams(0.4, PrivacyModel.LOCAL, 1, 1, 10, 10), 10, "rr"),
         ("local collision eps=0.4", PrivacyParams(0.4, PrivacyModel.LOCAL, 1, 1, 10, 10), 10, "collision"),
+        ("local gse eps=0.4", PrivacyParams(0.4, PrivacyModel.LOCAL, 1, 1, 10, 10), 10, "gse"),
         ("shuffle-multi eps=0.4", PrivacyParams(0.4, PrivacyModel.SHUFFLE_MULTI, 1, 1, 10, 10, delta=1e-6), 10, "auto"),
     ]
     for name, params, s, mechanism in settings:

@@ -448,42 +448,87 @@ def gse_subset_probability(subset: Iterable[int], support: np.ndarray, params: G
     return math.exp(params.log_tilt(overlap) - params.law.log_omega)
 
 
+def _uniform_subsets(rng: np.random.Generator, population: int, counts: np.ndarray) -> np.ndarray:
+    """(rows, max(counts)) positions whose row j begins with a uniform
+    counts[j]-subset of range(population); the rest of each row is padding.
+
+    Where a count may exceed half the population, each row ranks one uniform
+    key per position, O(population) = O(max count) a row.  Otherwise a row
+    keeps the first counts[j] distinct values of a with-replacement sequence,
+    a uniform subset because relabeling the values leaves the sequence's law
+    unchanged, and only the rows whose sequence comes up short are redrawn.
+    """
+    width = int(counts.max(initial=0))
+    if width == 0:
+        return np.zeros((counts.size, 0), dtype=np.int64)
+    if 2 * width > population:
+        return np.argsort(rng.random((counts.size, population)), axis=1)[:, :width]
+    # sequence length: the mean number of draws to see `width` distinct values plus 4 sd
+    q = np.arange(width) / population
+    length = math.ceil(np.sum(1.0 / (1.0 - q)) + 4.0 * math.sqrt(np.sum(q / (1.0 - q) ** 2))) + 1
+    out = np.zeros((counts.size, width), dtype=np.int64)
+    todo = np.arange(counts.size)
+    while todo.size:
+        draws = rng.integers(0, population, size=(todo.size, length))
+        # sorting value * length + position orders each row by value, ties by position
+        keys = np.sort(draws * length + np.arange(length), axis=1)
+        # a value's first occurrence heads its run
+        head = np.ones(draws.shape, dtype=bool)
+        np.not_equal(keys[:, 1:] // length, keys[:, :-1] // length, out=head[:, 1:])
+        first = np.empty_like(head)
+        np.put_along_axis(first, keys % length, head, axis=1)
+        seen = np.cumsum(first, axis=1)
+        need = counts[todo]
+        # the k-th kept value goes to column k - 1, every other draw to a spare last column
+        found = np.zeros((todo.size, width + 1), dtype=np.int64)
+        np.put_along_axis(found, np.where(first & (seen <= need[:, None]), seen - 1, width), draws, axis=1)
+        full = seen[:, -1] >= need
+        out[todo[full]] = found[full, :width]
+        todo = todo[~full]
+    return out
+
+
 def gse_encode_batch(
     support: np.ndarray, params: GseParams, rng: np.random.Generator, n_reports: int
 ) -> np.ndarray:
-    """(n_reports, d) boolean membership matrix of sampled output subsets.
+    """(n_reports, l) int64 cells of sampled output subsets, distinct in each row.
 
     ``support`` may be one index vector shared by every report or an
     (n_reports, c) array giving each report its own support.  Each report
-    draws its overlap size i, then a uniform size-i subset of its support and
-    a uniform size-(l - i) subset of the complement.
+    draws its overlap size i, then a uniform size-i subset of its support
+    (the first i of a random order of its cells) and a uniform size-(l - i)
+    subset of the d - c non-members, drawn as positions and mapped onto the
+    complement by skipping the sorted support.
     """
     support = _check_support(support, params, n_reports)
     d, c, l = params.domain_size, params.support_size, params.output_size
     pmf = params.law.pmf
-    overlaps = rng.choice(pmf.size, size=n_reports, p=pmf)[:, None]
-    outside = np.ones((n_reports, d), dtype=bool)
-    np.put_along_axis(outside, np.broadcast_to(support, (n_reports, c)), False, axis=1)
-    # a uniform random order of each row that lists the support first: its
-    # first i entries and its entries c .. c+l-i-1 are the two uniform subsets
-    order = np.argsort(rng.random((n_reports, d)) + outside, axis=1)
-    pos = np.arange(d)
-    take = (pos < overlaps) | ((pos >= c) & (pos < c + l - overlaps))
-    member = np.empty((n_reports, d), dtype=bool)
-    np.put_along_axis(member, order, take, axis=1)
-    return member
+    overlaps = rng.choice(pmf.size, size=n_reports, p=pmf)
+    members = np.broadcast_to(support, (n_reports, c))
+    if c > 1:
+        members = np.take_along_axis(members, np.argsort(rng.random((n_reports, c)), axis=1), axis=1)
+    others = _uniform_subsets(rng, d - c, l - overlaps)
+    for skipped in np.sort(members, axis=1).T:
+        others += others >= skipped[:, None]
+    # column j is the row's j-th member while j < i, else its (j - i)-th other cell
+    pos = np.arange(l)
+    pick = np.where(pos < overlaps[:, None], pos, c + pos - overlaps[:, None])
+    return np.take_along_axis(np.concatenate([members, others], axis=1), pick, axis=1)
 
 
-def gse_estimate(memberships: np.ndarray, params: GseParams) -> np.ndarray:
-    """Summed unbiased indicator estimates from an (n, d) membership stack."""
-    member = np.asarray(memberships)
-    if member.ndim == 1:
-        member = member[None, :]
+def gse_estimate(cells: np.ndarray, params: GseParams) -> np.ndarray:
+    """Summed unbiased indicator estimates (bincount - n*p_false) / (p_true -
+    p_false) from an (n, l) stack of released cells."""
+    cells = np.asarray(cells)
+    d, l = params.domain_size, params.output_size
+    if cells.ndim != 2 or cells.shape[1] != l or not np.issubdtype(cells.dtype, np.integer):
+        raise ValueError(f"expected an (n, {l}) integer cell stack, got {cells.dtype} {cells.shape}")
+    if cells.size and (cells.min() < 0 or cells.max() >= d):
+        raise ValueError(f"cell index out of domain range [0, {d})")
     denom = params.estimator_denominator
     if denom <= 0:
         raise ValueError("p_true must exceed p_false for estimation")
-    n = member.shape[0]
-    return (member.sum(axis=0) - n * params.p_false) / denom
+    return (np.bincount(cells.ravel(), minlength=d) - len(cells) * params.p_false) / denom
 
 
 # ---------------------------------------------------------------------------
@@ -495,7 +540,7 @@ def gse_estimate(memberships: np.ndarray, params: GseParams) -> np.ndarray:
 # (``core.record_votes`` rows), c = min(k, s)*r; ``params`` carries the
 # randomizer's own budget (eps0 under shuffle-single).
 
-_GSE_CHUNK_CELLS = 1 << 19  # membership cells per GSE encoding chunk
+_GSE_CHUNK_CELLS = 1 << 15  # released (report, cell) pairs per GSE encoding chunk
 
 
 class Mechanism(NamedTuple):
@@ -549,9 +594,8 @@ def _run_gse_params(params: PrivacyParams) -> GseParams:
 
 def _release_gse(supports: np.ndarray, params: PrivacyParams, rng: np.random.Generator) -> np.ndarray:
     gparams = _run_gse_params(params)
-    d = gparams.domain_size
-    rows = max(1, _GSE_CHUNK_CELLS // d)
-    estimate = np.zeros(d)
+    rows = max(1, _GSE_CHUNK_CELLS // gparams.output_size)
+    estimate = np.zeros(gparams.domain_size)
     for start in range(0, len(supports), rows):
         chunk = supports[start : start + rows]
         estimate += gse_estimate(gse_encode_batch(chunk, gparams, rng, len(chunk)), gparams)

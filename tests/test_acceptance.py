@@ -176,7 +176,9 @@ def test_criterion_02_unbiased_gse(name, s, labels, buckets, label_set):
     support = flatten_support(np.array(buckets), np.array(label_set), labels)
     d = s * labels
     params = GseParams(d, support.size, 1.0, min(support.size + 1, d - 1), 1)
-    member = gse_encode_batch(support, params, rng, N_REPORTS)
+    cells = gse_encode_batch(support, params, rng, N_REPORTS)
+    member = np.zeros((N_REPORTS, d), dtype=bool)
+    np.put_along_axis(member, cells, True, axis=1)
     per_report = (member - params.p_false) / (params.p_true - params.p_false)
     truth = np.zeros(d)
     truth[support] = 1.0
@@ -487,6 +489,22 @@ def test_criterion_10_reproducibility(tmp_path):
     assert cli_main(base + ["--out", str(paths[0])]) == 0
     assert cli_main(base + ["--out", str(paths[1])]) == 0
     assert cli_main(base + ["--workers", "3", "--out", str(paths[2])]) == 0
+    blob = paths[0].read_bytes()
+    assert blob == paths[1].read_bytes()
+    assert blob == paths[2].read_bytes()
+
+
+def test_criterion_10_reproducibility_gse(tmp_path):
+    # the same check through the sparse subset-release encoder
+    base = [
+        "simulate", "--seed", "1002", "--classes", "5", "--per-class", "80",
+        "--dim", "4", "--pub-per-class", "30", "--s", "5", "--epsilon", "1.0",
+        "--model", "local", "--mechanism", "gse", "--trials", "4",
+    ]
+    paths = [tmp_path / name for name in ("seq_a.json", "seq_b.json", "par.json")]
+    assert cli_main(base + ["--out", str(paths[0])]) == 0
+    assert cli_main(base + ["--out", str(paths[1])]) == 0
+    assert cli_main(base + ["--workers", "2", "--out", str(paths[2])]) == 0
     blob = paths[0].read_bytes()
     assert blob == paths[1].read_bytes()
     assert blob == paths[2].read_bytes()

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -374,9 +375,7 @@ class TestGse:
         params = GseParams(4, 1, math.log(2), 1, 1)
         assert params.p_true == pytest.approx(0.4)
         assert params.p_false == pytest.approx(0.2)
-        member = np.zeros(4, dtype=bool)
-        member[2] = True
-        est = gse_estimate(member, params)
+        est = gse_estimate(np.array([[2]]), params)
         assert est[2] == pytest.approx((1 - 0.2) / 0.2)
         assert est[0] == pytest.approx(-0.2 / 0.2)
 
@@ -388,9 +387,21 @@ class TestGse:
             for z in itertools.combinations(range(5), 2)
         ]
         assert np.allclose(probs, 1.0 / len(probs))
-        member = gse_encode_batch(support, params, rng, 4)
+        cells = gse_encode_batch(support, params, rng, 4)
         with pytest.raises(ValueError, match="p_true"):
-            gse_estimate(member, params)
+            gse_estimate(cells, params)
+
+    @pytest.mark.parametrize("cells, match", [
+        (np.array([2, 3]), "cell stack"),  # one report, not an (n, l) stack
+        (np.array([[2, 3, 5]]), "cell stack"),  # three cells where l = 2
+        (np.zeros((4, 8), dtype=bool), "cell stack"),  # an (n, d) membership stack
+        (np.array([[2.0, 3.0]]), "cell stack"),
+        (np.array([[2, 8]]), "range"),
+        (np.array([[-1, 3]]), "range"),
+    ], ids=["one-dimensional", "too-wide", "memberships", "float", "past-the-domain", "negative"])
+    def test_estimate_rejects_a_malformed_cell_stack(self, cells, match):
+        with pytest.raises(ValueError, match=match):
+            gse_estimate(cells, GseParams(8, 2, 1.0, 2))
 
     def test_invalid_shapes_rejected(self):
         with pytest.raises(ValueError):
@@ -422,33 +433,60 @@ class TestGse:
             1.0 / params.omega
         )
 
-    def test_sampler_matches_exact_pmf(self, rng):
+    @pytest.mark.parametrize("d, supports, l", [
+        (6, [[1, 4], [0, 5]], 3),
+        (5, [[2], [0]], 1),
+        (6, [[1, 4], [0, 5]], 5),  # l > d - c: every subset meets the support
+        (7, [[0, 6], [2, 3]], 6),  # l = d - 1
+        (9, [[1, 4, 7], [0, 2, 8]], 6),  # l - i can exceed (d - c) / 2
+        (10, [[3, 8], [0, 1]], 4),  # l - i <= (d - c) / 2: the with-replacement draw
+    ], ids=["d6-c2-l3", "d5-c1-l1", "d6-c2-l5", "d7-c2-l6", "d9-c3-l6", "d10-c2-l4"])
+    def test_sampler_matches_exact_pmf(self, d, supports, l):
         # per-report supports: alternate rows carry different supports, and
-        # each row's subsets must follow the exact pmf of its own support
+        # each row's subsets must follow the exact pmf of its own support;
+        # each shape draws from its own stream, so the shapes' chi-square
+        # checks are independent of one another
         from scipy import stats
 
-        params = GseParams(6, 2, 1.0, 3, 1)
-        supports = np.array([[1, 4], [0, 5]])
-        outputs = list(itertools.combinations(range(6), 3))
-        index = np.zeros(1 << 6, dtype=np.int64)
+        rng = np.random.default_rng([20240817, d, l])
+        supports = np.array(supports)
+        params = GseParams(d, supports.shape[1], 1.0, l, 1)
+        outputs = list(itertools.combinations(range(d), l))
+        index = np.zeros(1 << d, dtype=np.int64)
         for i, z in enumerate(outputs):
             index[sum(1 << v for v in z)] = i
         n = 40_000
-        member = gse_encode_batch(np.tile(supports, (n // 2, 1)), params, rng, n)
-        assert (member.sum(axis=1) == 3).all()
-        codes = index[member.astype(np.int64) @ (1 << np.arange(6))]
+        cells = gse_encode_batch(np.tile(supports, (n // 2, 1)), params, rng, n)
+        assert cells.shape == (n, l) and cells.dtype == np.int64
+        assert (np.diff(np.sort(cells, axis=1), axis=1) > 0).all()
+        codes = index[(1 << cells).sum(axis=1)]
         for row, support in enumerate(supports):
             exact = np.array([gse_subset_probability(z, support, params) for z in outputs])
             counts = np.bincount(codes[row::2], minlength=len(outputs))
             _, pvalue = stats.chisquare(counts, exact * (n // 2))
             assert pvalue > 0.001
 
+    def test_sampler_rates_on_a_large_domain(self, rng):
+        # d = 2000, c = 2, l = 300: too many subsets to enumerate, so every
+        # cell's release count is held to its binomial law instead
+        params = GseParams(2000, 2, 5.0, 300)
+        supports = np.array([[0, 1999], [1000, 1001]])
+        n = 2000
+        cells = gse_encode_batch(np.tile(supports, (n // 2, 1)), params, rng, n)
+        assert cells.shape == (n, 300) and cells.min() >= 0 and cells.max() < 2000
+        assert (np.diff(np.sort(cells, axis=1), axis=1) > 0).all()
+        for row, support in enumerate(supports):
+            counts = np.bincount(cells[row::2].ravel(), minlength=2000)
+            member = np.isin(np.arange(2000), support)
+            for p, observed in ((params.p_true, counts[member]), (params.p_false, counts[~member])):
+                sd = math.sqrt(n // 2 * p * (1 - p))
+                assert np.abs(observed - n // 2 * p).max() <= 5 * sd
+
     def test_monte_carlo_sum_tracks_truth(self, rng):
         params = GseParams(8, 2, 1.2, 3, 1)
         support = np.array([2, 6])
         n = 10_000
-        member = gse_encode_batch(support, params, rng, n)
-        est = gse_estimate(member, params)
+        est = gse_estimate(gse_encode_batch(support, params, rng, n), params)
         truth = np.zeros(8)
         truth[support] = n
         per_report_var = (
@@ -490,6 +528,21 @@ class TestGse:
         assert math.isfinite(params.law.log_omega) and np.isfinite(params.law.pmf).all()
         assert params.law.pmf.sum() == pytest.approx(1.0, abs=1e-12)
         assert 0.0 < params.p_false < params.p_true < 1.0
+
+    @pytest.mark.parametrize("s, k, epsilon", [(10, 1, 0.4), (200, 2, 5.0)], ids=["d100-l2", "d2000-l300"])
+    def test_release_memory_stays_flat(self, rng, s, k, epsilon):
+        # 60,000 one-record supports; the release is chunked to O(rows * l)
+        params = PrivacyParams(epsilon, PrivacyModel.LOCAL, k, 1, s, 10)
+        buckets = (rng.integers(0, s, size=(60_000, 1)) + np.arange(k)) % s
+        supports = np.sort(buckets * 10 + rng.integers(0, 10, size=(60_000, 1)), axis=1)
+        tracemalloc.start()
+        try:
+            estimate = MECHANISMS["gse"].release(supports, params, rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert estimate.shape == (s * 10,)
+        assert peak < 10 * 2 ** 20
 
 
 class TestSeparationConcatenation:
