@@ -12,14 +12,12 @@ squared-distance product: a row is [x, |x|², 1] @ [-2qᵀ; 1; |q|²], whose
 query side is built and checked once per call.  A row's values depend on that
 row and the queries alone, never on the rows sharing the call or on the row's
 memory offset, so a record connects alone as it does inside any record set.
-The aggregate's 2kr sensitivity relies on this.  ``pairwise_distances``
-returns the rooted matrix.  Connection reads row blocks of the squared values
-and roots nothing: it picks on the squares, and a flat compare finds the rare
-row where an unpicked square could round to its last pick's distance, which
-is picked again from ``pairwise_distances`` so that ties follow the rounded
-distance.  Scores root only the cells they take.  A squared norm that
-overflows is rejected before any product; a row whose picks are not all
-finite takes the exact pass too, which rejects a non-finite distance.
+The aggregate's 2kr sensitivity relies on this.  ``squared_distances``
+returns the unrooted matrix and ``pairwise_distances`` its root.  Connection
+orders queries by the squared values themselves, ties toward the smaller
+index, and rejects a row whose picks are not all finite.  Scores root only
+the cells they take.  A squared norm that overflows is rejected before any
+product.
 """
 from __future__ import annotations
 
@@ -78,17 +76,23 @@ def _squared(x: np.ndarray, cols: np.ndarray, rows: np.ndarray, out: np.ndarray)
     return np.matmul(rows[:, None, :], cols, out=out)
 
 
-def pairwise_distances(points: np.ndarray, queries: np.ndarray) -> np.ndarray:
-    """(m, s) Euclidean distance matrix between row vectors of the two arrays:
-    sqrt(max(sq, 0)) of the squared distances every connection reads, one
-    augmented product per row.  Raises ValueError when a row's or query's
-    squared norm overflows."""
+def squared_distances(points: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """(m, s) squared Euclidean distances between row vectors of the two
+    arrays, unrooted: one augmented product per row, the values every
+    connection orders by.  A square may round below 0.  Raises ValueError
+    when a row's or query's squared norm overflows."""
     q = np.asarray(queries, dtype=np.float64)
     if q.ndim != 2:
         raise ValueError("points and queries must be 2-D with a shared dimension")
     x = _points(points, q.shape[1])
     m, s = x.shape[0], q.shape[0]
-    sq = _squared(x, _query_side(q), np.ones((m, x.shape[1] + 2)), np.empty((m, 1, s)))[:, 0]
+    return _squared(x, _query_side(q), np.ones((m, x.shape[1] + 2)), np.empty((m, 1, s)))[:, 0]
+
+
+def pairwise_distances(points: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """(m, s) Euclidean distance matrix between row vectors of the two arrays:
+    sqrt(max(sq, 0)) of ``squared_distances``."""
+    sq = squared_distances(points, queries)
     np.maximum(sq, 0.0, out=sq)
     return np.sqrt(sq, out=sq)
 
@@ -143,8 +147,8 @@ def kmeans(
     """Lloyd iterations from a k-means++ seeding.
 
     Returns (centers, assignment).  Deterministic given the generator state;
-    assignment ties go to the smallest center index.  An emptied cluster is
-    reseeded at the point farthest from its current center.
+    assignment ties in squared distance go to the smallest center index.  An
+    emptied cluster is reseeded at the point farthest from its current center.
     """
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2:
@@ -258,41 +262,15 @@ def _connected_distances(embeddings: np.ndarray, queries: QuerySet, indices: np.
     return np.sqrt(picked, out=picked)
 
 
-def _nearest(dist: np.ndarray, degree: int) -> np.ndarray:
-    """(rows, degree) picks of ``degree`` argmin passes over ``dist``, which
-    they overwrite; raises ValueError on a non-finite pick."""
-    rows = np.arange(len(dist))
-    picks = np.empty((len(dist), degree), dtype=np.int64)
-    for col in range(degree):
-        picks[:, col] = np.argmin(dist, axis=1)
-        if not np.isfinite(dist[rows, picks[:, col]]).all():
-            # an inf or NaN pick means the row has no finite distance
-            # left, and the next pass would pick one query twice
-            raise ValueError("distances overflow: embeddings too large to connect")
-        dist[rows, picks[:, col]] = np.inf
-    return picks
-
-
-# a square above max(last·(1 + 2⁻⁴⁹), 2⁻¹⁰⁷⁰) roots to more than last does: a
-# root's rounding spans a relative 2⁻⁵¹ of its square, and the floor covers
-# last <= 0, where every square <= 0 clamps to distance 0
-_ROOT_MARGIN, _ROOT_FLOOR = 1.0 + 2.0**-49, 2.0**-1070
-
-
 def reverse_knn_connect(embeddings: np.ndarray, queries: QuerySet, k: int) -> ConnectionMap:
     """Connect each record to its min(k, s) nearest queries.
 
-    The picks are those of argmin passes over ``pairwise_distances``: ties in
-    the rounded distance sqrt(max(sq, 0)) resolve toward the smaller query
-    index, so the map is deterministic.  Each record's buckets are taken by
-    min(k, s) argmin passes over its squared distances, which order the
-    queries as the rounded distances do except where two squares round to
-    one distance.  A row where an unpicked query's square could round to its
-    last pick's distance, or whose picks are not all finite, is picked again
-    from ``pairwise_distances`` of that row alone, which raises when the row
-    has no finite distance left.  Distances are taken in row blocks, so
-    memory is O(m·min(k, s)) plus one block; with k >= s every record takes
-    every query and no distance is computed.
+    The picks are min(k, s) argmin passes over the record's row of
+    ``squared_distances``: ties in the squared value go to the smaller query
+    index, so the map is deterministic, and a row whose picks are not all
+    finite raises ValueError.  Distances are taken in row blocks, so memory
+    is O(m·min(k, s)) plus one block; with k >= s every record takes every
+    query and no distance is computed.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -316,11 +294,8 @@ def reverse_knn_connect(embeddings: np.ndarray, queries: QuerySet, k: int) -> Co
             flat[cells] = np.inf
         # a NaN or -inf square is picked first, so finite first and last
         # picks mean every pick is finite
-        finite = np.isfinite(first) & np.isfinite(last)
-        near = block <= np.maximum(last * _ROOT_MARGIN, _ROOT_FLOOR)[:, None]
-        if near.any() or not finite.all():
-            redo = np.flatnonzero(near.any(axis=1) | ~finite)
-            picks[redo] = _nearest(pairwise_distances(embeddings[start + redo], queries.embeddings), degree)
+        if not (np.isfinite(first) & np.isfinite(last)).all():
+            raise ValueError("distances overflow: embeddings too large to connect")
     if degree > 1:
         chosen.sort(axis=1)
     return ConnectionMap(chosen, s=s, k=k)

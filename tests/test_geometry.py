@@ -22,6 +22,7 @@ from privlabel.geometry import (
     select_queries_cluster,
     select_queries_uncertainty,
     similarity_from_distance,
+    squared_distances,
 )
 from conftest import bisector_near_ties, four_point_fixture, random_queries, random_record_set
 
@@ -219,12 +220,15 @@ def _reference_kmeans_plus_plus(points, s, rng):
 
 def _sequential_kmeans(points, s, rng, max_iter=100, tol=1e-6):
     """Lloyd iterations with one boolean mask per cluster and reseeding in
-    cluster order: the reference the vectorized update must reproduce."""
+    cluster order: the reference the vectorized update must reproduce.
+    Assignments take the first minimum of the squared distances; the farthest
+    point is read from the rooted ones, as kmeans reseeds by."""
     n = points.shape[0]
     centers = geometry_mod._kmeans_plus_plus_init(points, s, rng)
     for _ in range(max_iter):
-        dists = pairwise_distances(points, centers)
-        assignment = np.argmin(dists, axis=1)
+        sq = squared_distances(points, centers)
+        assignment = np.argmin(sq, axis=1)
+        dists = np.sqrt(np.maximum(sq, 0.0))
         new_centers = centers.copy()
         for j in range(s):
             members = assignment == j
@@ -238,7 +242,7 @@ def _sequential_kmeans(points, s, rng, max_iter=100, tol=1e-6):
         centers = new_centers
         if shift < tol:
             break
-    return centers, np.argmin(pairwise_distances(points, centers), axis=1)
+    return centers, np.argmin(squared_distances(points, centers), axis=1)
 
 
 class TestUncertaintySelection:
@@ -304,23 +308,31 @@ class TestReverseKnn:
             reverse_knn_connect(np.array([[0.0, 0.0], [1.2e154, 0.0]]), queries, k=1)
 
     @pytest.mark.parametrize("dim", [2, 3])
-    def test_overflowing_cell_among_finite_ones_follows_the_distances(self, dim):
+    def test_overflowing_cell_among_finite_ones_rejected(self, dim):
         # the norms are finite but the record's product with query 0 is not:
-        # as the product sums its terms the square is -inf, which clamps to
-        # distance 0, or NaN, which no pass may pick past (query 2 stays finite)
+        # as the product sums its terms the square is -inf or NaN, which the
+        # first pass picks, although query 2 stays finite
         x = np.zeros((1, dim))
         x[0, 0] = 1.3e154
         q = np.zeros((3, dim))
         q[0, 0], q[1, 1], q[2, 0] = 1.3e154, 1.3e154, 1.0
         with np.errstate(over="ignore", invalid="ignore"):
-            nan = np.isnan(pairwise_distances(x, q)).any()
             for k in (1, 2):
-                if nan:
-                    with pytest.raises(ValueError, match="overflow"):
-                        reverse_knn_connect(x, QuerySet(q), k)
-                else:
-                    expected = _reference_connect(x, QuerySet(q), k)
-                    assert reverse_knn_connect(x, QuerySet(q), k).indices.tobytes() == expected.tobytes()
+                with pytest.raises(ValueError, match="overflow"):
+                    reverse_knn_connect(x, QuerySet(q), k)
+
+    def test_infinite_square_rejected_only_when_picked(self):
+        # the cross terms with queries 0 and 3 overflow upward, so their
+        # squares are +inf: passes that stop at the finite queries connect,
+        # and a pass that reaches an inf square raises
+        x = np.array([[1.3e154, 0.0]])
+        queries = QuerySet(np.array([[-1.3e154, 0.0], [1.0, 0.0], [2.0, 0.0], [-1.2e154, 0.0]]))
+        with np.errstate(over="ignore"):
+            assert np.isposinf(squared_distances(x, queries.embeddings)[0, [0, 3]]).all()
+            assert reverse_knn_connect(x, queries, 1).indices.tolist() == [[1]]
+            assert reverse_knn_connect(x, queries, 2).indices.tolist() == [[1, 2]]
+            with pytest.raises(ValueError, match="overflow"):
+                reverse_knn_connect(x, queries, 3)
 
     def test_k_below_one_rejected(self):
         records, queries = four_point_fixture()
@@ -338,9 +350,8 @@ class TestReverseKnn:
 
 
 def _reference_connect(emb, queries, k):
-    """Full-sort connect: the whole (m, s) matrix, stable-argsorted per row."""
-    dists = pairwise_distances(emb, queries.embeddings)
-    order = np.argsort(dists, axis=1, kind="stable")
+    """Full-sort connect: the whole (m, s) squared matrix, stable-argsorted per row."""
+    order = np.argsort(squared_distances(emb, queries.embeddings), axis=1, kind="stable")
     return np.sort(order[:, : min(k, queries.s)], axis=1)
 
 
@@ -351,6 +362,18 @@ def _reference_scores(emb, queries, indices):
     for col in range(indices.shape[1]):
         np.add.at(scores, indices[:, col], sims[np.arange(len(indices)), indices[:, col]])
     return scores
+
+
+def _clamped_instance(seed, scale):
+    """Records and queries on exact and last-bit duplicates of three random
+    points, plus noisy copies and four free records, all times ``scale``."""
+    gen = np.random.default_rng(seed)
+    dim = int(gen.integers(2, 9))
+    base = gen.normal(size=(3, dim))
+    pool = np.vstack([base, base[:2], np.nextafter(base[:1], np.inf), base[2:] * (1 + 2.0**-52)])
+    pool = pool[gen.permutation(len(pool))]
+    emb = np.vstack([pool, pool + gen.normal(scale=1e-9, size=pool.shape), gen.normal(size=(4, dim))]) * scale
+    return emb, QuerySet(pool * scale)
 
 
 @st.composite
@@ -398,9 +421,9 @@ class TestBlockedConnect:
         assert maps == [_reference_connect(emb, queries, 3).tobytes()] * len(maps)
         assert len(set(scores)) == 1
 
-    def test_near_ties_follow_the_rounded_distance(self):
-        # the picks read squared distances; where two squares round to one
-        # distance they must tie toward the smaller index, as the distances do
+    def test_near_ties_follow_the_squared_distance(self):
+        # records on the bisector of two queries: their squares tie up to the
+        # last bit, and an exact tie goes to the smaller index
         for seed in range(300):
             records, queries = bisector_near_ties(seed)
             for k in (1, 2):
@@ -408,24 +431,32 @@ class TestBlockedConnect:
                 assert reverse_knn_connect(records.embeddings, queries, k).indices.tobytes() == expected.tobytes(), (seed, k)
 
     @pytest.mark.parametrize("scale", [1.0, 1e-155])
-    def test_clamped_and_subnormal_squares_follow_the_rounded_distance(self, scale):
+    def test_clamped_and_subnormal_squares_follow_the_squared_distance(self, scale):
         # records on exact and last-bit duplicates of the queries have squares
-        # at or below 0, which clamp to a tie at distance 0; at scale 1e-155
-        # the squares are subnormal
+        # at or below 0, which all root to distance 0 but order by the square;
+        # at scale 1e-155 the squares are subnormal
         for seed in range(100):
-            gen = np.random.default_rng(seed)
-            dim = int(gen.integers(2, 9))
-            base = gen.normal(size=(3, dim))
-            pool = np.vstack([base, base[:2], np.nextafter(base[:1], np.inf), base[2:] * (1 + 2.0**-52)])
-            pool = pool[gen.permutation(len(pool))]
-            emb = np.vstack([pool, pool + gen.normal(scale=1e-9, size=pool.shape), gen.normal(size=(4, dim))]) * scale
-            queries = QuerySet(pool * scale)
+            emb, queries = _clamped_instance(seed, scale)
             for k in (1, 2, queries.s - 1):
                 expected = _reference_connect(emb, queries, k)
                 conn = reverse_knn_connect(emb, queries, k)
                 assert conn.indices.tobytes() == expected.tobytes(), (seed, k)
                 scores = connection_scores(emb, queries, conn)
                 assert scores.tobytes() == _reference_scores(emb, queries, expected).tobytes(), (seed, k)
+
+    def test_connect_builds_no_dense_matrix(self, monkeypatch):
+        # the bisector and clamped datasets are where a tie fallback through
+        # the whole distance matrix would fire
+        def dense(*args):
+            raise AssertionError("reverse_knn_connect built the dense matrix")
+
+        cases = [(r.embeddings, q) for r, q in map(bisector_near_ties, range(300))]
+        cases += [_clamped_instance(seed, scale) for seed in range(100) for scale in (1.0, 1e-155)]
+        monkeypatch.setattr(geometry_mod, "pairwise_distances", dense)
+        monkeypatch.setattr(geometry_mod, "squared_distances", dense)
+        for emb, queries in cases:
+            for k in (1, 2):
+                assert reverse_knn_connect(emb, queries, k).m == len(emb)
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_memory_stays_within_a_few_blocks_on_the_bench_record_shape(self, k):
