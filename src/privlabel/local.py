@@ -53,21 +53,13 @@ def _mix64(x: np.ndarray) -> np.ndarray:
         return x ^ (x >> _U64(31))
 
 
-def bucket_hash(hash_seed: int | np.ndarray, values: np.ndarray, filter_length: int) -> np.ndarray:
-    """Hash domain indices into [0, filter_length) under the given seed(s).
-
-    Broadcasts: a scalar seed with a vector of values, or a seed column with a
-    value row, yielding a (n_seeds, n_values) matrix.  Seeds and values are
-    mixed separately (cheap, pre-broadcast); the broadcast matrix is then
-    written once and every later pass runs in place on it and one scratch
-    array, since fresh matrices cost more memory traffic than the arithmetic.
-    """
-    seeds = _mix64(np.asarray(hash_seed, dtype=_U64))
-    vals = _mix64(np.asarray(values, dtype=_U64) + _U64(1))
-    l = _U64(filter_length)
-    x = np.empty(np.broadcast_shapes(seeds.shape, vals.shape), dtype=_U64)
-    scratch = np.empty_like(x)
-    np.bitwise_xor(seeds, vals, out=x)
+def _hash_mixed(
+    mixed_seeds: np.ndarray, mixed_vals: np.ndarray, l: np.uint64, x: np.ndarray, scratch: np.ndarray
+) -> np.ndarray:
+    """The passes of ``bucket_hash`` after mixing, run in place on ``x`` and
+    ``scratch`` (uint64, the broadcast shape of the mixed seeds and values);
+    returns ``x`` viewed as int64."""
+    np.bitwise_xor(mixed_seeds, mixed_vals, out=x)
     x *= _U64(0xD6E8FEB86659FD93)
     np.right_shift(x, _U64(29), out=scratch)
     x ^= scratch
@@ -76,6 +68,23 @@ def bucket_hash(hash_seed: int | np.ndarray, values: np.ndarray, filter_length: 
     scratch *= l
     x -= scratch
     return x.view(np.int64)  # every value is below l < 2**63
+
+
+def bucket_hash(hash_seed: int | np.ndarray, values: np.ndarray, filter_length: int) -> np.ndarray:
+    """Hash domain indices into [0, filter_length) under the given seed(s).
+
+    Broadcasts: a scalar seed with a vector of values, or a seed column with a
+    value row, yielding a (n_seeds, n_values) matrix.  Seeds and values are
+    mixed separately (cheap, pre-broadcast); ``_hash_mixed`` then writes the
+    broadcast matrix once and runs every later pass in place on it and one
+    scratch array, since fresh matrices cost more memory traffic than the
+    arithmetic.  The collision hit kernel calls ``_hash_mixed`` directly, with
+    the values mixed once per call and its buffers reused across blocks.
+    """
+    seeds = _mix64(np.asarray(hash_seed, dtype=_U64))
+    vals = _mix64(np.asarray(values, dtype=_U64) + _U64(1))
+    x = np.empty(np.broadcast_shapes(seeds.shape, vals.shape), dtype=_U64)
+    return _hash_mixed(seeds, vals, _U64(filter_length), x, np.empty_like(x))
 
 
 # ---------------------------------------------------------------------------
@@ -265,24 +274,40 @@ def collision_encode_batch(
     return seeds, cells
 
 
-_COLLISION_CHUNK_CELLS = 1 << 17  # (report, coordinate) hash cells per hit block: 1 MiB of uint64
+# (report, coordinate) hash cells per hit block.  The block's uint64 hash and
+# scratch buffers and its bool hit buffer total 17 bytes a cell, about 1.06 MiB,
+# so a block stays inside a 2 MiB per-core L2 cache.
+_COLLISION_CHUNK_CELLS = 1 << 16
 
 
 def _hit_blocks(seeds: np.ndarray, cells: np.ndarray, params: CollisionParams):
     """Yield (first report, block) for consecutive boolean blocks
     1[H_i(v) = z_i] over the whole domain, at most ``_COLLISION_CHUNK_CELLS``
-    cells each; every collision estimate is a reduction of these blocks."""
+    cells each (one report's row if the domain is wider); every collision
+    estimate is a reduction of these blocks.
+
+    The coordinates are mixed once per call and each block's seeds inside the
+    block, so memory stays O(block).  The hash, scratch and hit buffers are
+    allocated once per call and reused: each block is a view that the next
+    block overwrites, so reduce it before pulling the next one.
+    """
     if params.estimator_denominator <= 0:
         raise ValueError("mis-sized filter: e^eps/Omega must exceed 1/l for estimation")
     seeds = np.asarray(seeds, dtype=np.uint64)
     cells = np.asarray(cells, dtype=np.int64)
-    coords = np.arange(params.domain_size, dtype=np.int64)
-    rows = max(1, _COLLISION_CHUNK_CELLS // params.domain_size)
+    d = params.domain_size
+    l = _U64(params.filter_length)
+    mixed_coords = _mix64(np.arange(1, d + 1, dtype=_U64))  # bucket_hash mixes value + 1
+    rows = max(1, min(seeds.size, _COLLISION_CHUNK_CELLS // d))
+    x, scratch = np.empty((2, rows, d), dtype=_U64)
+    hit = np.empty((rows, d), dtype=bool)
 
     def blocks():
         for start in range(0, seeds.size, rows):
-            hashed = bucket_hash(seeds[start : start + rows, None], coords, params.filter_length)
-            yield start, hashed == cells[start : start + rows, None]
+            mixed_seeds = _mix64(seeds[start : start + rows, None])
+            n = len(mixed_seeds)
+            hashed = _hash_mixed(mixed_seeds, mixed_coords, l, x[:n], scratch[:n])
+            yield start, np.equal(hashed, cells[start : start + rows, None], out=hit[:n])
 
     return blocks()
 
@@ -813,7 +838,7 @@ def _check_support(support: np.ndarray, params, n_reports: int | None = None) ->
         raise ValueError(
             f"support has {support.shape[-1]} distinct indices, expected {params.support_size}"
         )
-    if support.min() < 0 or support.max() >= params.domain_size:
+    if support.size and (support.min() < 0 or support.max() >= params.domain_size):
         raise ValueError("support index out of domain range")
     if support.ndim == 2:
         if support.shape[0] != n_reports:

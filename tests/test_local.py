@@ -273,13 +273,19 @@ class TestCollisionEstimation:
         sd = np.sqrt(np.where(truth > 0, m2_one - 1.0, m2_zero))
         assert (np.abs(est / n - truth) <= 4 * sd / math.sqrt(n)).all()
 
-    @pytest.mark.parametrize("d, c, n", [(8, 2, 500), (10_000, 4, 40), (None, 2, 5)])
-    def test_chunking_leaves_estimates_byte_identical(self, d, c, n, rng, monkeypatch):
+    @pytest.mark.parametrize(
+        "d, c, n, l",
+        [(8, 2, 500, None), (10_000, 4, 40, None), (None, 2, 5, None), (8, 2, 0, None), (8, 2, 1, None),
+         (100, 2, 30, TestBucketHash.LENGTHS[3])],
+        ids=["8-2-500", "10000-4-40", "None-2-5", "8-2-0", "8-2-1", "100-2-30-l2147483659"],
+    )
+    def test_chunking_leaves_estimates_byte_identical(self, d, c, n, l, rng, monkeypatch):
         import privlabel.local as local_mod
 
         default = local_mod._COLLISION_CHUNK_CELLS
         d = d or default + 3  # a domain wider than one block: one report per block
-        params = CollisionParams.for_budget(d, c, 1.0)
+        # the default filter length, or a given one past 2**31
+        params = CollisionParams(d, c, 1.0, l) if l else CollisionParams.for_budget(d, c, 1.0)
         supports = np.sort(np.argsort(rng.random((n, d)), axis=1)[:, :c], axis=1)
         seeds, cells = collision_encode_batch(supports, params, rng, n)
         columns = (slice(None), np.array([2, 5]), slice(3, 6))
@@ -295,6 +301,47 @@ class TestCollisionEstimation:
             assert np.array_equal(collision_hit_counts(seeds, cells, params, columns), expected_counts)
             assert collision_report_estimates(seeds, cells, params).tobytes() == expected_rows.tobytes()
             assert collision_indicator_estimates(seeds, cells, params).tobytes() == expected_sums.tobytes()
+
+    def test_coordinates_are_mixed_once_per_call(self, rng, monkeypatch):
+        import privlabel.local as local_mod
+
+        d, n = 10_000, 200
+        params = CollisionParams.for_budget(d, 4, 1.0)
+        seeds, cells = collision_encode_batch(np.arange(4), params, rng, n)
+        expected = collision_hit_counts(seeds, cells, params, (slice(None),))
+        mix64, mixed_sizes = local_mod._mix64, []
+
+        def counting_mix64(x):
+            mixed_sizes.append(np.size(x))
+            return mix64(x)
+
+        monkeypatch.setattr(local_mod, "_mix64", counting_mix64)
+        assert np.array_equal(collision_hit_counts(seeds, cells, params, (slice(None),)), expected)
+        # the d coordinates once, then each block's seeds inside that block
+        rows = local_mod._COLLISION_CHUNK_CELLS // d
+        assert n // rows > 10
+        assert mixed_sizes == [d] + [min(rows, n - start) for start in range(0, n, rows)]
+
+    @pytest.mark.parametrize("release, d, n", [("hit_counts", 10_000, 2_000), ("indicators", 100, 60_000)])
+    def test_hit_kernel_memory_stays_flat(self, release, d, n, rng):
+        # the kernel holds O(block) memory however many reports there are
+        params = CollisionParams.for_budget(d, 2, 1.0)
+        seeds, cells = collision_encode_batch(np.arange(2), params, rng, n)
+        columns = (slice(None), np.array([0, 1]))
+        extra = {}
+        for m in (n // 10, n):
+            tracemalloc.start()
+            try:
+                if release == "hit_counts":
+                    out = collision_hit_counts(seeds[:m], cells[:m], params, columns)
+                else:
+                    out = collision_indicator_estimates(seeds[:m], cells[:m], params)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2 * 2 ** 20
+            extra[m] = peak - out.nbytes
+        assert extra[n] <= extra[n // 10] + 4096
 
     def test_estimation_rejects_zero_budget(self):
         params = CollisionParams(8, 1, 0.0, 3)
