@@ -18,6 +18,13 @@ orders queries by the squared values themselves, ties toward the smaller
 index, and rejects a row whose picks are not all finite.  Scores root only
 the cells they take.  A squared norm that overflows is rejected before any
 product.
+
+Lloyd's assignment relies on the same row independence: Hamerly bounds on
+each pool row's distances skip a row whose nearest center provably repeats,
+with a margin that covers the kernel's rounding of one square, and the other
+rows go through the kernel as a gathered subset, which gives each of them the
+bytes of a full pass.  Centers and assignments are those of a full connect
+per iteration.
 """
 from __future__ import annotations
 
@@ -36,6 +43,7 @@ class ConnectionObjective(enum.Enum):
 
 
 _OVERFLOW = "distances overflow: coordinates too large to square"
+_UNCONNECTABLE = "distances overflow: embeddings too large to connect"
 
 
 def _points(points: np.ndarray, dim: int) -> np.ndarray:
@@ -137,6 +145,105 @@ def _kmeans_plus_plus_init(points: np.ndarray, s: int, rng: np.random.Generator)
     return centers
 
 
+class _LloydBounds:
+    """Hamerly bounds that let Lloyd's assignment skip the rows whose nearest
+    center provably repeats.
+
+    Each row keeps an upper bound ``upper`` on its exact distance to its
+    assigned center and a lower bound ``lower`` on its exact distance to
+    every other center.  A move of the centers adds the assigned center's
+    shift to ``upper`` and takes the largest other shift from ``lower``; a
+    center whose bytes are unchanged shifts by exactly 0.  Every update is
+    rounded outward by the factor ``1 ± grow``, so the bounds hold in exact
+    arithmetic.  The full argument is in ``kmeans``."""
+
+    def __init__(self, points: np.ndarray):
+        n, dim = points.shape
+        self.points = points
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.norms = np.sqrt(np.sum(points * points, axis=1))
+        self.gamma = 4 * (dim + 3) * 2.0**-53
+        self.grow = 2 * (dim + 8) * 2.0**-53
+        self.assignment = np.zeros(n, dtype=np.int64)
+        self.upper, self.lower, self.margin = np.empty(n), np.empty(n), np.empty(n)
+        self.valid = False
+
+    def reset(self) -> None:
+        """Forget the bounds: the next ``assign`` is a full pass."""
+        self.valid = False
+
+    def move(self, step: np.ndarray) -> None:
+        """Loosen the bounds by the centers' displacement ``step`` (s, dim)."""
+        if not self.valid:
+            return
+        grow = self.grow
+        with np.errstate(over="ignore", invalid="ignore"):
+            # 2⁻⁵⁰⁰ covers a shift whose squares underflow to a norm of 0
+            shift = np.linalg.norm(step, axis=1) * (1 + grow) + 2.0**-500 * step.any(axis=1)
+            top = int(np.argmax(shift))
+            others = np.full(len(shift), shift[top])
+            others[top] = np.partition(shift, -2)[-2]
+            upper, lower = self.upper, self.lower
+            upper += shift[self.assignment]
+            upper *= 1 + grow
+            lower -= others[self.assignment]
+            np.maximum(lower, 0.0, out=lower)
+            lower *= 1 - grow
+
+    def _separated(self, rows) -> np.ndarray:
+        """Whether lower² − upper² exceeds twice the margin, per row."""
+        lower, upper = self.lower[rows], self.upper[rows]
+        return (lower - upper) * (lower + upper) > 2 * self.margin[rows]
+
+    def assign(self, queries: QuerySet) -> np.ndarray:
+        """Each row's first nearest center by squared distance, as a full
+        pass of the distance kernel gives it, with the bounds refreshed."""
+        centers = queries.embeddings
+        s = centers.shape[0]
+        if s == 1:
+            # as connect with k >= s: no distance is computed
+            return self.assignment
+        cols = _query_side(centers)
+        points, assignment, upper, lower = self.points, self.assignment, self.upper, self.lower
+        grow = self.grow
+        with np.errstate(over="ignore", invalid="ignore"):
+            # γ·(|x| + max|c|)², squared as (2(|x| + max|c|))²·γ/4 so that a
+            # finite margin leaves every partial sum of a square 4x headroom
+            spread = 2.0 * (self.norms + np.sqrt(cols[-1].max()))
+            self.margin = np.square(spread, out=spread) * (self.gamma / 4) + 2.0**-1000
+            if self.valid:
+                rows = np.flatnonzero(~self._separated(slice(None)))
+                # tighten upper by the direct difference, then test again
+                gap = points[rows]
+                gap -= centers[assignment[rows]]
+                gap *= gap
+                upper[rows] = np.sqrt(gap.sum(axis=1) + 2.0**-1000) * (1 + grow)
+                rows = rows[~self._separated(rows)]
+                subset = points[rows]
+            else:
+                rows, subset = None, points
+        picks = np.empty(len(subset), dtype=np.int64)
+        first, second = np.empty(len(subset)), np.empty(len(subset))
+        for start, block in _squared_blocks(subset, cols):
+            at = slice(start, start + len(block))
+            flat, offsets = block.reshape(-1), np.arange(0, block.size, s)
+            cells = offsets + np.argmin(block, axis=1, out=picks[at])
+            first[at] = flat[cells]
+            if not np.isfinite(first[at]).all():
+                raise ValueError(_UNCONNECTABLE)
+            flat[cells] = np.inf
+            # a second argmin pass reads the runner-up faster than a min pass
+            second[at] = flat[offsets + np.argmin(block, axis=1)]
+        at = slice(None) if rows is None else rows
+        assignment[at] = picks
+        margin = self.margin[at]
+        with np.errstate(over="ignore", invalid="ignore"):
+            upper[at] = np.sqrt(first + margin) * (1 + grow)
+            lower[at] = np.sqrt(np.maximum(second - margin, 0.0)) * (1 - grow)
+        self.valid = True
+        return assignment
+
+
 def kmeans(
     points: np.ndarray,
     s: int,
@@ -149,6 +256,36 @@ def kmeans(
     Returns (centers, assignment).  Deterministic given the generator state;
     assignment ties in squared distance go to the smallest center index.  An
     emptied cluster is reseeded at the point farthest from its current center.
+
+    Each assignment is the first argmin of every row's ``squared_distances``
+    to the centers, but only the rows whose argmin could change go through
+    the kernel.  Each row keeps Hamerly bounds (``_LloydBounds``): ``upper``
+    at least its exact distance d_a to its assigned center, ``lower`` at
+    most its exact distance d_j to every other center.
+
+    Skip rule.  A row x keeps its assignment without a pass when
+    lower² − upper² > 2·margin, with margin = γ·(|x| + max|c|)² + 2⁻¹⁰⁰⁰ and
+    γ = 4·(dim + 3)·2⁻⁵³.  The kernel's square sums dim + 2 products, one of
+    them |x|², itself a sum of dim squares, so in any summation order it lies
+    within (γ_dim + γ_(dim+2)·(1 + γ_dim))·(|x| + |c|)² ≈ 2·(dim + 1)·2⁻⁵³·
+    (|x| + |c|)² of the exact square, where γ_k = k·2⁻⁵³ / (1 − k·2⁻⁵³); the
+    2⁻¹⁰⁰⁰ covers products that underflow.  The computed square to the
+    assigned center is then below upper² + margin, every other one above
+    lower² − margin, and the full pass's argmin is the assigned center.  The
+    remaining factor of about 2 in γ absorbs the rounding of the margin, the
+    norms and the test itself.
+
+    Why a skipped row repeats and the rest match.  A row that fails the test
+    first tightens ``upper`` to its direct difference; if it still fails, it
+    goes through the kernel in a gathered subset, where row independence
+    gives it the bytes of a full pass.  That pass reads its first and second
+    squares and sets upper = √(first + margin), lower = √(second − margin).
+    A non-finite margin or bound fails the test, and a finite margin keeps
+    every partial sum of a square far from overflow, so a skipped row's
+    square is finite and the overflow checks of a full pass raise on the
+    same inputs.  A reseed invalidates every bound and makes the next pass
+    full.  Centers and assignments are those of a full connect per
+    iteration, byte for byte.
     """
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2:
@@ -157,9 +294,10 @@ def kmeans(
     if not 1 <= s <= n:
         raise ValueError(f"cluster count s={s} must lie in [1, {n}]")
     centers = _kmeans_plus_plus_init(points, s, rng)
+    queries = QuerySet(centers)
+    bounds = _LloydBounds(points)
+    assignment = bounds.assign(queries)
     for _ in range(max_iter):
-        queries = QuerySet(centers)
-        assignment = reverse_knn_connect(points, queries, 1).indices[:, 0]
         counts = np.bincount(assignment, minlength=s)
         # bincount sums rows in index order from 0.0, as an axis-0 mean does,
         # so each mean equals points[assignment == j].mean(axis=0) bytewise
@@ -168,11 +306,12 @@ def kmeans(
         filled = counts > 0
         new_centers[filled] = sums[filled] / counts[filled, None]
         if filled.all() and new_centers.tobytes() == centers.tobytes():
-            # a connect to these centers would repeat this assignment
+            # an assignment to these centers would repeat this one
             return centers, assignment
         empty = np.flatnonzero(~filled)
         if empty.size:
             assigned = _connected_distances(points, queries, assignment[:, None])[:, 0]
+            bounds.reset()
         while empty.size:
             # reseed in index order; a donor with a larger index takes its
             # mean without the moved point, and may empty in turn
@@ -188,11 +327,15 @@ def kmeans(
             if donor > j and counts[donor]:
                 new_centers[donor] = points[assignment == donor].mean(axis=0)
             empty = j + 1 + np.flatnonzero(counts[j + 1 :] == 0)
-        shift = np.linalg.norm(new_centers - centers, axis=1).max()
+        step = new_centers - centers
+        shift = np.linalg.norm(step, axis=1).max()
+        bounds.move(step)
         centers = new_centers
+        queries = QuerySet(centers)
+        assignment = bounds.assign(queries)
         if shift < tol:
             break
-    return centers, reverse_knn_connect(points, QuerySet(centers), 1).indices[:, 0]
+    return centers, assignment
 
 
 def select_queries_cluster(
@@ -295,7 +438,7 @@ def reverse_knn_connect(embeddings: np.ndarray, queries: QuerySet, k: int) -> Co
         # a NaN or -inf square is picked first, so finite first and last
         # picks mean every pick is finite
         if not (np.isfinite(first) & np.isfinite(last)).all():
-            raise ValueError("distances overflow: embeddings too large to connect")
+            raise ValueError(_UNCONNECTABLE)
     if degree > 1:
         chosen.sort(axis=1)
     return ConnectionMap(chosen, s=s, k=k)

@@ -1,3 +1,4 @@
+import contextlib
 import tracemalloc
 from unittest import mock
 
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 import privlabel.geometry as geometry_mod
 from privlabel.core import ConnectionMap, QuerySet, RecordSet, record_votes, vote_counts
+from privlabel.data import SyntheticSpec, generate_synthetic
 from privlabel.geometry import (
     ConnectionObjective,
     brute_force_best_connection,
@@ -157,14 +159,15 @@ class TestQuerySelection:
         # it, and at the fixed point (0, 0) is 1 from centers 1 and 2
         points = np.array([[4, 0], [4, 0], [-2, 0], [0, 0], [1, 0], [1, 0], [1, 0]], dtype=np.float64)
         seeded = np.array([[1000, 1000], [-1, 0], [1, 0]], dtype=np.float64)
-        connected = []
+        evaluated = []
+        assign = geometry_mod._LloydBounds.assign
 
-        def spy(points, queries, k):
-            connected.append(queries.embeddings.tobytes())
-            return reverse_knn_connect(points, queries, k)
+        def spy(bounds, queries):
+            evaluated.append(queries.embeddings.tobytes())
+            return assign(bounds, queries)
 
         with mock.patch.object(geometry_mod, "_kmeans_plus_plus_init", return_value=seeded), mock.patch.object(
-            geometry_mod, "reverse_knn_connect", side_effect=spy
+            geometry_mod._LloydBounds, "assign", autospec=True, side_effect=spy
         ), mock.patch.object(geometry_mod, "_connected_distances", wraps=geometry_mod._connected_distances) as emptied:
             centers, assignment = kmeans(points, 3, np.random.default_rng(0))
         assert emptied.called
@@ -172,9 +175,9 @@ class TestQuerySelection:
         dists = pairwise_distances(points, centers)
         assert dists[3, 1] == dists[3, 2]
         assert assignment.tolist() == np.argmin(dists, axis=1).tolist() == [0, 0, 1, 1, 2, 2, 2]
-        # one connect per iteration, the last to the returned centers, and no repeat
-        assert connected[-1] == centers.tobytes()
-        assert len(set(connected)) == len(connected) == 3
+        # no center set is evaluated twice, and the last one evaluated is returned
+        assert len(set(evaluated)) == len(evaluated)
+        assert evaluated[-1] == centers.tobytes()
 
     @given(st.integers(0, 2**32 - 1), st.integers(1, 300), st.integers(1, 7))
     @settings(max_examples=100, deadline=None)
@@ -202,6 +205,128 @@ class TestQuerySelection:
         ref_centers, ref_assignment = _sequential_kmeans(points, s, np.random.default_rng(seed))
         assert centers.tobytes() == ref_centers.tobytes()
         assert assignment.tobytes() == ref_assignment.tobytes()
+
+    @pytest.mark.parametrize("case", range(64))
+    def test_lloyd_matches_sequential_loop_on_hard_pools(self, case):
+        # pools offset by 1e4 or 1e8, where the expansion cancels and the
+        # skip margin must scale with |x| + |c|; bisector near ties, seeded at
+        # the two tied queries or by k-means++; repeated points that force
+        # reseeds; and s = 1 and s = n
+        gen = np.random.default_rng(case)
+        kind = case % 4
+        if kind == 0:
+            offset = 1e4 if case % 8 == 0 else 1e8
+            # dim >= 2: the reference's 1-D means sum pairwise (see above)
+            points = gen.normal(size=(int(gen.integers(2, 80)), int(gen.integers(2, 9)))) + offset
+            s = int(gen.integers(1, min(len(points), 12) + 1))
+        elif kind == 1:
+            records, queries = bisector_near_ties(case)
+            points = np.vstack([records.embeddings, queries.embeddings])
+            s = queries.s
+        elif kind == 2:
+            points, s = _repeated_pool(gen)
+        else:
+            points = gen.normal(size=(int(gen.integers(1, 40)), 2)) * 10.0**gen.integers(-3, 4)
+            s = 1 if case % 8 == 3 else len(points)
+        seeds = [None]
+        if kind == 1:
+            seeds.append(queries.embeddings)
+        for seeded in seeds:
+            patch = mock.patch.object(geometry_mod, "_kmeans_plus_plus_init", return_value=seeded)
+            with patch if seeded is not None else contextlib.nullcontext():
+                centers, assignment = kmeans(points, s, np.random.default_rng(case))
+                ref_centers, ref_assignment = _sequential_kmeans(points, s, np.random.default_rng(case))
+            assert centers.tobytes() == ref_centers.tobytes()
+            assert assignment.tobytes() == ref_assignment.tobytes()
+
+    def test_repeated_points_reseed(self):
+        # the repeated-point pools above do reseed
+        for case in range(2, 64, 4):
+            points, s = _repeated_pool(np.random.default_rng(case))
+            with mock.patch.object(geometry_mod, "_connected_distances", wraps=geometry_mod._connected_distances) as emptied:
+                kmeans(points, s, np.random.default_rng(case))
+            assert emptied.called, case
+
+    @pytest.mark.parametrize("s", [10, 200])
+    def test_lloyd_matches_sequential_loop_on_the_bench_pool(self, s):
+        pool = _bench_pool(3)
+        centers, assignment = kmeans(pool, s, np.random.default_rng(s))
+        ref_centers, ref_assignment = _sequential_kmeans(pool, s, np.random.default_rng(s))
+        assert centers.tobytes() == ref_centers.tobytes()
+        assert assignment.tobytes() == ref_assignment.tobytes()
+
+    def test_lloyd_skips_most_rows_on_the_bench_pool(self):
+        # a full pass per center set sends (iterations + 1)·n rows through
+        # the kernel; the bounds leave about a tenth of them at s = 10
+        pool = _bench_pool(1)
+        rows, evaluated = _count_kernel_rows(lambda: kmeans(pool, 10, np.random.default_rng(0)))
+        assert evaluated > 10
+        assert rows <= 0.35 * evaluated * len(pool)
+
+    def test_overflowing_margin_falls_back_to_full_passes(self):
+        # |x|² and every square stay finite, but (|x| + max|c|)² does not:
+        # no row may be skipped, and the result is the full-pass one
+        gen = np.random.default_rng(9)
+        points = gen.normal(scale=1e150, size=(60, 2)) + 0.5e154
+        with np.errstate(over="ignore"):
+            assert np.isfinite(squared_distances(points, points)).all()
+            assert not np.isfinite((2 * np.linalg.norm(points, axis=1)) ** 2).any()
+        rows, evaluated = _count_kernel_rows(lambda: kmeans(points, 4, np.random.default_rng(2)))
+        assert evaluated > 1
+        assert rows == evaluated * len(points)
+        centers, assignment = kmeans(points, 4, np.random.default_rng(2))
+        ref_centers, ref_assignment = _sequential_kmeans(points, 4, np.random.default_rng(2))
+        assert centers.tobytes() == ref_centers.tobytes()
+        assert assignment.tobytes() == ref_assignment.tobytes()
+
+    @pytest.mark.parametrize(
+        "points, s, message",
+        [
+            ([[0.0, 0.0], [1e200, 0.0]], 2, "k-means[+][+] weights overflow"),
+            ([[1e160, 0.0], [1e160, 1.0]], 2, "coordinates too large to square"),
+            # one cluster computes no distance, but its mean overflows
+            ([[1e308, 0.0], [1e308, 0.0]], 1, "query embeddings must be finite"),
+            ([[0.0], [1.0]], 0, "must lie in"),
+            ([[0.0], [1.0]], 3, "must lie in"),
+        ],
+    )
+    def test_kmeans_errors(self, points, s, message):
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match=message):
+            kmeans(np.asarray(points), s, np.random.default_rng(0))
+
+
+def _repeated_pool(gen):
+    """(points, s): 10-59 copies of 2-5 distinct points and at least as many
+    clusters as distinct points, so k-means++ repeats centers."""
+    distinct = gen.normal(size=(int(gen.integers(2, 6)), 3)).round(1)
+    points = distinct[gen.integers(0, len(distinct), size=int(gen.integers(10, 60)))]
+    return points, int(gen.integers(len(distinct), len(points) + 1))
+
+
+def _bench_pool(seed):
+    """The public pool of the benchmark world: 5,000 rows of dim 8."""
+    spec = SyntheticSpec(classes=10, per_class=6000, dim=8, separation=12.0, std=1.0, pub_per_class=500)
+    return generate_synthetic(spec, seed)[1].embeddings
+
+
+def _count_kernel_rows(run):
+    """(rows sent through the distance kernel, center sets assigned to) by ``run()``."""
+    rows, evaluated = [0], []
+    squared, assign = geometry_mod._squared, geometry_mod._LloydBounds.assign
+
+    def count_rows(x, *args):
+        rows[0] += len(x)
+        return squared(x, *args)
+
+    def count_sets(bounds, queries):
+        evaluated.append(queries.s)
+        return assign(bounds, queries)
+
+    with mock.patch.object(geometry_mod, "_squared", side_effect=count_rows), mock.patch.object(
+        geometry_mod._LloydBounds, "assign", autospec=True, side_effect=count_sets
+    ):
+        run()
+    return rows[0], len(evaluated)
 
 
 def _reference_kmeans_plus_plus(points, s, rng):
