@@ -23,9 +23,7 @@ def main() -> int:
     grid = np.arange(1.0, 6.01, 0.5)
     curves = mse_comparison(200, 50, 2, 2, grid, trials=args.trials, master_seed=args.seed)
     with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write("eps,collision_mse,separation_mse,concatenation_mse\n")
-        for eps, col, sep, cat in curves.rows():
-            fh.write(f"{eps:.6g},{col:.8g},{sep:.8g},{cat:.8g}\n")
+        fh.write(curves.csv_text())
     crossover = grid[np.argmax(curves.concatenation < curves.collision)]
     print(f"wrote {args.out}; concatenation first beats flat collision at eps = {crossover}")
     return 0

@@ -43,9 +43,7 @@ from .local import (
 from .shuffle import (
     amplify_forward,
     amplify_invert,
-    multi_message_decode,
     multi_message_pipeline,
-    shuffle_messages,
     single_message_params,
 )
 from .simulate import Partition, PartitionScheme, ProxyStudent, run_algorithm1

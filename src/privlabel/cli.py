@@ -206,6 +206,8 @@ def _parse_eps_list(text: str) -> list[float]:
 
 
 def _cmd_verify_dp(args) -> int:
+    if args.hash_seeds < 1:
+        raise ValueError("--hash-seeds must be at least 1")
     eps_values = _parse_eps_list(args.eps_list)
     failures = 0
     for eps in eps_values:
@@ -247,10 +249,7 @@ def _cmd_mse_compare(args) -> int:
     curves = mse_mod.mse_comparison(
         args.s, args.labels, args.k, args.r, grid, args.trials, args.seed
     )
-    lines = ["eps,collision_mse,separation_mse,concatenation_mse"]
-    for eps, col, sep, cat in curves.rows():
-        lines.append(f"{eps:.6g},{col:.8g},{sep:.8g},{cat:.8g}")
-    text = "\n".join(lines) + "\n"
+    text = curves.csv_text()
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)

@@ -90,23 +90,19 @@ def generate_synthetic(spec: SyntheticSpec, seed: int) -> tuple[RecordSet, Publi
     """
     rng = seeds_mod.generator(seed, "synthetic")
     means = class_means(spec)
-    emb_rows, label_rows = [], []
-    for c in range(spec.classes):
-        classes = _label_set(c, spec)
-        center = means[classes].mean(axis=0)
-        emb_rows.append(center + spec.std * rng.standard_normal((spec.per_class, spec.dim)))
-        bits = label_vector(classes, spec.classes)
-        label_rows.append(np.tile(bits, (spec.per_class, 1)))
-    records = RecordSet(np.concatenate(emb_rows), np.concatenate(label_rows))
+    label_sets = [_label_set(c, spec) for c in range(spec.classes)]
 
-    pub_emb, pub_truth = [], []
-    for c in range(spec.classes):
-        classes = _label_set(c, spec)
-        center = means[classes].mean(axis=0)
-        pub_emb.append(center + spec.std * rng.standard_normal((spec.pub_per_class, spec.dim)))
-        pub_truth.append(np.full(spec.pub_per_class, c, dtype=np.int64))
-    public = PublicSet(np.concatenate(pub_emb), np.concatenate(pub_truth))
-    return records, public
+    def draw(per_class: int) -> np.ndarray:
+        # class by class, per_class samples around the mean of its label set's class means
+        return np.concatenate([
+            means[classes].mean(axis=0) + spec.std * rng.standard_normal((per_class, spec.dim))
+            for classes in label_sets
+        ])
+
+    bits = np.stack([label_vector(classes, spec.classes) for classes in label_sets])
+    records = RecordSet(draw(spec.per_class), np.repeat(bits, spec.per_class, axis=0))
+    truth = np.repeat(np.arange(spec.classes, dtype=np.int64), spec.pub_per_class)
+    return records, PublicSet(draw(spec.pub_per_class), truth)
 
 
 # ---------------------------------------------------------------------------
@@ -127,24 +123,24 @@ def _parse_label(text: str, label_count: int, line_no: int) -> np.ndarray:
     return label_vector(indices, label_count)
 
 
-def write_records_csv(path, records: RecordSet) -> None:
+def _write_csv(path, ids, tags, embeddings: np.ndarray) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("id,label," + ",".join(f"e{i + 1}" for i in range(records.dim)) + "\n")
-        for rid, bits, emb in zip(records.ids, records.labels, records.embeddings):
+        fh.write("id,label," + ",".join(f"e{i + 1}" for i in range(embeddings.shape[1])) + "\n")
+        for rid, tag, emb in zip(ids, tags, embeddings, strict=True):
             coords = ",".join(f"{x:.17g}" for x in emb)
-            fh.write(f"{rid},{_format_label(bits)},{coords}\n")
+            fh.write(f"{rid},{tag},{coords}\n")
+
+
+def write_records_csv(path, records: RecordSet) -> None:
+    _write_csv(path, records.ids, map(_format_label, records.labels), records.embeddings)
 
 
 def write_public_csv(path, embeddings: np.ndarray, labels: np.ndarray | None = None) -> None:
     """Public files leave the label column empty; pass ``labels`` to write a
     ground-truth companion file instead."""
     embeddings = np.asarray(embeddings, dtype=np.float64)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("id,label," + ",".join(f"e{i + 1}" for i in range(embeddings.shape[1])) + "\n")
-        for i, emb in enumerate(embeddings):
-            coords = ",".join(f"{x:.17g}" for x in emb)
-            tag = "" if labels is None else str(int(labels[i]))
-            fh.write(f"{i},{tag},{coords}\n")
+    tags = [""] * embeddings.shape[0] if labels is None else [str(int(v)) for v in labels]
+    _write_csv(path, range(embeddings.shape[0]), tags, embeddings)
 
 
 def load_embeddings_csv(path, label_count: int | None = None):

@@ -33,11 +33,12 @@ class MseCurves:
     separation: np.ndarray
     concatenation: np.ndarray
 
-    def rows(self):
-        for i, eps in enumerate(self.eps_grid):
-            yield float(eps), float(self.collision[i]), float(self.separation[i]), float(
-                self.concatenation[i]
-            )
+    def csv_text(self) -> str:
+        """The curves as CSV: a header, then one row per budget."""
+        lines = ["eps,collision_mse,separation_mse,concatenation_mse"]
+        for row in zip(self.eps_grid, self.collision, self.separation, self.concatenation):
+            lines.append("{:.6g},{:.8g},{:.8g},{:.8g}".format(*map(float, row)))
+        return "\n".join(lines) + "\n"
 
 
 def _estimate_sums(params: CollisionParams, hits, support_hits, size: int, support_size: int):

@@ -7,12 +7,13 @@ total is exactly a two-sided geometric (discrete Laplace) whose scale matches
 Laplace(4kr/eps).  Messages are (index, increment mod M) pairs; increments
 deviate from a unary "+1 per message" format because negative shares cannot
 be expressed as unit increments -- the aggregate distribution and accuracy
-are unchanged.  The analyzer sees only the shuffled pool, and every data
-message is a (cell, 1) pair, so the pool is built from the exact aggregate
-and each client's vote total rather than client by client.  Almost every
-share is zero, so ``sample_noise_messages`` draws only the nonzero ones, per
-cell, from the exact law of n independent shares: the pool costs
-O(d + messages) instead of O(n * d), and its distribution is unchanged.
+are unchanged.  The analyzer only sums the messages mod M per coordinate,
+and that sum depends on the multiset of messages, never on the order the
+shuffler delivers them in, so the release adds each cell's vote count and
+its noise shares mod M directly: no pool is built, permuted or decoded.
+Almost every share is zero, so ``sample_noise_messages`` draws only the
+nonzero ones, per cell, from the exact law of n independent shares: a
+release costs O(d + messages) instead of O(n * d).
 
 Single-message mode: each client runs any local randomizer of
 ``local.MECHANISMS`` at an enlarged budget eps0 and anonymity does the rest;
@@ -147,22 +148,6 @@ def choose_modulus(total_mass: int, k: int, r: int, epsilon: float) -> int:
     return 1 << max(2, math.ceil(math.log2(need + 1.0)))
 
 
-def shuffle_messages(messages: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Uniform random permutation of the pooled message multiset."""
-    messages = np.asarray(messages)
-    return messages[rng.permutation(messages.shape[0])]
-
-
-def multi_message_decode(messages: np.ndarray, d: int, modulus: int) -> np.ndarray:
-    """Per-coordinate modular sums recentered to signed integers."""
-    totals = np.zeros(d, dtype=np.int64)
-    messages = np.asarray(messages, dtype=np.int64)
-    if messages.size:
-        np.add.at(totals, messages[:, 0], messages[:, 1])
-    totals %= modulus
-    return np.where(totals > modulus // 2, totals - modulus, totals)
-
-
 def multi_message_accuracy_bound(params: PrivacyParams, beta: float) -> float:
     """eta = 4kr * ln(label_count/beta) / eps for the distributed-noise protocol."""
     if not 0.0 < beta < 1.0:
@@ -198,15 +183,18 @@ def multi_message_pipeline(
     params: PrivacyParams,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Pool every client's messages, shuffle the pool, decode to a noisy count matrix.
+    """The analyzer's noisy count matrix: per coordinate, the sum mod M of
+    every message the n clients send, recentred to a signed integer.
 
     ``counts`` is the exact (s, label_count) aggregate and ``client_mass``
     each client's vote total; empty clients count toward n and still send
-    noise shares.  The pooled data messages are one (cell, 1) pair per vote;
-    the clients' nonzero noise shares (``sample_noise_messages``) add one
-    (cell, share mod M) message each, and none in the noiseless limit.  The
-    cost is O(d + messages), not O(n * d); the pool's law is that of n
-    clients each sending their own shares.
+    noise shares.  Each vote is a (cell, 1) message and each nonzero noise
+    share (``sample_noise_messages``) a (cell, share mod M) one, none in the
+    noiseless limit.  The modular sum ignores message order, so it is taken
+    from the counts and the shares directly, without building or shuffling
+    the message pool, in int64: M is a power of two, so even a sum that
+    wraps modulo 2**64 stays exact mod M.  The cost is O(d + messages),
+    not O(n * d).
     """
     if params.model is not PrivacyModel.SHUFFLE_MULTI:
         raise ValueError("multi-message pipeline requires the shuffle-multi model")
@@ -221,14 +209,12 @@ def multi_message_pipeline(
     if client_mass.sum() != flat.sum():
         raise ValueError("client vote totals must sum to the aggregate")
     modulus = choose_modulus(n * max(int(client_mass.max()), 1), params.k, params.r, params.epsilon)
-    data_idx = np.repeat(np.arange(d, dtype=np.int64), flat)
     noise_idx, shares = sample_noise_messages(n, d, params.epsilon, params.k, params.r, rng)
-    pool = np.concatenate([
-        np.column_stack([data_idx, np.ones(data_idx.size, dtype=np.int64)]),
-        np.column_stack([noise_idx, np.mod(shares, modulus)]),
-    ])
-    mixed = shuffle_messages(pool, rng)
-    return multi_message_decode(mixed, d, modulus).reshape(counts.shape).astype(np.float64)
+    totals = flat  # a fresh array: one (cell, 1) message per vote
+    np.add.at(totals, noise_idx, np.mod(shares, modulus))
+    totals %= modulus
+    totals = np.where(totals > modulus // 2, totals - modulus, totals)
+    return totals.reshape(counts.shape).astype(np.float64)
 
 
 # ---------------------------------------------------------------------------

@@ -321,8 +321,12 @@ def run_algorithm1(
         raise ValueError("params.label_count must match the records")
     if params.r != records.r:
         raise ValueError("params.r must match the record label cardinality")
-    if s > pub_embeddings.shape[0]:
-        raise ValueError("cannot select more queries than public samples")
+    # iteration 1 clusters the whole pool; iterations 2..T label s samples each, never one twice
+    if max(1, T - 1) * s > pub_embeddings.shape[0]:
+        raise ValueError(
+            f"cannot select more queries than public samples: T = {T} at s = {s} needs "
+            f"max(1, T - 1) * s = {max(1, T - 1) * s}, got {pub_embeddings.shape[0]}"
+        )
     if label_mode not in ("hard", "soft"):
         raise ValueError("label_mode must be 'hard' or 'soft'")
     mechanism = resolve_mechanism(params.model, mechanism)
@@ -361,8 +365,6 @@ def run_algorithm1(
             query_indices = None
         else:
             query_indices = select_queries_uncertainty(student.soft(pub_embeddings), s, np.flatnonzero(direct))
-            if query_indices.size == 0:
-                break
             queries = QuerySet(pub_embeddings[query_indices])
 
         connections = reverse_knn_connect(records.embeddings, queries, k)

@@ -303,6 +303,21 @@ class TestMechanismChecks:
         assert message in err and "Traceback" not in err
         assert out == "" and selections == [] and not results.exists()
 
+    @pytest.mark.parametrize("pub_per_class", ("5", "4"))
+    def test_too_few_public_samples_for_t_exits_3_before_any_stage(self, capsys, monkeypatch, pub_per_class):
+        # 3 classes give 15 or 12 public samples; T = 5 at s = 4 needs 16
+        import privlabel.simulate as simulate_mod
+
+        selections = []
+        monkeypatch.setattr(simulate_mod, "select_queries_cluster", lambda *a, **kw: selections.append(a))
+        code, out, err = run_cli(
+            capsys, "simulate", "--seed", "1", "--classes", "3", "--per-class", "30",
+            "--pub-per-class", pub_per_class, "--t", "5", "--s", "4", "--epsilon", "1",
+        )
+        assert code == 3
+        assert "needs max(1, T - 1) * s = 16" in err and "Traceback" not in err
+        assert out == "" and selections == []
+
     def test_gse_without_an_unbiased_estimate_exits_3_before_query_selection(self, capsys, monkeypatch):
         import privlabel.simulate as simulate_mod
 
@@ -356,6 +371,14 @@ class TestVerifyDp:
         assert code == 0
         assert "FAIL" not in out
         assert "all local-DP checks passed" in out
+
+    @pytest.mark.parametrize("seeds", ("0", "-2"))
+    def test_no_hash_seeds_exits_3_before_any_check(self, capsys, seeds):
+        # zero seeds would check no collision hash and still print PASS
+        code, out, err = run_cli(capsys, "verify-dp", "--hash-seeds", seeds)
+        assert code == 3
+        assert "--hash-seeds must be at least 1" in err
+        assert out == ""
 
 
 def test_simulate_without_out_prints_summary(capsys):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+import privlabel.shuffle as shuffle_mod
 from privlabel.core import PrivacyModel, PrivacyParams
 from privlabel.shuffle import (
     amplification_validity_limit,
@@ -16,11 +17,9 @@ from privlabel.shuffle import (
     discrete_laplace_std,
     expected_noise_messages,
     multi_message_accuracy_bound,
-    multi_message_decode,
     multi_message_pipeline,
     sample_noise_messages,
     sample_noise_share,
-    shuffle_messages,
     single_message_params,
 )
 
@@ -87,25 +86,26 @@ class TestNoiseShares:
 
 class TestMultiMessage:
     def test_zero_noise_gives_exactly_kr_messages(self, rng, monkeypatch):
-        import privlabel.shuffle as shuffle_mod
+        drawn = []
+        sample = shuffle_mod.sample_noise_messages
 
-        pools = []
-        decode = shuffle_mod.multi_message_decode
+        def spy(n, d, *args):
+            cells, shares = sample(n, d, *args)
+            drawn.append((n, d, cells, shares))
+            return cells, shares
 
-        def spy(messages, d, modulus):
-            pools.append(messages)
-            return decode(messages, d, modulus)
-
-        monkeypatch.setattr(shuffle_mod, "multi_message_decode", spy)
+        monkeypatch.setattr(shuffle_mod, "sample_noise_messages", spy)
         params = shuffle_params(epsilon=math.inf, k=2, r=1, s=3, labels=2)
         answer = np.zeros((3, 2), dtype=int)
         answer[0, 1] = 1
         answer[2, 0] = 1  # one record, k=2, r=1 -> two unit votes; four empty clients
-        multi_message_pipeline(answer, [2, 0, 0, 0, 0], params, rng)
-        (msgs,) = pools
-        assert msgs.shape == (2, 2)
-        assert sorted(msgs[:, 0].tolist()) == [1, 4]
-        assert (msgs[:, 1] == 1).all()
+        decoded = multi_message_pipeline(answer, [2, 0, 0, 0, 0], params, rng)
+        ((n, d, cells, shares),) = drawn
+        assert (n, d) == (5, 6)
+        assert cells.size == shares.size == 0  # no noise messages, only the two votes
+        assert decoded.sum() == 2
+        assert np.flatnonzero(decoded).tolist() == [1, 4]
+        assert (decoded[decoded != 0] == 1).all()
 
     @pytest.mark.parametrize("n", (1, 40))
     def test_expected_message_count(self, n):
@@ -154,16 +154,6 @@ class TestMultiMessage:
         )
         assert np.array_equal(decoded, np.sum(answers, axis=0))
 
-    def test_decode_invariant_under_shuffling(self, rng):
-        modulus = choose_modulus(8, 1, 1, 1.0)
-        pooled = np.column_stack([rng.integers(0, 4, size=40), rng.integers(0, modulus, size=40)])
-        decodes = []
-        for seed in (1, 2, 3, 4, 5):
-            mixed = shuffle_messages(pooled, np.random.default_rng(seed))
-            decodes.append(multi_message_decode(mixed, 4, modulus))
-        for other in decodes[1:]:
-            assert np.array_equal(decodes[0], other)
-
     def test_inputs_checked(self, rng):
         params = shuffle_params(s=1, labels=2)
         with pytest.raises(ValueError, match="nonnegative integers"):
@@ -211,6 +201,67 @@ class TestMultiMessage:
             noisy = multi_message_pipeline(counts, np.zeros(n, dtype=int), params, rng)
             fails += np.abs(noisy).max(axis=1) >= eta
         assert (fails / trials <= beta + 0.02).all()
+
+
+def pooled_release(counts, client_mass, params, rng):
+    """The message-pool protocol, written out: one (cell, 1) message per
+    vote and one (cell, share mod M) per nonzero noise share, permuted,
+    summed mod M per cell and recentred."""
+    flat = np.asarray(counts, dtype=np.int64).ravel()
+    n, d = len(client_mass), flat.size
+    modulus = shuffle_mod.choose_modulus(n * max(int(np.max(client_mass)), 1), params.k, params.r, params.epsilon)
+    cells, shares = sample_noise_messages(n, d, params.epsilon, params.k, params.r, rng)
+    pool = np.concatenate([
+        np.column_stack([np.repeat(np.arange(d), flat), np.ones(flat.sum(), dtype=np.int64)]),
+        np.column_stack([cells, np.mod(shares, modulus)]),
+    ])
+    pool = pool[rng.permutation(len(pool))]
+    totals = np.zeros(d, dtype=np.int64)
+    np.add.at(totals, pool[:, 0], pool[:, 1])
+    totals %= modulus
+    totals = np.where(totals > modulus // 2, totals - modulus, totals)
+    return totals.reshape(np.shape(counts)).astype(np.float64)
+
+
+def assert_matches_pool(counts, client_mass, params, seed):
+    got = multi_message_pipeline(counts, client_mass, params, np.random.default_rng(seed))
+    want = pooled_release(counts, client_mass, params, np.random.default_rng(seed))
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    return got
+
+
+class TestPooledReference:
+    """The release equals the shuffled message pool's decode, byte for byte,
+    at the same generator seed."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_shapes(self, seed):
+        rng = np.random.default_rng(300 + seed)
+        k, r = int(rng.integers(1, 3)), int(rng.integers(1, 3))
+        s, labels, n = int(rng.integers(1, 6)), int(rng.integers(2, 6)), int(rng.integers(1, 60))
+        counts = rng.integers(0, 30, size=(s, labels))
+        # split the votes over n clients, many of them empty
+        client_mass = np.bincount(rng.integers(0, max(1, n // 3), size=counts.sum()), minlength=n)
+        eps = float(rng.choice([0.05, 0.5, 2.0, 8.0]))
+        params = shuffle_params(epsilon=eps, k=k, r=r, s=s, labels=labels)
+        assert_matches_pool(counts, client_mass, params, seed)
+
+    def test_noiseless(self):
+        params = shuffle_params(epsilon=math.inf, k=2, r=1, s=3, labels=4)
+        counts = np.random.default_rng(5).integers(0, 9, size=(3, 4))
+        client_mass = np.array([counts.sum(), 0, 0])
+        assert np.array_equal(assert_matches_pool(counts, client_mass, params, 5), counts)
+
+    def test_wraparound(self, monkeypatch):
+        # at M = 8 the exact counts and the noise totals both wrap
+        monkeypatch.setattr(shuffle_mod, "choose_modulus", lambda *args: 8)
+        params = shuffle_params(epsilon=0.3, s=4, labels=3)
+        counts = np.random.default_rng(6).integers(0, 40, size=(4, 3))
+        assert (counts > 4).any()
+        client_mass = np.bincount(np.arange(counts.sum()) % 7, minlength=10)
+        got = assert_matches_pool(counts, client_mass, params, 6)
+        assert ((got >= -3) & (got <= 4)).all()
 
 
 def share_histogram(cells, shares, d, span):

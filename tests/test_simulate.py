@@ -176,6 +176,28 @@ class TestRunAlgorithm1:
         assert result.acc_pl == 1.0
         assert result.iterations[-1].report.empirical_eta < 1e-3
 
+    @pytest.mark.parametrize("n_pub", (15, 12))
+    def test_too_few_public_samples_for_the_uncertainty_rounds_rejected(self, monkeypatch, n_pub):
+        # rounds 2..5 at s = 4 each label 4 samples no earlier round did: 16
+        # are needed; 15 used to crash in round 5, 12 to stop after round 4
+        selections = []
+        monkeypatch.setattr(simulate_mod, "select_queries_cluster", lambda *a, **kw: selections.append(a))
+        rng = np.random.default_rng(4)
+        records = random_record_set(rng, m=60, dim=2, label_count=3)
+        params = PrivacyParams(1.0, PrivacyModel.CENTRAL, 1, 1, 4, 3)
+        with pytest.raises(ValueError, match=rf"max\(1, T - 1\) \* s = 16, got {n_pub}"):
+            run_algorithm1(records, rng.normal(size=(n_pub, 2)), params, T=5, s=4, k=1, master_seed=1)
+        assert selections == []
+
+    def test_exactly_enough_public_samples_runs_every_round(self):
+        rng = np.random.default_rng(4)
+        records = random_record_set(rng, m=60, dim=2, label_count=3)
+        params = PrivacyParams(1.0, PrivacyModel.CENTRAL, 1, 1, 4, 3)
+        result = run_algorithm1(records, rng.normal(size=(16, 2)), params, T=5, s=4, k=1, master_seed=1)
+        assert len(result.iterations) == 5
+        assert result.ledger.epsilon_spent.max() == pytest.approx(1.0)
+        assert all(outcome.query_indices.size == 4 for outcome in result.iterations[1:])
+
     def test_infinite_epsilon_equals_nonprivate(self):
         records, pub, truth = fixture_world()
         params = make_params(PrivacyModel.CENTRAL, math.inf)
@@ -481,18 +503,18 @@ def test_every_model_mechanism_pair_runs(model, mechanism):
     [(PartitionScheme.IID, 7), (PartitionScheme.DIRICHLET, 40), (PartitionScheme.SINGLE_RECORD, None)],
 )
 def test_shuffle_multi_modulus_matches_per_client_reference(monkeypatch, scheme, n_clients):
-    # the pipeline decodes at the modulus sized from each client's vote count,
+    # the pipeline sums at the modulus sized from each client's vote count,
     # counted here client by client, with empty clients counted in n
     from privlabel import shuffle as shuffle_mod
 
     moduli = []
-    decode = shuffle_mod.multi_message_decode
+    choose = shuffle_mod.choose_modulus
 
-    def spy(messages, d, modulus):
-        moduli.append(modulus)
-        return decode(messages, d, modulus)
+    def spy(*args):
+        moduli.append(choose(*args))
+        return moduli[-1]
 
-    monkeypatch.setattr(shuffle_mod, "multi_message_decode", spy)
+    monkeypatch.setattr(shuffle_mod, "choose_modulus", spy)
     rng = np.random.default_rng(21)
     records = random_record_set(rng, m=150, dim=2, label_count=3, r=2)
     params = PrivacyParams(0.9, PrivacyModel.SHUFFLE_MULTI, 2, 2, 4, 3, delta=1e-6)
@@ -507,7 +529,7 @@ def test_shuffle_multi_modulus_matches_per_client_reference(monkeypatch, scheme,
     mass = np.array([votes[partition.client_of == client].size for client in range(partition.n_clients)])
     if scheme is PartitionScheme.DIRICHLET:
         assert (mass == 0).any()
-    expected = shuffle_mod.choose_modulus(partition.n_clients * max(int(mass.max()), 1), 2, 2, 0.9)
+    expected = choose(partition.n_clients * max(int(mass.max()), 1), 2, 2, 0.9)
     assert moduli == [expected]
 
 
