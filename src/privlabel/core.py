@@ -255,8 +255,11 @@ def record_votes(records: RecordSet, connections: ConnectionMap) -> np.ndarray:
     its buckets."""
     if connections.m != records.m:
         raise ValueError("connections must cover exactly these records")
-    labels = np.nonzero(records.labels)[1].reshape(records.m, records.r)
-    return flatten_support(connections.indices, labels, records.label_count)
+    # the validated 0/1 matrix's ones in row-major order, each flat index
+    # modulo label_count: np.nonzero(labels)[1] without its row indices
+    labels = np.flatnonzero(np.asarray(records.labels, dtype=np.uint8).view(bool))
+    labels %= records.label_count
+    return flatten_support(connections.indices, labels.reshape(records.m, records.r), records.label_count)
 
 
 def vote_counts(votes: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:

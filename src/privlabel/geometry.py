@@ -8,23 +8,31 @@ the public embeddings; later rounds switch to smallest-margin uncertainty
 sampling.
 
 Distances are Euclidean only, and every one is sqrt(max(sq, 0)) of one
-squared-distance product: a row is [x, |x|², 1] @ [-2qᵀ; 1; |q|²], whose
-query side is built and checked once per call.  A row's values depend on that
-row and the queries alone, never on the rows sharing the call or on the row's
-memory offset, so a record connects alone as it does inside any record set.
-The aggregate's 2kr sensitivity relies on this.  ``squared_distances``
-returns the unrooted matrix and ``pairwise_distances`` its root.  Connection
-orders queries by the squared values themselves, ties toward the smaller
-index, and rejects a row whose picks are not all finite.  Scores root only
-the cells they take.  A squared norm that overflows is rejected before any
-product.
+squared-distance product, the exact kernel: a row is [x, |x|², 1] @
+[-2qᵀ; 1; |q|²], whose query side is built and checked once per call.  A
+row's values depend on that row and the queries alone, never on the rows
+sharing the call or on the row's memory offset, so a record connects alone
+as it does inside any record set.  The aggregate's 2kr sensitivity relies on
+this.  ``squared_distances`` returns the unrooted matrix and
+``pairwise_distances`` its root.  Connection orders queries by the squared
+values themselves, ties toward the smaller index, and rejects a row whose
+picks are not all finite.  Scores root only the cells they take.  A squared
+norm that overflows is rejected before any product.
+
+Connection and Lloyd's assignment need only each row's nearest queries, and
+take them from one gemm per row block, [x, 1] @ [-2qᵀ; |q|²]: the squares
+less the row constant |x|², rounded by how the BLAS splits the block.  A row
+whose last pick leads the next value by more than four rounding margins has
+the exact kernel's picks, proven in ``_nearest_blocks``; the other rows,
+near ties and rows with a non-finite value, go through the exact kernel as a
+gathered subset.  So every pick, and every error raised, is the exact
+kernel's, and still depends on the row and the queries alone.
 
 Lloyd's assignment relies on the same row independence: Hamerly bounds on
 each pool row's distances skip a row whose nearest center provably repeats,
-with a margin that covers the kernel's rounding of one square, and the other
-rows go through the kernel as a gathered subset, which gives each of them the
-bytes of a full pass.  Centers and assignments are those of a full connect
-per iteration.
+with a margin that covers the rounding of one square, and the other rows go
+through ``_nearest_blocks``, which gives each of them the picks of a full
+pass.  Centers and assignments are those of a full connect per iteration.
 """
 from __future__ import annotations
 
@@ -145,6 +153,20 @@ def _kmeans_plus_plus_init(points: np.ndarray, s: int, rng: np.random.Generator)
     return centers
 
 
+def _margins(squares: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Per-row rounding margin γ·(|x| + max|c|)² + 2⁻¹⁰⁰⁰ of one square, with
+    γ = 4·(dim + 3)·2⁻⁵³, for rows whose |x|², summed in any order, are
+    ``squares``, against the queries behind ``cols`` (``_query_side``).  It
+    is squared as (2(|x| + max|c|))²·γ/4, so that a finite margin leaves
+    every partial sum of a square 4x headroom; a NaN or infinite |x|² gives
+    a non-finite margin.  Callers silence the overflow."""
+    gamma = 4 * (cols.shape[0] + 1) * 2.0**-53
+    spread = np.sqrt(squares)
+    spread += np.sqrt(cols[-1].max())
+    spread *= 2.0
+    return np.square(spread, out=spread) * (gamma / 4) + 2.0**-1000
+
+
 class _LloydBounds:
     """Hamerly bounds that let Lloyd's assignment skip the rows whose nearest
     center provably repeats.
@@ -155,14 +177,16 @@ class _LloydBounds:
     shift to ``upper`` and takes the largest other shift from ``lower``; a
     center whose bytes are unchanged shifts by exactly 0.  Every update is
     rounded outward by the factor ``1 ± grow``, so the bounds hold in exact
-    arithmetic.  The full argument is in ``kmeans``."""
+    arithmetic.  A row that is assigned again takes its bounds from the
+    squares ``_nearest_blocks`` yields, a gemm's or the exact kernel's, both
+    within half a margin of the exact square and widened by a whole one.
+    The full argument is in ``kmeans``."""
 
     def __init__(self, points: np.ndarray):
         n, dim = points.shape
         self.points = points
         with np.errstate(over="ignore", invalid="ignore"):
-            self.norms = np.sqrt(np.sum(points * points, axis=1))
-        self.gamma = 4 * (dim + 3) * 2.0**-53
+            self.squares = np.einsum("ij,ij->i", points, points)
         self.grow = 2 * (dim + 8) * 2.0**-53
         self.assignment = np.zeros(n, dtype=np.int64)
         self.upper, self.lower, self.margin = np.empty(n), np.empty(n), np.empty(n)
@@ -207,10 +231,7 @@ class _LloydBounds:
         points, assignment, upper, lower = self.points, self.assignment, self.upper, self.lower
         grow = self.grow
         with np.errstate(over="ignore", invalid="ignore"):
-            # γ·(|x| + max|c|)², squared as (2(|x| + max|c|))²·γ/4 so that a
-            # finite margin leaves every partial sum of a square 4x headroom
-            spread = 2.0 * (self.norms + np.sqrt(cols[-1].max()))
-            self.margin = np.square(spread, out=spread) * (self.gamma / 4) + 2.0**-1000
+            self.margin = _margins(self.squares, cols)
             if self.valid:
                 rows = np.flatnonzero(~self._separated(slice(None)))
                 # tighten upper by the direct difference, then test again
@@ -224,16 +245,9 @@ class _LloydBounds:
                 rows, subset = None, points
         picks = np.empty(len(subset), dtype=np.int64)
         first, second = np.empty(len(subset)), np.empty(len(subset))
-        for start, block in _squared_blocks(subset, cols):
-            at = slice(start, start + len(block))
-            flat, offsets = block.reshape(-1), np.arange(0, block.size, s)
-            cells = offsets + np.argmin(block, axis=1, out=picks[at])
-            first[at] = flat[cells]
-            if not np.isfinite(first[at]).all():
-                raise ValueError(_UNCONNECTABLE)
-            flat[cells] = np.inf
-            # a second argmin pass reads the runner-up faster than a min pass
-            second[at] = flat[offsets + np.argmin(block, axis=1)]
+        for start, nearest, near, after in _nearest_blocks(subset, cols, 1):
+            at = slice(start, start + len(near))
+            picks[at], first[at], second[at] = nearest[0], near, after
         at = slice(None) if rows is None else rows
         assignment[at] = picks
         margin = self.margin[at]
@@ -258,8 +272,8 @@ def kmeans(
     emptied cluster is reseeded at the point farthest from its current center.
 
     Each assignment is the first argmin of every row's ``squared_distances``
-    to the centers, but only the rows whose argmin could change go through
-    the kernel.  Each row keeps Hamerly bounds (``_LloydBounds``): ``upper``
+    to the centers, but only the rows whose argmin could change are
+    assigned again.  Each row keeps Hamerly bounds (``_LloydBounds``): ``upper``
     at least its exact distance d_a to its assigned center, ``lower`` at
     most its exact distance d_j to every other center.
 
@@ -277,15 +291,20 @@ def kmeans(
 
     Why a skipped row repeats and the rest match.  A row that fails the test
     first tightens ``upper`` to its direct difference; if it still fails, it
-    goes through the kernel in a gathered subset, where row independence
-    gives it the bytes of a full pass.  That pass reads its first and second
-    squares and sets upper = √(first + margin), lower = √(second − margin).
-    A non-finite margin or bound fails the test, and a finite margin keeps
-    every partial sum of a square far from overflow, so a skipped row's
-    square is finite and the overflow checks of a full pass raise on the
-    same inputs.  A reseed invalidates every bound and makes the next pass
-    full.  Centers and assignments are those of a full connect per
-    iteration, byte for byte.
+    goes through ``_nearest_blocks``.  That pass picks the center a full pass
+    of the kernel picks: from one gemm per block where the gap to the
+    runner-up exceeds 4·margin, since the gemm's and the kernel's squares
+    differ by less than half a margin each from the same sum less |x|²;
+    otherwise from the kernel itself in a gathered subset, where row
+    independence gives the row the bytes of a full pass.  It yields the
+    first and second squares, the gemm's plus |x|² or the kernel's, each
+    within half a margin of the exact square, and sets upper = √(first +
+    margin), lower = √(second − margin).  A non-finite margin or bound fails
+    both tests, and a finite margin keeps every partial sum of a square far
+    from overflow, so a skipped or gemm-decided row's square is finite and
+    the overflow checks of a full pass raise on the same inputs.  A reseed
+    invalidates every bound and makes the next pass full.  Centers and
+    assignments are those of a full connect per iteration, byte for byte.
     """
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2:
@@ -394,6 +413,91 @@ def _squared_blocks(points: np.ndarray, cols: np.ndarray):
         yield start, _squared(points[start : start + n], cols, rows[:n], out[:n])[:, 0]
 
 
+def _picks(block: np.ndarray, picks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Fill ``picks`` (degree, n) with degree argmin passes over ``block``
+    (n, s), ties to the smaller index, and return the values of each row's
+    first and last pick and of the next smallest cell.  Picked cells are
+    overwritten with inf."""
+    n, s = block.shape
+    flat, offsets = block.reshape(-1), np.arange(0, n * s, s)
+    for col, out in enumerate(picks):
+        cells = offsets + np.argmin(block, axis=1, out=out)
+        last = flat[cells]
+        if col == 0:
+            first = last
+        flat[cells] = np.inf
+    # one more argmin pass reads the next value faster than a min pass
+    return first, last, flat[offsets + np.argmin(block, axis=1)]
+
+
+def _nearest_blocks(points: np.ndarray, cols: np.ndarray, degree: int):
+    """Yield (first row, picks, last, after) for consecutive row blocks of
+    ``points``, ``_DISTANCE_BLOCK_CELLS`` cells each as in ``_squared_blocks``:
+    ``picks`` (degree, n) are the picks of ``degree`` argmin passes over each
+    row of the exact kernel against the queries behind ``cols``, and ``last``
+    and ``after`` are squares within half a margin of the exact squared
+    distance to the last pick and to the next nearest query.  Needs degree <
+    s.  Raises ValueError where the exact kernel over the same rows would:
+    a row's squared norm overflows, or its first or last pick is not finite.
+    The yielded arrays are views of buffers that the next block overwrites.
+
+    Certified pass.  One gemm per block gives G_j = fl(-2x·q_j + Q_j) for
+    every query j, where Q_j is the kernel's own computed |q_j|², and the
+    kernel computes K_j = fl(X - 2x·q_j + Q_j) with X its computed |x|².  In
+    any summation order (Higham, Accuracy and Stability of Numerical
+    Algorithms, §3.1) they lie within γ_(dim+1)·(2|x||q_j| + Q_j) and
+    γ_(dim+2)·(X + 2|x||q_j| + Q_j) of those sums, with γ_k = k·2⁻⁵³ /
+    (1 − k·2⁻⁵³), each below half the margin γ·(|x| + max|c|)² + 2⁻¹⁰⁰⁰ of
+    ``_margins`` (γ = 4·(dim + 3)·2⁻⁵³; the 2⁻¹⁰⁰⁰ covers products that
+    underflow).  X is the same for every query, so K_l − K_j lies within one
+    margin of G_l − G_j.  The argmin passes over G pick a set; when the next
+    value leads the last pick's by more than 4·margin, every other query's K
+    exceeds every picked one's by more than 3·margin, so the kernel's passes
+    pick the same set; maps sort it, and Lloyd's passes pick one.  The
+    headroom absorbs the rounding of the margin, of the norms (summed in any
+    order) and of the gap.  A finite margin bounds every partial sum of both
+    products by (|x| + max|c|)², a quarter of the float range, so a
+    certified row's squares are finite and the kernel's checks would pass.
+    Every other row, including one whose norm, margin or gap is NaN or
+    infinite, goes through ``_squared_blocks`` as a gathered subset, whose
+    row independence gives it the kernel's bytes, and is checked as a full
+    pass checks it.
+
+    A certified row's ``last`` and ``after`` are G + |x|², within
+    γ_(dim+1)·(2|x||q| + Q) + γ_dim·(|x|² + |q|²) plus one rounding, about
+    2·(dim + 1)·2⁻⁵³·(|x| + |q|)², of the exact square; an exact-kernel row's
+    are its K, within the same of it (see ``kmeans``).  Both are below half
+    a margin."""
+    m, dim = points.shape
+    s = cols.shape[1]
+    size = max(1, min(m, _DISTANCE_BLOCK_CELLS // s))
+    # [-2qᵀ; |q|²]: the kernel's query side without the row for |x|²
+    side = np.delete(cols, dim, axis=0)
+    rows, out = np.ones((size, dim + 1)), np.empty((size, s))
+    picks = np.empty((degree, size), dtype=np.int64)
+    for start in range(0, m, size):
+        n = min(size, m - start)
+        x = points[start : start + n]
+        rows[:n, :dim] = x
+        with np.errstate(over="ignore", invalid="ignore"):
+            _, last, after = _picks(np.matmul(rows[:n], side, out=out[:n]), picks[:, :n])
+            square = np.einsum("ij,ij->i", x, x)
+            exact = np.flatnonzero(~(after - last > 4 * _margins(square, cols)))
+            last += square
+            after += square
+        if exact.size:
+            for first_row, block in _squared_blocks(x[exact], cols):
+                at = exact[first_row : first_row + len(block)]
+                sub = np.empty((degree, len(at)), dtype=np.int64)
+                first, last[at], after[at] = _picks(block, sub)
+                # a NaN or -inf square is picked first, so finite first and
+                # last picks mean every pick is finite
+                if not (np.isfinite(first) & np.isfinite(last[at])).all():
+                    raise ValueError(_UNCONNECTABLE)
+                picks[:, at] = sub
+        yield start, picks[:, :n], last, after
+
+
 def _connected_distances(embeddings: np.ndarray, queries: QuerySet, indices: np.ndarray) -> np.ndarray:
     """(m, degree) distances from each record to the queries its ``indices`` row names."""
     picked = np.empty(indices.shape)
@@ -424,21 +528,8 @@ def reverse_knn_connect(embeddings: np.ndarray, queries: QuerySet, k: int) -> Co
     if m == 0 or degree == s:
         return ConnectionMap(np.tile(np.arange(degree, dtype=np.int64), (m, 1)), s=s, k=k)
     chosen = np.empty((m, degree), dtype=np.int64)
-    for start, block in _squared_blocks(embeddings, _query_side(queries.embeddings)):
-        n = len(block)
-        picks, flat, offsets = chosen[start : start + n], block.reshape(-1), np.arange(0, n * s, s)
-        for col in range(degree):
-            # argmin keeps the first minimum: ties go to the smaller index
-            picks[:, col] = np.argmin(block, axis=1)
-            cells = offsets + picks[:, col]
-            last = flat[cells]
-            if col == 0:
-                first = last
-            flat[cells] = np.inf
-        # a NaN or -inf square is picked first, so finite first and last
-        # picks mean every pick is finite
-        if not (np.isfinite(first) & np.isfinite(last)).all():
-            raise ValueError(_UNCONNECTABLE)
+    for start, picks, _, _ in _nearest_blocks(embeddings, _query_side(queries.embeddings), degree):
+        chosen[start : start + picks.shape[1]] = picks.T
     if degree > 1:
         chosen.sort(axis=1)
     return ConnectionMap(chosen, s=s, k=k)

@@ -1,5 +1,7 @@
 import contextlib
+import math
 import tracemalloc
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -256,12 +258,14 @@ class TestQuerySelection:
         assert assignment.tobytes() == ref_assignment.tobytes()
 
     def test_lloyd_skips_most_rows_on_the_bench_pool(self):
-        # a full pass per center set sends (iterations + 1)·n rows through
-        # the kernel; the bounds leave about a tenth of them at s = 10
+        # a full pass per center set assigns (iterations + 1)·n rows; the
+        # bounds leave about a tenth of them at s = 10, and the gemm decides
+        # every one of those here
         pool = _bench_pool(1)
-        rows, evaluated = _count_kernel_rows(lambda: kmeans(pool, 10, np.random.default_rng(0)))
+        rows, assigned, evaluated = _count_kernel_rows(lambda: kmeans(pool, 10, np.random.default_rng(0)))
         assert evaluated > 10
-        assert rows <= 0.35 * evaluated * len(pool)
+        assert assigned <= 0.35 * evaluated * len(pool)
+        assert rows == 0
 
     def test_overflowing_margin_falls_back_to_full_passes(self):
         # |x|² and every square stay finite, but (|x| + max|c|)² does not:
@@ -271,9 +275,9 @@ class TestQuerySelection:
         with np.errstate(over="ignore"):
             assert np.isfinite(squared_distances(points, points)).all()
             assert not np.isfinite((2 * np.linalg.norm(points, axis=1)) ** 2).any()
-        rows, evaluated = _count_kernel_rows(lambda: kmeans(points, 4, np.random.default_rng(2)))
+        rows, assigned, evaluated = _count_kernel_rows(lambda: kmeans(points, 4, np.random.default_rng(2)))
         assert evaluated > 1
-        assert rows == evaluated * len(points)
+        assert rows == assigned == evaluated * len(points)
         centers, assignment = kmeans(points, 4, np.random.default_rng(2))
         ref_centers, ref_assignment = _sequential_kmeans(points, 4, np.random.default_rng(2))
         assert centers.tobytes() == ref_centers.tobytes()
@@ -310,23 +314,37 @@ def _bench_pool(seed):
 
 
 def _count_kernel_rows(run):
-    """(rows sent through the distance kernel, center sets assigned to) by ``run()``."""
-    rows, evaluated = [0], []
-    squared, assign = geometry_mod._squared, geometry_mod._LloydBounds.assign
+    """(rows sent through the exact distance kernel, rows assigned by a pass
+    of ``_nearest_blocks``, center sets assigned to) by ``run()``."""
+    rows, assigned, evaluated = [0], [0], []
+    squared, nearest, assign = geometry_mod._squared, geometry_mod._nearest_blocks, geometry_mod._LloydBounds.assign
 
     def count_rows(x, *args):
         rows[0] += len(x)
         return squared(x, *args)
+
+    def count_assigned(x, *args):
+        assigned[0] += len(x)
+        return nearest(x, *args)
 
     def count_sets(bounds, queries):
         evaluated.append(queries.s)
         return assign(bounds, queries)
 
     with mock.patch.object(geometry_mod, "_squared", side_effect=count_rows), mock.patch.object(
-        geometry_mod._LloydBounds, "assign", autospec=True, side_effect=count_sets
-    ):
+        geometry_mod, "_nearest_blocks", side_effect=count_assigned
+    ), mock.patch.object(geometry_mod._LloydBounds, "assign", autospec=True, side_effect=count_sets):
         run()
-    return rows[0], len(evaluated)
+    return rows[0], assigned[0], len(evaluated)
+
+
+def _exact_squares(points, centers):
+    """(m, s) object array of the exact squared distances as Fractions, for
+    coordinates in [256, 512): each is a multiple of 2⁻⁴⁴, so every difference
+    is exact in floats and, scaled by 2⁴⁴, an integer."""
+    assert ((256 <= points) & (points < 512)).all() and ((256 <= centers) & (centers < 512)).all()
+    scaled = ((points[:, None, :] - centers[None]) * 2.0**44).astype(np.int64).astype(object)
+    return (scaled * scaled).sum(axis=2) * Fraction(1, 2**88)
 
 
 def _reference_kmeans_plus_plus(points, s, rng):
@@ -610,6 +628,156 @@ class TestBlockedConnect:
         finally:
             tracemalloc.stop()
         assert peak < m * s * 8 / 4
+
+
+@contextlib.contextmanager
+def _kernel_rows():
+    """Collect the rows every ``_squared`` call receives, as one list of row bytes."""
+    seen, squared = [], geometry_mod._squared
+
+    def spy(x, *args):
+        seen.extend(row.tobytes() for row in x)
+        return squared(x, *args)
+
+    with mock.patch.object(geometry_mod, "_squared", side_effect=spy):
+        yield seen
+
+
+class TestCertifiedPass:
+    """Connection and Lloyd's assignment pick from one gemm per block and send
+    only the rows the gemm cannot decide through the exact kernel."""
+
+    def test_well_separated_records_skip_the_exact_kernel(self):
+        gen = np.random.default_rng(12)
+        queries = QuerySet(gen.normal(scale=20.0, size=(12, 8)))
+        emb = queries.embeddings[gen.integers(0, 12, size=5_000)] + gen.normal(size=(5_000, 8))
+        for k in (1, 2, 11):
+            with _kernel_rows() as seen:
+                conn = reverse_knn_connect(emb, queries, k)
+            assert seen == [], k
+            assert conn.indices.tobytes() == _reference_connect(emb, queries, k).tobytes()
+
+    def test_every_tied_row_goes_through_the_exact_kernel(self):
+        # a row whose k-th and (k+1)-th squares tie up to rounding has no
+        # certified picks; rows whose tie lies elsewhere may be certified
+        tied_rows = 0
+        for seed in range(300):
+            records, queries = bisector_near_ties(seed)
+            x = records.embeddings
+            sq = np.sort(squared_distances(x, queries.embeddings), axis=1)
+            scale = (np.linalg.norm(x, axis=1) + np.linalg.norm(queries.embeddings, axis=1).max()) ** 2
+            for k in range(1, queries.s):
+                with _kernel_rows() as seen:
+                    conn = reverse_knn_connect(x, queries, k)
+                assert conn.indices.tobytes() == _reference_connect(x, queries, k).tobytes(), (seed, k)
+                tied = np.flatnonzero(sq[:, k] - sq[:, k - 1] <= 1e-12 * scale)
+                assert {x[i].tobytes() for i in tied} <= set(seen), (seed, k)
+                tied_rows += len(tied)
+        assert tied_rows > 1000
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 8, 50])
+    def test_offset_inputs_connect_as_the_dense_reference(self, dim):
+        # |x|² and |q|² near 1e8·dim cancel in every square; repeated queries
+        # tie exactly, so some rows fall back and the others are certified
+        for seed in range(20):
+            gen = np.random.default_rng(seed)
+            pool = gen.normal(size=(6, dim)) + 1e4
+            queries = QuerySet(pool[gen.integers(0, 6, size=10)])
+            emb = np.vstack([pool, gen.normal(size=(300, dim)) + 1e4])
+            for k in (1, 2, queries.s - 1):
+                conn = reverse_knn_connect(emb, queries, k)
+                assert conn.indices.tobytes() == _reference_connect(emb, queries, k).tobytes(), (seed, k)
+
+    @staticmethod
+    def _far_world():
+        """50 records and 5 queries of norm about 1e151, every query with a
+        first coordinate below -1e151: the squares of a record near
+        (1.3407e154, 0), where |x|² is just finite, all overflow."""
+        gen = np.random.default_rng(4)
+        q = gen.normal(size=(5, 2)) * 1e151
+        q[:, 0] = -1e151 - np.abs(q[:, 0])
+        return gen.normal(size=(50, 2)) * 1e151, QuerySet(q)
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ([1.3407e154, 0.0], "distances overflow: embeddings too large to connect"),
+            ([np.inf, 0.0], "distances overflow: coordinates too large to square"),
+            ([0.0, -np.inf], "distances overflow: coordinates too large to square"),
+            ([np.nan, 1.0], "distances overflow: coordinates too large to square"),
+            ([1.3e154, 0.0], None),
+        ],
+    )
+    def test_rows_near_the_float_range_get_the_exact_kernels_outcome(self, bad, message):
+        # the other rows are certified; the bad one's margin overflows, so it
+        # raises, or connects, as the exact kernel does
+        emb, queries = self._far_world()
+        emb[37] = bad
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in (1, 2):
+                # the default block, and 4-row blocks with the row in the tenth
+                for cells in (geometry_mod._DISTANCE_BLOCK_CELLS, 4 * queries.s):
+                    with mock.patch.object(geometry_mod, "_DISTANCE_BLOCK_CELLS", cells), _kernel_rows() as seen:
+                        if message is None:
+                            conn = reverse_knn_connect(emb, queries, k)
+                        else:
+                            with pytest.raises(ValueError) as raised:
+                                reverse_knn_connect(emb, queries, k)
+                            assert str(raised.value) == message, (k, cells)
+                    assert seen == [emb[37].tobytes()], (k, cells)
+                    if message is None:
+                        assert conn.indices.tobytes() == _reference_connect(emb, queries, k).tobytes()
+
+    def test_the_first_failing_block_names_the_error(self):
+        # an unconnectable row in one block and an infinite one in a later
+        # block raise for the earlier, in either order
+        emb, queries = self._far_world()
+        with np.errstate(over="ignore", invalid="ignore"), mock.patch.object(
+            geometry_mod, "_DISTANCE_BLOCK_CELLS", 4 * queries.s
+        ):
+            for first, second, message in (
+                ([1.3407e154, 0.0], [np.inf, 0.0], "embeddings too large to connect"),
+                ([np.inf, 0.0], [1.3407e154, 0.0], "coordinates too large to square"),
+            ):
+                emb[1], emb[6] = first, second
+                with pytest.raises(ValueError, match=message):
+                    reverse_knn_connect(emb, queries, 1)
+
+    def test_lloyd_bounds_hold_on_gemm_and_kernel_rows(self):
+        # after every assignment, upper bounds each row's exact distance to
+        # its center and lower every other exact distance; the offset makes a
+        # square's rounding far larger than a point's spread, and the
+        # repeated center sends its rows through the kernel
+        gen = np.random.default_rng(5)
+        points = gen.normal(size=(2_000, 4)) + 300.0
+        centers = points[gen.choice(len(points), 8, replace=False)]
+        centers[7] = centers[3]
+        bounds, everyone = geometry_mod._LloydBounds(points), np.arange(len(points))
+        for _ in range(4):
+            with _kernel_rows() as seen:
+                assignment = bounds.assign(QuerySet(centers))
+            assert 0 < len(seen) < len(points)
+            assert assignment.tobytes() == np.argmin(squared_distances(points, centers), axis=1).tobytes()
+            exact = _exact_squares(points, centers)
+            assert all(Fraction(u) ** 2 >= d for u, d in zip(bounds.upper, exact[everyone, assignment]))
+            exact[everyone, assignment] = math.inf
+            assert all(Fraction(v) ** 2 <= d for v, d in zip(bounds.lower, exact.min(axis=1)))
+            step = gen.normal(scale=0.02, size=centers.shape)
+            step[7] = step[3]
+            bounds.move(step)
+            centers = centers + step
+
+    def test_lloyd_on_the_bench_pool_certifies_every_row(self):
+        # at s = 200 the gemm decides every row Lloyd assigns, and centers
+        # and assignments stay those of the sequential reference
+        pool = _bench_pool(3)
+        rows, assigned, evaluated = _count_kernel_rows(lambda: kmeans(pool, 200, np.random.default_rng(200)))
+        assert assigned > 3 * len(pool)
+        assert rows == 0
+        centers, assignment = kmeans(pool, 200, np.random.default_rng(200))
+        ref_centers, ref_assignment = _sequential_kmeans(pool, 200, np.random.default_rng(200))
+        assert centers.tobytes() == ref_centers.tobytes()
+        assert assignment.tobytes() == ref_assignment.tobytes()
 
 
 def connected_counts(records, conn):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from privlabel import simulate as simulate_mod
 from privlabel.core import PrivacyModel, PrivacyParams, QuerySet, RecordSet, record_votes
+from privlabel.data import SyntheticSpec, generate_synthetic
 from privlabel.geometry import reverse_knn_connect
 from privlabel.simulate import (
     MODEL_MECHANISMS,
@@ -384,6 +385,31 @@ class TestPartitionInvariance:
             tracemalloc.stop()
         assert outcome.pre_noise_equal
         assert peak < m * s * labels * 8 / 4
+
+    def test_central_run_ignores_the_partition(self):
+        # the whole run, not one aggregate: each iteration's queries, exact
+        # counts and noisy counts are the same bytes under every split
+        spec = SyntheticSpec(classes=4, per_class=60, dim=3, separation=4.0, std=1.0, pub_per_class=15)
+        records, public = generate_synthetic(spec, 31)
+        params = PrivacyParams(1.0, PrivacyModel.CENTRAL, 2, 1, 5, 4)
+        runs = [
+            run_algorithm1(
+                records, public.embeddings, params, T=3, s=5, k=2, master_seed=23,
+                partition_scheme=scheme, n_clients=7, dirichlet_alpha=0.1,
+            )
+            for scheme in (PartitionScheme.IID, PartitionScheme.DIRICHLET, PartitionScheme.SINGLE_RECORD)
+        ]
+        splits = [run.partition.client_of.tobytes() for run in runs]
+        assert len(set(splits)) == 3
+        for run in runs:
+            assert len(run.iterations) == 3
+            assert np.any(run.iterations[0].report.noisy_counts != run.iterations[0].exact)
+        for t, outcome in enumerate(runs[0].iterations):
+            for other in runs[1:]:
+                same = other.iterations[t]
+                assert same.query_embeddings.tobytes() == outcome.query_embeddings.tobytes(), t
+                assert same.exact.tobytes() == outcome.exact.tobytes(), t
+                assert same.report.noisy_counts.tobytes() == outcome.report.noisy_counts.tobytes(), t
 
     def test_local_model_reports_inapplicable(self):
         records, queries = four_point_fixture()
