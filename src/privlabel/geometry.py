@@ -9,30 +9,19 @@ sampling.
 
 Distances are Euclidean only, and every one is sqrt(max(sq, 0)) of one
 squared-distance product, the exact kernel: a row is [x, |x|², 1] @
-[-2qᵀ; 1; |q|²], whose query side is built and checked once per call.  A
-row's values depend on that row and the queries alone, never on the rows
-sharing the call or on the row's memory offset, so a record connects alone
-as it does inside any record set.  The aggregate's 2kr sensitivity relies on
-this.  ``squared_distances`` returns the unrooted matrix and
-``pairwise_distances`` its root.  Connection orders queries by the squared
-values themselves, ties toward the smaller index, and rejects a row whose
-picks are not all finite.  Scores root only the cells they take.  A squared
-norm that overflows is rejected before any product.
+[-2qᵀ; 1; |q|²].  A row's values depend on that row and the queries alone,
+never on the rows sharing the call or on the row's memory offset, so a record
+connects alone as it does inside any record set; the aggregate's 2kr
+sensitivity relies on this.  Connection orders queries by the squared values,
+ties toward the smaller index, and rejects a row whose picks are not all
+finite.  A squared norm that overflows is rejected before any product.
 
-Connection and Lloyd's assignment need only each row's nearest queries, and
-take them from one gemm per row block, [x, 1] @ [-2qᵀ; |q|²]: the squares
-less the row constant |x|², rounded by how the BLAS splits the block.  A row
-whose last pick leads the next value by more than four rounding margins has
-the exact kernel's picks, proven in ``_nearest_blocks``; the other rows,
-near ties and rows with a non-finite value, go through the exact kernel as a
-gathered subset.  So every pick, and every error raised, is the exact
-kernel's, and still depends on the row and the queries alone.
-
-Lloyd's assignment relies on the same row independence: Hamerly bounds on
-each pool row's distances skip a row whose nearest center provably repeats,
-with a margin that covers the rounding of one square, and the other rows go
-through ``_nearest_blocks``, which gives each of them the picks of a full
-pass.  Centers and assignments are those of a full connect per iteration.
+Connection and Lloyd's assignment take a row's picks from one gemm per row
+block where a gap of four rounding margins proves that the exact kernel picks
+the same (``_nearest_blocks``), and Lloyd skips the rows whose nearest center
+provably repeats (``_LloydBounds``).  So every pick and every error raised is
+the exact kernel's, and k-means gives the centers and assignments of full
+kernel passes.
 """
 from __future__ import annotations
 
@@ -154,12 +143,27 @@ def _kmeans_plus_plus_init(points: np.ndarray, s: int, rng: np.random.Generator)
 
 
 def _margins(squares: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Per-row rounding margin γ·(|x| + max|c|)² + 2⁻¹⁰⁰⁰ of one square, with
-    γ = 4·(dim + 3)·2⁻⁵³, for rows whose |x|², summed in any order, are
-    ``squares``, against the queries behind ``cols`` (``_query_side``).  It
-    is squared as (2(|x| + max|c|))²·γ/4, so that a finite margin leaves
-    every partial sum of a square 4x headroom; a NaN or infinite |x|² gives
-    a non-finite margin.  Callers silence the overflow."""
+    """Per-row rounding margin γ·(|x| + max|c|)² + 2⁻¹⁰⁰⁰, γ = 4·(dim + 3)·2⁻⁵³,
+    of rows whose computed |x|² are ``squares``, against the queries behind
+    ``cols`` (``_query_side``).  Callers silence the overflow.
+
+    Lemma: a computed square lies within half a margin of the exact one.
+    With u = 2⁻⁵³ and γ_k = k·u / (1 − k·u), a sum of k + 1 products errs by
+    at most γ_k times the sum of their magnitudes, in any summation order
+    (Higham, Accuracy and Stability of Numerical Algorithms, §3.1).  So the
+    computed norms X and Q lie within γ_dim·|x|² and γ_dim·|q|² of |x|² and
+    |q|², the kernel's K within γ_(dim+2)·(X + 2|x||q| + Q) of X − 2x·q + Q,
+    and the gemm's G of ``_nearest_blocks`` within γ_(dim+1)·(2|x||q| + Q) of
+    Q − 2x·q.  Each of these two product errors is below a quarter margin,
+    and each computed square, K or fl(G + X), lies within about
+    2·(dim + 1)·u·(|x| + |q|)², below half a margin, of |x − q|².  The
+    2⁻¹⁰⁰⁰ covers products that underflow; the rest of γ absorbs the
+    rounding of the margin and of the tests that use it.
+
+    The margin is squared as (2·(|x| + max|c|))²·γ/4, so a finite margin
+    keeps every partial sum of either product, at most (|x| + max|c|)², a
+    factor 4 below overflow; a NaN or infinite |x|² gives a non-finite
+    margin."""
     gamma = 4 * (cols.shape[0] + 1) * 2.0**-53
     spread = np.sqrt(squares)
     spread += np.sqrt(cols[-1].max())
@@ -168,19 +172,26 @@ def _margins(squares: np.ndarray, cols: np.ndarray) -> np.ndarray:
 
 
 class _LloydBounds:
-    """Hamerly bounds that let Lloyd's assignment skip the rows whose nearest
-    center provably repeats.
+    """Hamerly bounds (Hamerly 2010) that let Lloyd's assignment skip the
+    rows whose nearest center provably repeats.
 
-    Each row keeps an upper bound ``upper`` on its exact distance to its
-    assigned center and a lower bound ``lower`` on its exact distance to
-    every other center.  A move of the centers adds the assigned center's
-    shift to ``upper`` and takes the largest other shift from ``lower``; a
-    center whose bytes are unchanged shifts by exactly 0.  Every update is
-    rounded outward by the factor ``1 ± grow``, so the bounds hold in exact
-    arithmetic.  A row that is assigned again takes its bounds from the
-    squares ``_nearest_blocks`` yields, a gemm's or the exact kernel's, both
-    within half a margin of the exact square and widened by a whole one.
-    The full argument is in ``kmeans``."""
+    Per row, ``upper`` is at least the exact distance to the assigned center
+    and ``lower`` at most the exact distance to every other center.  They
+    start at +inf and 0, and ``reset`` sets ``lower`` to 0, so that no row
+    passes the test.  ``move`` adds the assigned center's shift to ``upper``
+    and takes the largest shift of all centers from ``lower``, rounded
+    outward by the factor 1 ± ``grow``; a center whose bytes are unchanged
+    shifts by exactly 0.
+
+    ``assign`` skips a row when lower² − upper² > 2·margin (``_margins``):
+    a full pass's square to the assigned center is then below
+    upper² + margin/2 and every other one above lower² − margin/2, so its
+    first argmin repeats; the second margin absorbs the rounding of the test.
+    A skipped row's margin is finite, so a full pass's checks would pass on
+    it, and a NaN margin or bound or an infinite ``upper`` fails the test.
+    The other rows get a full pass's picks from ``_nearest_blocks`` and take
+    upper = √(first + margin), lower = √(second − margin) from the squares it
+    yields."""
 
     def __init__(self, points: np.ndarray):
         n, dim = points.shape
@@ -189,73 +200,45 @@ class _LloydBounds:
             self.squares = np.einsum("ij,ij->i", points, points)
         self.grow = 2 * (dim + 8) * 2.0**-53
         self.assignment = np.zeros(n, dtype=np.int64)
-        self.upper, self.lower, self.margin = np.empty(n), np.empty(n), np.empty(n)
-        self.valid = False
+        self.upper, self.lower = np.full(n, np.inf), np.zeros(n)
 
     def reset(self) -> None:
         """Forget the bounds: the next ``assign`` is a full pass."""
-        self.valid = False
+        self.lower[:] = 0.0
 
     def move(self, step: np.ndarray) -> None:
         """Loosen the bounds by the centers' displacement ``step`` (s, dim)."""
-        if not self.valid:
-            return
-        grow = self.grow
+        grow, upper, lower = self.grow, self.upper, self.lower
         with np.errstate(over="ignore", invalid="ignore"):
             # 2⁻⁵⁰⁰ covers a shift whose squares underflow to a norm of 0
             shift = np.linalg.norm(step, axis=1) * (1 + grow) + 2.0**-500 * step.any(axis=1)
-            top = int(np.argmax(shift))
-            others = np.full(len(shift), shift[top])
-            others[top] = np.partition(shift, -2)[-2]
-            upper, lower = self.upper, self.lower
             upper += shift[self.assignment]
             upper *= 1 + grow
-            lower -= others[self.assignment]
+            lower -= shift.max()
             np.maximum(lower, 0.0, out=lower)
             lower *= 1 - grow
-
-    def _separated(self, rows) -> np.ndarray:
-        """Whether lower² − upper² exceeds twice the margin, per row."""
-        lower, upper = self.lower[rows], self.upper[rows]
-        return (lower - upper) * (lower + upper) > 2 * self.margin[rows]
 
     def assign(self, queries: QuerySet) -> np.ndarray:
         """Each row's first nearest center by squared distance, as a full
         pass of the distance kernel gives it, with the bounds refreshed."""
-        centers = queries.embeddings
-        s = centers.shape[0]
-        if s == 1:
+        if queries.s == 1:
             # as connect with k >= s: no distance is computed
             return self.assignment
-        cols = _query_side(centers)
-        points, assignment, upper, lower = self.points, self.assignment, self.upper, self.lower
-        grow = self.grow
+        cols = _query_side(queries.embeddings)
+        upper, lower, grow = self.upper, self.lower, self.grow
         with np.errstate(over="ignore", invalid="ignore"):
-            self.margin = _margins(self.squares, cols)
-            if self.valid:
-                rows = np.flatnonzero(~self._separated(slice(None)))
-                # tighten upper by the direct difference, then test again
-                gap = points[rows]
-                gap -= centers[assignment[rows]]
-                gap *= gap
-                upper[rows] = np.sqrt(gap.sum(axis=1) + 2.0**-1000) * (1 + grow)
-                rows = rows[~self._separated(rows)]
-                subset = points[rows]
-            else:
-                rows, subset = None, points
-        picks = np.empty(len(subset), dtype=np.int64)
-        first, second = np.empty(len(subset)), np.empty(len(subset))
-        for start, nearest, near, after in _nearest_blocks(subset, cols, 1):
+            margin = _margins(self.squares, cols)
+            rows = np.flatnonzero(~((lower - upper) * (lower + upper) > 2 * margin))
+        picks, first, second = np.empty(len(rows), dtype=np.int64), np.empty(len(rows)), np.empty(len(rows))
+        for start, nearest, near, after in _nearest_blocks(self.points[rows], cols, 1):
             at = slice(start, start + len(near))
             picks[at], first[at], second[at] = nearest[0], near, after
-        at = slice(None) if rows is None else rows
-        assignment[at] = picks
-        margin = self.margin[at]
+        self.assignment[rows] = picks
+        margin = margin[rows]
         with np.errstate(over="ignore", invalid="ignore"):
-            upper[at] = np.sqrt(first + margin) * (1 + grow)
-            lower[at] = np.sqrt(np.maximum(second - margin, 0.0)) * (1 - grow)
-        self.valid = True
-        return assignment
+            upper[rows] = np.sqrt(first + margin) * (1 + grow)
+            lower[rows] = np.sqrt(np.maximum(second - margin, 0.0)) * (1 - grow)
+        return self.assignment
 
 
 def kmeans(
@@ -267,44 +250,13 @@ def kmeans(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Lloyd iterations from a k-means++ seeding.
 
-    Returns (centers, assignment).  Deterministic given the generator state;
-    assignment ties in squared distance go to the smallest center index.  An
-    emptied cluster is reseeded at the point farthest from its current center.
-
+    Returns (centers, assignment).  Deterministic given the generator state.
     Each assignment is the first argmin of every row's ``squared_distances``
-    to the centers, but only the rows whose argmin could change are
-    assigned again.  Each row keeps Hamerly bounds (``_LloydBounds``): ``upper``
-    at least its exact distance d_a to its assigned center, ``lower`` at
-    most its exact distance d_j to every other center.
-
-    Skip rule.  A row x keeps its assignment without a pass when
-    lower² − upper² > 2·margin, with margin = γ·(|x| + max|c|)² + 2⁻¹⁰⁰⁰ and
-    γ = 4·(dim + 3)·2⁻⁵³.  The kernel's square sums dim + 2 products, one of
-    them |x|², itself a sum of dim squares, so in any summation order it lies
-    within (γ_dim + γ_(dim+2)·(1 + γ_dim))·(|x| + |c|)² ≈ 2·(dim + 1)·2⁻⁵³·
-    (|x| + |c|)² of the exact square, where γ_k = k·2⁻⁵³ / (1 − k·2⁻⁵³); the
-    2⁻¹⁰⁰⁰ covers products that underflow.  The computed square to the
-    assigned center is then below upper² + margin, every other one above
-    lower² − margin, and the full pass's argmin is the assigned center.  The
-    remaining factor of about 2 in γ absorbs the rounding of the margin, the
-    norms and the test itself.
-
-    Why a skipped row repeats and the rest match.  A row that fails the test
-    first tightens ``upper`` to its direct difference; if it still fails, it
-    goes through ``_nearest_blocks``.  That pass picks the center a full pass
-    of the kernel picks: from one gemm per block where the gap to the
-    runner-up exceeds 4·margin, since the gemm's and the kernel's squares
-    differ by less than half a margin each from the same sum less |x|²;
-    otherwise from the kernel itself in a gathered subset, where row
-    independence gives the row the bytes of a full pass.  It yields the
-    first and second squares, the gemm's plus |x|² or the kernel's, each
-    within half a margin of the exact square, and sets upper = √(first +
-    margin), lower = √(second − margin).  A non-finite margin or bound fails
-    both tests, and a finite margin keeps every partial sum of a square far
-    from overflow, so a skipped or gemm-decided row's square is finite and
-    the overflow checks of a full pass raise on the same inputs.  A reseed
-    invalidates every bound and makes the next pass full.  Centers and
-    assignments are those of a full connect per iteration, byte for byte.
+    to the centers, ties to the smallest center index, and raises where that
+    full pass would, so centers and assignments are those of a full connect
+    per iteration, byte for byte; ``_LloydBounds`` passes only the rows whose
+    argmin could change.  An emptied cluster is reseeded at the point
+    farthest from its current center, and the pass after a reseed is full.
     """
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2:
@@ -435,39 +387,24 @@ def _nearest_blocks(points: np.ndarray, cols: np.ndarray, degree: int):
     ``points``, ``_DISTANCE_BLOCK_CELLS`` cells each as in ``_squared_blocks``:
     ``picks`` (degree, n) are the picks of ``degree`` argmin passes over each
     row of the exact kernel against the queries behind ``cols``, and ``last``
-    and ``after`` are squares within half a margin of the exact squared
-    distance to the last pick and to the next nearest query.  Needs degree <
-    s.  Raises ValueError where the exact kernel over the same rows would:
-    a row's squared norm overflows, or its first or last pick is not finite.
-    The yielded arrays are views of buffers that the next block overwrites.
+    and ``after`` are computed squares (``_margins``) to the last pick and to
+    the next nearest query.  Needs degree < s.  Raises ValueError where the
+    exact kernel over the same rows would: a row's squared norm overflows, or
+    its first or last pick is not finite.  The yielded arrays are views of
+    buffers that the next block overwrites.
 
-    Certified pass.  One gemm per block gives G_j = fl(-2x·q_j + Q_j) for
-    every query j, where Q_j is the kernel's own computed |q_j|², and the
-    kernel computes K_j = fl(X - 2x·q_j + Q_j) with X its computed |x|².  In
-    any summation order (Higham, Accuracy and Stability of Numerical
-    Algorithms, §3.1) they lie within γ_(dim+1)·(2|x||q_j| + Q_j) and
-    γ_(dim+2)·(X + 2|x||q_j| + Q_j) of those sums, with γ_k = k·2⁻⁵³ /
-    (1 − k·2⁻⁵³), each below half the margin γ·(|x| + max|c|)² + 2⁻¹⁰⁰⁰ of
-    ``_margins`` (γ = 4·(dim + 3)·2⁻⁵³; the 2⁻¹⁰⁰⁰ covers products that
-    underflow).  X is the same for every query, so K_l − K_j lies within one
-    margin of G_l − G_j.  The argmin passes over G pick a set; when the next
-    value leads the last pick's by more than 4·margin, every other query's K
-    exceeds every picked one's by more than 3·margin, so the kernel's passes
-    pick the same set; maps sort it, and Lloyd's passes pick one.  The
-    headroom absorbs the rounding of the margin, of the norms (summed in any
-    order) and of the gap.  A finite margin bounds every partial sum of both
-    products by (|x| + max|c|)², a quarter of the float range, so a
-    certified row's squares are finite and the kernel's checks would pass.
-    Every other row, including one whose norm, margin or gap is NaN or
-    infinite, goes through ``_squared_blocks`` as a gathered subset, whose
-    row independence gives it the kernel's bytes, and is checked as a full
-    pass checks it.
-
-    A certified row's ``last`` and ``after`` are G + |x|², within
-    γ_(dim+1)·(2|x||q| + Q) + γ_dim·(|x|² + |q|²) plus one rounding, about
-    2·(dim + 1)·2⁻⁵³·(|x| + |q|)², of the exact square; an exact-kernel row's
-    are its K, within the same of it (see ``kmeans``).  Both are below half
-    a margin."""
+    One gemm per block gives G_j = fl(Q_j − 2x·q_j) for every query j.  The
+    kernel's K_j − X differs from G_j by less than half a margin
+    (``_margins``), and X is the same for every query, so K_l − K_j lies
+    within one margin of G_l − G_j.  Where the value after the last pick
+    leads it by more than 4 margins, every other query's K exceeds every
+    picked one's by more than 3 margins, so the kernel's passes pick the same
+    set: maps sort it, and Lloyd's passes pick one.  The other 3 margins
+    absorb the rounding of the margin, the norms and the gap, and a finite
+    margin keeps the row's squares finite, so the kernel's checks would pass.
+    Every other row, including one whose norm, margin or gap is not finite,
+    goes through ``_squared_blocks`` as a gathered subset, whose row
+    independence gives it the kernel's bytes and checks."""
     m, dim = points.shape
     s = cols.shape[1]
     size = max(1, min(m, _DISTANCE_BLOCK_CELLS // s))

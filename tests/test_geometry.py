@@ -249,6 +249,33 @@ class TestQuerySelection:
                 kmeans(points, s, np.random.default_rng(case))
             assert emptied.called, case
 
+    def test_the_pass_after_a_reseed_is_full(self):
+        # a reseed moves points between clusters behind the bounds' back, so
+        # the next assignment sends every row through _nearest_blocks
+        events = []
+        nearest, connected = geometry_mod._nearest_blocks, geometry_mod._connected_distances
+
+        def spy_nearest(x, *args):
+            events.append(len(x))
+            return nearest(x, *args)
+
+        def spy_reseed(*args):
+            events.append("reseed")
+            return connected(*args)
+
+        reseeds = 0
+        for case in range(2, 64, 4):
+            points, s = _repeated_pool(np.random.default_rng(case))
+            events.clear()
+            with mock.patch.object(geometry_mod, "_nearest_blocks", side_effect=spy_nearest), mock.patch.object(
+                geometry_mod, "_connected_distances", side_effect=spy_reseed
+            ):
+                kmeans(points, s, np.random.default_rng(case))
+            after = [events[i + 1] for i, event in enumerate(events) if event == "reseed"]
+            assert after == [len(points)] * len(after), case
+            reseeds += len(after)
+        assert reseeds
+
     @pytest.mark.parametrize("s", [10, 200])
     def test_lloyd_matches_sequential_loop_on_the_bench_pool(self, s):
         pool = _bench_pool(3)
