@@ -198,26 +198,38 @@ def _cmd_bounds(args) -> int:
 
 
 def _parse_eps_list(text: str) -> list[float]:
+    """The budgets of ``--eps-list``, every one checked before any is used."""
     out = []
     for part in text.split(","):
         part = part.strip()
-        out.append(math.log(2.0) if part == "ln2" else float(part))
+        eps = math.log(2.0) if part == "ln2" else float(part)
+        if not (math.isfinite(eps) and eps >= 0):
+            raise ValueError(f"--eps-list entry {part!r} is not a finite epsilon >= 0")
+        out.append(eps)
     return out
 
 
 def _cmd_verify_dp(args) -> int:
     if args.hash_seeds < 1:
         raise ValueError("--hash-seeds must be at least 1")
-    eps_values = _parse_eps_list(args.eps_list)
+    # every budget's mechanisms are built, and so checked, before any result is printed
+    budgets = [
+        (
+            eps,
+            local_mod.rr_bit_pmfs(eps),
+            [local_mod.CollisionParams.for_budget(4, c, eps) for c in (1, 2)],
+            [local_mod.GseParams(d, c, eps, l, alpha) for d, c, l, alpha in ((4, 1, 1, 1), (5, 2, 2, 1), (5, 2, 2, 2))],
+        )
+        for eps in _parse_eps_list(args.eps_list)
+    ]
     failures = 0
-    for eps in eps_values:
-        inputs, pmf = local_mod.rr_bit_pmfs(eps)
+    for eps, (inputs, pmf), collisions, subsets in budgets:
         ratio = local_mod.verify_local_dp(inputs, pmf)
         ok = ratio <= eps + 1e-9
         failures += not ok
         print(f"{'PASS' if ok else 'FAIL'} rr-bit eps={eps:.6g} max_ratio={ratio:.6g}")
-        for c in (1, 2):
-            params = local_mod.CollisionParams.for_budget(4, c, eps)
+        for params in collisions:
+            c = params.support_size
             worst = 0.0
             for seed_idx in range(args.hash_seeds):
                 rng = seeds_mod.generator(7, "verify-dp", eps, c, seed_idx)
@@ -227,15 +239,14 @@ def _cmd_verify_dp(args) -> int:
             ok = worst <= eps + 1e-9
             failures += not ok
             print(f"{'PASS' if ok else 'FAIL'} collision d=4 c={c} eps={eps:.6g} max_ratio={worst:.6g}")
-        for d, c, l, alpha in ((4, 1, 1, 1), (5, 2, 2, 1), (5, 2, 2, 2)):
-            params = local_mod.GseParams(d, c, eps, l, alpha)
+        for params in subsets:
             inputs, pmf = local_mod.gse_pmfs(params)
             ratio = local_mod.verify_local_dp(inputs, pmf)
             ok = ratio <= eps + 1e-9
             failures += not ok
             print(
-                f"{'PASS' if ok else 'FAIL'} gse d={d} c={c} l={l} alpha={alpha} "
-                f"eps={eps:.6g} max_ratio={ratio:.6g}"
+                f"{'PASS' if ok else 'FAIL'} gse d={params.domain_size} c={params.support_size} "
+                f"l={params.output_size} alpha={params.alpha_min} eps={eps:.6g} max_ratio={ratio:.6g}"
             )
     if failures:
         print(f"{failures} check(s) failed")

@@ -15,7 +15,7 @@ import dataclasses
 from dataclasses import dataclass
 
 from .core import PrivacyModel, PrivacyParams
-from .simulate import PartitionScheme, resolve_mechanism
+from .simulate import PartitionScheme, check_label_mode, resolve_mechanism
 
 
 @dataclass
@@ -74,6 +74,7 @@ class ExperimentConfig:
     def validate(self) -> None:
         """Reject every bad field that does not depend on the data, before it is loaded."""
         resolve_mechanism(self.privacy_model(), self.mechanism)
+        check_label_mode(self.label_mode)
         # r = 1 and two labels are the loosest valid shape: the probe checks only data-free fields
         self.privacy_params(label_count=2, r=1)
         scheme = self.partition_scheme()

@@ -113,14 +113,11 @@ def _format_label(bits: np.ndarray) -> str:
     return "|".join(str(i) for i in np.flatnonzero(bits))
 
 
-def _parse_label(text: str, label_count: int, line_no: int) -> np.ndarray:
+def _parse_label(text: str, line_no: int) -> list[int]:
     try:
-        indices = [int(part) for part in text.split("|")]
+        return [int(part) for part in text.split("|")]
     except ValueError as exc:
         raise ValueError(f"line {line_no}: malformed label {text!r}") from exc
-    if any(i < 0 or i >= label_count for i in indices):
-        raise ValueError(f"line {line_no}: label index out of range [0, {label_count})")
-    return label_vector(indices, label_count)
 
 
 def _write_csv(path, ids, tags, embeddings: np.ndarray) -> None:
@@ -181,12 +178,11 @@ def load_embeddings_csv(path, label_count: int | None = None):
     if not all(labeled):
         missing = next(line_no for (line_no, text), flag in zip(raw_labels, labeled) if not flag)
         raise ValueError(f"line {missing}: missing label in a labeled file")
+    parsed = [(line_no, _parse_label(text, line_no)) for line_no, text in raw_labels]
     if label_count is None:
-        label_count = 1 + max(
-            max(int(p) for p in text.split("|")) for _, text in raw_labels
-        )
-        label_count = max(label_count, 2)
-    labels = np.stack(
-        [_parse_label(text, label_count, line_no) for line_no, text in raw_labels]
-    )
+        label_count = max(2, 1 + max(max(indices) for _, indices in parsed))
+    for line_no, indices in parsed:
+        if any(i < 0 or i >= label_count for i in indices):
+            raise ValueError(f"line {line_no}: label index out of range [0, {label_count})")
+    labels = np.stack([label_vector(indices, label_count) for _, indices in parsed])
     return RecordSet(embeddings, labels, np.asarray(ids))

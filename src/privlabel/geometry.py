@@ -148,7 +148,7 @@ def _margins(squares: np.ndarray, cols: np.ndarray) -> np.ndarray:
     ``cols`` (``_query_side``).  Callers silence the overflow.
 
     Lemma: a computed square lies within half a margin of the exact one.
-    With u = 2⁻⁵³ and γ_k = k·u / (1 − k·u), a sum of k + 1 products errs by
+    With u = 2⁻⁵³ and γ_k = k·u / (1 − k·u), a sum of k products errs by
     at most γ_k times the sum of their magnitudes, in any summation order
     (Higham, Accuracy and Stability of Numerical Algorithms, §3.1).  So the
     computed norms X and Q lie within γ_dim·|x|² and γ_dim·|q|² of |x|² and

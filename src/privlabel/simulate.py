@@ -213,6 +213,12 @@ def _one_record_per_client(partition: Partition, rng: np.random.Generator) -> np
     return perm[first[first < m]]
 
 
+def check_label_mode(label_mode: str) -> None:
+    """Reject a label mode other than the proxy student's two targets."""
+    if label_mode not in ("hard", "soft"):
+        raise ValueError(f"label_mode must be 'hard' or 'soft', got {label_mode!r}")
+
+
 # the mechanisms each model runs; "auto" picks the first
 MODEL_MECHANISMS = {
     PrivacyModel.CENTRAL: ("laplace",),
@@ -327,8 +333,7 @@ def run_algorithm1(
             f"cannot select more queries than public samples: T = {T} at s = {s} needs "
             f"max(1, T - 1) * s = {max(1, T - 1) * s}, got {pub_embeddings.shape[0]}"
         )
-    if label_mode not in ("hard", "soft"):
-        raise ValueError("label_mode must be 'hard' or 'soft'")
+    check_label_mode(label_mode)
     mechanism = resolve_mechanism(params.model, mechanism)
 
     if partition_scheme is PartitionScheme.SINGLE_RECORD:

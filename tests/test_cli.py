@@ -234,6 +234,7 @@ class TestConfigChecksBeforeData:
             (["--k", "0"], "k must"),
             (["--partition", "iid"], "n_clients"),
             (["--partition", "dirichlet", "--n-clients", "3", "--dirichlet-alpha", "0"], "dirichlet_alpha"),
+            (["--label-mode", "bogus"], "label_mode"),
         ],
     )
     @pytest.mark.parametrize("dataset", [[], ["--dataset", "csv", "--csv-priv", "p.csv", "--csv-pub", "q.csv"]])
@@ -378,6 +379,21 @@ class TestVerifyDp:
         code, out, err = run_cli(capsys, "verify-dp", "--hash-seeds", seeds)
         assert code == 3
         assert "--hash-seeds must be at least 1" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("bad, message", [
+        ("-1", "--eps-list entry '-1'"),
+        ("inf", "--eps-list entry 'inf'"),
+        ("nan", "--eps-list entry 'nan'"),
+        ("-inf", "--eps-list entry '-inf'"),
+        ("700", "impractically long filter"),
+        ("800", "e^eps overflows"),
+    ])
+    def test_bad_epsilon_exits_3_before_any_check(self, capsys, bad, message):
+        # each would print PASS or FAIL lines before the check that rejects it
+        code, out, err = run_cli(capsys, "verify-dp", "--hash-seeds", "1", "--eps-list", f"1,{bad}")
+        assert code == 3
+        assert message in err
         assert out == ""
 
 

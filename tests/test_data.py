@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -124,6 +126,14 @@ class TestCsv:
         path.write_text(f"id,label,e1,e2\n0,{label},0.5,0.5\na,{label},0.1,{bad}\n")
         with pytest.raises(ValueError, match="line 3: non-finite"):
             load_embeddings_csv(path)
+
+    @pytest.mark.parametrize("label_count", [None, 3])
+    @pytest.mark.parametrize("label", ["x", "1|"])
+    def test_malformed_label_names_line(self, tmp_path, label_count, label):
+        path = tmp_path / "label.csv"
+        path.write_text(f"id,label,e1\n0,1,0.5\n1,{label},0.25\n")
+        with pytest.raises(ValueError, match=re.escape(f"line 3: malformed label '{label}'")):
+            load_embeddings_csv(path, label_count=label_count)
 
     def test_out_of_range_label_rejected(self, tmp_path):
         path = tmp_path / "range.csv"
