@@ -4,7 +4,8 @@ Subcommands: ``gen`` (synthetic data), ``simulate`` (labeling runs -> results
 JSON), ``bounds`` (max-error bounds), ``verify-dp`` (exhaustive local-DP
 checks), ``mse-compare`` (local-oracle MSE curves as CSV), ``amplify``
 (shuffle amplification calculator).  Exit codes: 0 success, 2 usage error,
-3 config or invariant violation, 4 I/O error.
+3 config or invariant violation, 4 I/O error; a standard output closed
+early, as by ``head``, exits 0.
 """
 from __future__ import annotations
 
@@ -12,6 +13,7 @@ import argparse
 import concurrent.futures
 import dataclasses
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -294,7 +296,15 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        # a closed standard output fails here, not in the flush at exit
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader stopped early, as `head` does: what is left to print
+        # goes nowhere, and that is no error
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVARIANT

@@ -111,14 +111,25 @@ def similarity_from_distance(dist: np.ndarray) -> np.ndarray:
 # query selection
 
 
+def _center_squares(columns: np.ndarray, center: np.ndarray, diff: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Squared distances from the n points whose coordinates are the rows of
+    ``columns`` (dim, n) to ``center``, into ``out`` (n,), through the
+    (dim, n) buffer ``diff``.  Needs n >= 2: numpy reduces the C-contiguous
+    buffer along axis 0 by adding its rows one after another, so each sum
+    runs over the coordinates in order, as a row-wise loop does, but it
+    sums a lone column pairwise."""
+    np.square(np.subtract(columns, center[:, None], out=diff), out=diff)
+    return np.add.reduce(diff, axis=0, out=out)
+
+
 def _kmeans_plus_plus_init(points: np.ndarray, s: int, rng: np.random.Generator) -> np.ndarray:
     n = points.shape[0]
-    # D² runs down the columns of a (dim, n) copy, one coordinate at a time: a
-    # row-wise sum of (points - c)**2 makes an (n, dim) temporary per center
+    # D² runs down the columns of a (dim, n) copy: a row-wise sum of
+    # (points - c)**2 makes an (n, dim) temporary per center
     columns = np.ascontiguousarray(points.T)
     centers = np.empty((s, points.shape[1]))
     closest_sq = np.full(n, np.inf)
-    dist_sq, diff = np.empty(n), np.empty(n)
+    dist_sq, diff = np.empty(n), np.empty_like(columns)
     pick = int(rng.integers(n))
     for j in range(s):
         if j:
@@ -135,10 +146,10 @@ def _kmeans_plus_plus_init(points: np.ndarray, s: int, rng: np.random.Generator)
                 cdf /= cdf[-1]
                 pick = int(cdf.searchsorted(rng.random(), side="right"))
         centers[j] = points[pick]
-        np.square(np.subtract(columns[0], centers[j, 0], out=dist_sq), out=dist_sq)
-        for column, coordinate in zip(columns[1:], centers[j, 1:]):
-            dist_sq += np.square(np.subtract(column, coordinate, out=diff), out=diff)
-        np.minimum(closest_sq, dist_sq, out=closest_sq)
+        if j + 1 < s:
+            # the last center's D² would weigh no pick; so a lone point, whose
+            # s is 1, computes none
+            np.minimum(closest_sq, _center_squares(columns, centers[j], diff, dist_sq), out=closest_sq)
     return centers
 
 
@@ -168,7 +179,10 @@ def _margins(squares: np.ndarray, cols: np.ndarray) -> np.ndarray:
     spread = np.sqrt(squares)
     spread += np.sqrt(cols[-1].max())
     spread *= 2.0
-    return np.square(spread, out=spread) * (gamma / 4) + 2.0**-1000
+    np.square(spread, out=spread)
+    spread *= gamma / 4
+    spread += 2.0**-1000
+    return spread
 
 
 class _LloydBounds:
@@ -191,7 +205,12 @@ class _LloydBounds:
     it, and a NaN margin or bound or an infinite ``upper`` fails the test.
     The other rows get a full pass's picks from ``_nearest_blocks`` and take
     upper = √(first + margin), lower = √(second − margin) from the squares it
-    yields."""
+    yields.
+
+    The bounds compute every pool row's |x|² (``squares``) once, and each
+    ``assign`` computes every row's margin once: the test reads it, and the
+    passed rows hand their norms and 4 margins to ``_nearest_blocks`` as its
+    certification gaps."""
 
     def __init__(self, points: np.ndarray):
         n, dim = points.shape
@@ -229,12 +248,13 @@ class _LloydBounds:
         with np.errstate(over="ignore", invalid="ignore"):
             margin = _margins(self.squares, cols)
             rows = np.flatnonzero(~((lower - upper) * (lower + upper) > 2 * margin))
+        margin = margin[rows]
         picks, first, second = np.empty(len(rows), dtype=np.int64), np.empty(len(rows)), np.empty(len(rows))
-        for start, nearest, near, after in _nearest_blocks(self.points[rows], cols, 1):
+        blocks = _nearest_blocks(self.points[rows], cols, 1, self.squares[rows], 4 * margin)
+        for start, nearest, near, after in blocks:
             at = slice(start, start + len(near))
             picks[at], first[at], second[at] = nearest[0], near, after
         self.assignment[rows] = picks
-        margin = margin[rows]
         with np.errstate(over="ignore", invalid="ignore"):
             upper[rows] = np.sqrt(first + margin) * (1 + grow)
             lower[rows] = np.sqrt(np.maximum(second - margin, 0.0)) * (1 - grow)
@@ -382,7 +402,7 @@ def _picks(block: np.ndarray, picks: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return first, last, flat[offsets + np.argmin(block, axis=1)]
 
 
-def _nearest_blocks(points: np.ndarray, cols: np.ndarray, degree: int):
+def _nearest_blocks(points: np.ndarray, cols: np.ndarray, degree: int, squares: np.ndarray, gaps: np.ndarray):
     """Yield (first row, picks, last, after) for consecutive row blocks of
     ``points``, ``_DISTANCE_BLOCK_CELLS`` cells each as in ``_squared_blocks``:
     ``picks`` (degree, n) are the picks of ``degree`` argmin passes over each
@@ -392,6 +412,10 @@ def _nearest_blocks(points: np.ndarray, cols: np.ndarray, degree: int):
     exact kernel over the same rows would: a row's squared norm overflows, or
     its first or last pick is not finite.  The yielded arrays are views of
     buffers that the next block overwrites.
+
+    The caller computes each row's |x|² once per call, as ``squares``, and
+    its certification gap, 4·``_margins(squares, cols)``, as ``gaps``: the
+    blocks compute no norm or margin.
 
     One gemm per block gives G_j = fl(Q_j − 2x·q_j) for every query j.  The
     kernel's K_j − X differs from G_j by less than half a margin
@@ -416,10 +440,10 @@ def _nearest_blocks(points: np.ndarray, cols: np.ndarray, degree: int):
         n = min(size, m - start)
         x = points[start : start + n]
         rows[:n, :dim] = x
+        square = squares[start : start + n]
         with np.errstate(over="ignore", invalid="ignore"):
             _, last, after = _picks(np.matmul(rows[:n], side, out=out[:n]), picks[:, :n])
-            square = np.einsum("ij,ij->i", x, x)
-            exact = np.flatnonzero(~(after - last > 4 * _margins(square, cols)))
+            exact = np.flatnonzero(~(after - last > gaps[start : start + n]))
             last += square
             after += square
         if exact.size:
@@ -464,10 +488,21 @@ def reverse_knn_connect(embeddings: np.ndarray, queries: QuerySet, k: int) -> Co
     m = embeddings.shape[0]
     if m == 0 or degree == s:
         return ConnectionMap(np.tile(np.arange(degree, dtype=np.int64), (m, 1)), s=s, k=k)
+    cols = _query_side(queries.embeddings)
+    with np.errstate(over="ignore", invalid="ignore"):
+        squares = np.einsum("ij,ij->i", embeddings, embeddings)
+        gaps = _margins(squares, cols)
+        gaps *= 4
     chosen = np.empty((m, degree), dtype=np.int64)
-    for start, picks, _, _ in _nearest_blocks(embeddings, _query_side(queries.embeddings), degree):
-        chosen[start : start + picks.shape[1]] = picks.T
-    if degree > 1:
+    for start, picks, _, _ in _nearest_blocks(embeddings, cols, degree, squares, gaps):
+        at = slice(start, start + picks.shape[1])
+        if degree == 2:
+            # a pair is ordered by its minimum and maximum, not a sort
+            np.minimum(picks[0], picks[1], out=chosen[at, 0])
+            np.maximum(picks[0], picks[1], out=chosen[at, 1])
+        else:
+            chosen[at] = picks.T
+    if degree > 2:
         chosen.sort(axis=1)
     return ConnectionMap(chosen, s=s, k=k)
 

@@ -89,14 +89,15 @@ def partition_records(
         raise ValueError("dirichlet alpha must be positive")
     primary = np.argmax(records.labels, axis=1)
     client_of = np.empty(m, dtype=np.int64)
-    for cls in np.unique(primary):
+    clients = np.arange(n_clients)
+    for cls in np.flatnonzero(np.bincount(primary)):
         members = np.flatnonzero(primary == cls)
         members = members[rng.permutation(members.size)]
         props = rng.dirichlet(np.full(n_clients, dirichlet_alpha))
         cuts = np.floor(np.cumsum(props)[:-1] * members.size).astype(np.int64)
-        # the client of the member at position p is the number of cuts <= p,
-        # as np.split(members, cuts) deals the members out
-        client_of[members] = np.searchsorted(cuts, np.arange(members.size), side="right")
+        # client i takes the members at positions cuts[i - 1] to cuts[i], as
+        # np.split(members, cuts) deals them out
+        client_of[members] = np.repeat(clients, np.diff(cuts, prepend=0, append=members.size))
     return Partition(client_of, n_clients, scheme)
 
 

@@ -15,6 +15,9 @@ Cases:
   queries, exact and noisy counts, hard labels and η of every iteration, the
   public labels, the cluster assignment and ``eta_exceed_rate``.
 - ``kmeans/s=<s>``: centers and assignment over the benchmark's public pool.
+- ``kmeans/near-ties``: centers and assignments over pools of points on the
+  bisectors of query pairs, whose near ties move an assignment wherever
+  Lloyd's bounds skip a row they should not.
 - ``connect/k=<k>``: the reverse k-NN map of the benchmark's records to the
   ``kmeans/s=200`` centers.
 - ``mse-point``: one budget point of the MSE figure.
@@ -63,6 +66,7 @@ TRIAL_KINDS = {
 }
 TRIAL_SEEDS = (1_000_000, 1_000_001)
 KMEANS_S = (10, 40, 200)
+NEAR_TIES = dict(seeds=range(8), s=8, dim=2, per_bisector=200)
 CONNECT_K = (1, 2, 5)
 MSE_POINT = dict(s=200, label_count=50, k=2, r=2, epsilon=1.0, trials=2000, seed=1_000_000)
 BOUNDS_ARGV = ["bounds", "--eps", "1", "--delta", "1e-6", "--n", "60000", "--s", "10", "--k", "2", "--r", "1"]
@@ -132,6 +136,23 @@ def _trial(records, public, kind: str, seed: int) -> dict:
     }
 
 
+def _near_tie_pool(seed: int) -> np.ndarray:
+    """s random queries, then per_bisector points on the bisector of each of
+    s random query pairs: each point is exactly equidistant from its pair, so
+    its computed distances to the two tie up to their last bit."""
+    p = NEAR_TIES
+    gen = np.random.default_rng(seed)
+    queries = gen.normal(size=(p["s"], p["dim"]))
+    parts = [queries]
+    for _ in range(p["s"]):
+        a, b = gen.choice(p["s"], size=2, replace=False)
+        normal = queries[b] - queries[a]
+        offsets = gen.normal(scale=0.3, size=(p["per_bisector"], p["dim"]))
+        offsets -= np.outer(offsets @ normal / (normal @ normal), normal)
+        parts.append((queries[a] + queries[b]) / 2 + offsets)
+    return np.vstack(parts)
+
+
 def _cli(argv) -> bytes:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
@@ -160,6 +181,8 @@ def compute() -> dict:
     for s in KMEANS_S:
         centers[s], assignment = geometry.kmeans(public.embeddings, s, np.random.default_rng(s))
         cases[f"kmeans/s={s}"] = {"centers": digest(centers[s]), "assignment": digest(assignment)}
+    runs = [geometry.kmeans(_near_tie_pool(seed), NEAR_TIES["s"], np.random.default_rng(seed)) for seed in NEAR_TIES["seeds"]]
+    cases["kmeans/near-ties"] = {"centers": digest([c for c, _ in runs]), "assignment": digest([a for _, a in runs])}
     queries = core.QuerySet(centers[200])
     for k in CONNECT_K:
         connections = geometry.reverse_knn_connect(records.embeddings, queries, k)

@@ -3,10 +3,15 @@ import dataclasses
 import itertools
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import privlabel
 from privlabel.cli import build_parser, main
 from privlabel.config import ExperimentConfig
 from privlabel.data import SyntheticSpec
@@ -395,6 +400,23 @@ class TestVerifyDp:
         assert code == 3
         assert message in err
         assert out == ""
+
+    @pytest.mark.parametrize("unbuffered", ["1", ""])
+    def test_closed_standard_output_exits_0_with_nothing_on_stderr(self, unbuffered):
+        # the pipe's read end closes before the run starts, as `head` closes
+        # it after its lines: every write to standard output fails
+        read, write = os.pipe()
+        os.close(read)
+        src = Path(privlabel.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(src), PYTHONUNBUFFERED=unbuffered)
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "privlabel.cli", "verify-dp", "--eps-list", "1e-300"],
+                stdout=write, stderr=subprocess.PIPE, env=env, timeout=120,
+            )
+        finally:
+            os.close(write)
+        assert (done.returncode, done.stderr) == (0, b"")
 
 
 def test_simulate_without_out_prints_summary(capsys):

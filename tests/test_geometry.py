@@ -807,6 +807,101 @@ class TestCertifiedPass:
         assert assignment.tobytes() == ref_assignment.tobytes()
 
 
+class TestRowWorkOncePerCall:
+    """Norms and margins are computed once per connect and per Lloyd
+    assignment, not once per block, and the cheaper orderings around the
+    kernel give the bytes of the forms they replace."""
+
+    def test_margins_run_once_per_connect_and_per_assignment(self):
+        gen = np.random.default_rng(14)
+        queries = QuerySet(gen.normal(size=(200, 8)))
+        emb = gen.normal(size=(5_000, 8))
+        with mock.patch.object(geometry_mod, "_margins", wraps=geometry_mod._margins) as margins_spy:
+            for k in (1, 2, 5):
+                reverse_knn_connect(emb, queries, k)
+                assert margins_spy.call_count == 1, k
+                margins_spy.reset_mock()
+        pool = _bench_pool(3)
+        assigned = []
+        assign = geometry_mod._LloydBounds.assign
+
+        def count(bounds, queries):
+            assigned.append(queries.s)
+            return assign(bounds, queries)
+
+        with mock.patch.object(geometry_mod, "_margins", wraps=geometry_mod._margins) as margins_spy, mock.patch.object(
+            geometry_mod._LloydBounds, "assign", autospec=True, side_effect=count
+        ):
+            kmeans(pool, 200, np.random.default_rng(200))
+        assert len(assigned) > 3
+        assert margins_spy.call_count == len(assigned)
+
+    def test_blocks_compute_no_norm_or_margin(self):
+        # 16 blocks of 327 rows, some rows through the exact kernel (the
+        # repeated query ties): the blocks read the caller's norms and gaps
+        gen = np.random.default_rng(15)
+        q = gen.normal(size=(200, 8))
+        q[7] = q[3]
+        emb = np.vstack([q, gen.normal(size=(5_000, 8))])
+        cols = geometry_mod._query_side(q)
+        squares = np.einsum("ij,ij->i", emb, emb)
+        gaps = 4 * geometry_mod._margins(squares, cols)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a block computed a norm or margin")
+
+        picks = []
+        with mock.patch.object(np, "einsum", forbidden), mock.patch.object(geometry_mod, "_margins", forbidden), _kernel_rows() as seen:
+            for start, nearest, _, _ in geometry_mod._nearest_blocks(emb, cols, 2, squares, gaps):
+                picks.append(nearest.T.copy())
+        assert seen
+        expected = np.argsort(squared_distances(emb, q), axis=1, kind="stable")[:, :2]
+        assert np.sort(np.concatenate(picks), axis=1).tobytes() == np.sort(expected, axis=1).tobytes()
+
+    @pytest.mark.parametrize("n", [2, 7, 5000])
+    @pytest.mark.parametrize("dim", [1, 2, 8, 64, 130])
+    @pytest.mark.parametrize("scale, offset", [(1.0, 0.0), (1e150, 0.0), (1e-150, 0.0), (1.0, 1e4)])
+    def test_kmeans_plus_plus_squares_equal_the_coordinate_loop(self, n, dim, scale, offset):
+        gen = np.random.default_rng(n * dim)
+        points = gen.normal(size=(n, dim)) * scale + offset
+        columns = np.ascontiguousarray(points.T)
+        center = points[n // 2] + gen.normal(size=dim) * scale
+        expected, diff = np.empty(n), np.empty(n)
+        with np.errstate(over="ignore", under="ignore"):
+            # the per-coordinate loop the whole-array update replaces
+            np.square(np.subtract(columns[0], center[0], out=expected), out=expected)
+            for column, coordinate in zip(columns[1:], center[1:]):
+                expected += np.square(np.subtract(column, coordinate, out=diff), out=diff)
+            got = geometry_mod._center_squares(columns, center, np.empty_like(columns), np.empty(n))
+        assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("dim", [1, 8, 130])
+    def test_kmeans_plus_plus_of_a_lone_point_computes_no_squares(self, dim):
+        # numpy sums a lone column pairwise; a lone point's one center weighs
+        # no pick, so no D² is computed for it
+        point = np.random.default_rng(dim).normal(size=(1, dim))
+        with mock.patch.object(geometry_mod, "_center_squares", wraps=geometry_mod._center_squares) as squares:
+            centers = geometry_mod._kmeans_plus_plus_init(point, 1, np.random.default_rng(0))
+            geometry_mod._kmeans_plus_plus_init(np.vstack([point, point + 1]), 2, np.random.default_rng(0))
+        assert centers.tobytes() == point.tobytes()
+        assert squares.call_count == 1
+
+    def test_pairs_picked_in_either_order_equal_a_per_row_sort(self):
+        # repeated queries tie exactly; the first pick has the larger index in
+        # some rows and the smaller in others (TestBlockedConnect covers k = 2
+        # on random tied instances)
+        gen = np.random.default_rng(16)
+        q = gen.integers(0, 3, size=(12, 2)).astype(np.float64)
+        emb = np.vstack([q, gen.normal(size=(500, 2)) + 1.0])
+        sq = squared_distances(emb, q)
+        picks = np.argsort(sq, axis=1, kind="stable")[:, :2]
+        assert (picks[:, 0] > picks[:, 1]).any() and (picks[:, 0] < picks[:, 1]).any()
+        assert (sq[np.arange(len(emb)), picks[:, 0]] == sq[np.arange(len(emb)), picks[:, 1]]).any()
+        for cells in (geometry_mod._DISTANCE_BLOCK_CELLS, 12, 36):
+            with mock.patch.object(geometry_mod, "_DISTANCE_BLOCK_CELLS", cells):
+                assert reverse_knn_connect(emb, QuerySet(q), 2).indices.tobytes() == np.sort(picks, axis=1).tobytes()
+
+
 def connected_counts(records, conn):
     """The (s, label_count) vote counts of ``records`` under ``conn``."""
     return vote_counts(record_votes(records, conn), (conn.s, records.label_count))

@@ -95,6 +95,21 @@ class TestPartition:
         expected, _ = _dirichlet_split_reference(records, n_clients, np.random.default_rng(seed), alpha)
         assert part.client_of.tobytes() == expected.tobytes()
 
+    @given(
+        st.lists(st.integers(0, 50), min_size=1, max_size=4),
+        st.integers(1, 200),
+        st.sampled_from([0.01, 0.5, 10.0]),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_dirichlet_split_equals_the_searchsorted_form(self, class_sizes, n_clients, alpha, seed):
+        # a one-member class and an unused last label ride along; sizes of at
+        # most 50 leave most draws with more clients than some class has
+        records = _records_with_class_sizes(class_sizes + [1, 0])
+        part = partition_records(records, PartitionScheme.DIRICHLET, n_clients, np.random.default_rng(seed), alpha)
+        expected = _dirichlet_searchsorted_reference(records, n_clients, np.random.default_rng(seed), alpha)
+        assert part.client_of.tobytes() == expected.tobytes()
+
     def test_dirichlet_split_with_empty_clients_and_end_cuts(self):
         # alpha = 0.01 piles each class onto a few of 200 clients: most
         # clients stay empty and cuts fall at 0 and at the class size
@@ -140,6 +155,20 @@ def _dirichlet_split_reference(records, n_clients, rng, alpha):
             client_of[chunk] = cid
         all_cuts.append(cuts)
     return client_of, all_cuts
+
+
+def _dirichlet_searchsorted_reference(records, n_clients, rng, alpha):
+    """Dirichlet partition with the classes from np.unique and each member's
+    client counted by searchsorted over the cuts."""
+    primary = np.argmax(records.labels, axis=1)
+    client_of = np.empty(records.m, dtype=np.int64)
+    for cls in np.unique(primary):
+        members = np.flatnonzero(primary == cls)
+        members = members[rng.permutation(members.size)]
+        props = rng.dirichlet(np.full(n_clients, alpha))
+        cuts = np.floor(np.cumsum(props)[:-1] * members.size).astype(np.int64)
+        client_of[members] = np.searchsorted(cuts, np.arange(members.size), side="right")
+    return client_of
 
 
 class TestProxyStudent:
