@@ -320,7 +320,10 @@ def collision_indicator_estimates(seeds: np.ndarray, cells: np.ndarray, params: 
     """
     hits = np.zeros(params.domain_size, dtype=np.int64)
     for _, block in _hit_blocks(seeds, cells, params):
-        hits += np.count_nonzero(block, axis=0)
+        # bytes summed into uint32 give count_nonzero's counts about twice as
+        # fast as its intp sums; a reduced axis reaches 2**16 cells (d >= 2**16,
+        # or a one-cell domain's 2**16-row blocks), which would overflow uint16
+        hits += np.add.reduce(block.view(np.uint8), axis=0, dtype=np.uint32)
     return (hits - np.size(seeds) / params.filter_length) / params.estimator_denominator
 
 
@@ -345,7 +348,8 @@ def collision_hit_counts(
     counts = np.empty((len(columns), np.size(seeds)), dtype=np.int64)
     for start, block in _hit_blocks(seeds, cells, params):
         for j, cols in enumerate(columns):
-            counts[j, start : start + len(block)] = np.count_nonzero(block[:, cols], axis=1)
+            # uint32 sums, as in collision_indicator_estimates
+            counts[j, start : start + len(block)] = np.add.reduce(block[:, cols].view(np.uint8), axis=1, dtype=np.uint32)
     return counts
 
 

@@ -10,6 +10,7 @@ on how records are split across clients.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -63,6 +64,11 @@ class Partition:
     @property
     def m(self) -> int:
         return self.client_of.shape[0]
+
+    @functools.cached_property
+    def records_per_client(self) -> np.ndarray:
+        """(n_clients,) number of records each client holds, counted once."""
+        return np.bincount(self.client_of, minlength=self.n_clients)
 
 
 def partition_records(
@@ -206,8 +212,15 @@ class SimulationResult:
 
 def _one_record_per_client(partition: Partition, rng: np.random.Generator) -> np.ndarray:
     """One uniformly chosen record index per client that has records, in
-    client order: each client's first record in a random permutation."""
-    m = partition.m
+    client order: each client's first record in a random permutation.
+
+    When no client holds more than one record there is no choice to make:
+    each reports its own, and ``rng`` is not drawn from."""
+    m, counts = partition.m, partition.records_per_client
+    if counts.max(initial=0) <= 1:
+        chosen = np.empty(partition.n_clients, dtype=np.int64)
+        chosen[partition.client_of] = np.arange(m)
+        return chosen[counts > 0]
     perm = rng.permutation(m)
     first = np.full(partition.n_clients, m)
     np.minimum.at(first, partition.client_of[perm], np.arange(m))
@@ -286,8 +299,7 @@ def _privatize(
     if params.model is PrivacyModel.CENTRAL:
         return central_mod.central_laplace_mechanism(exact, params, rng)
     if params.model is PrivacyModel.SHUFFLE_MULTI:
-        records_per_client = np.bincount(partition.client_of, minlength=partition.n_clients)
-        client_mass = records_per_client * votes.shape[1]
+        client_mass = partition.records_per_client * votes.shape[1]
         return shuffle_mod.multi_message_pipeline(exact, client_mass, params, rng)
     chosen = _one_record_per_client(partition, rng)
     flat = local_mod.MECHANISMS[mechanism].release(votes[chosen], params, rng)
@@ -350,7 +362,7 @@ def run_algorithm1(
     )
 
     iter_params = params.per_iteration(T)
-    reporting = np.count_nonzero(np.bincount(partition.client_of))  # clients holding a record
+    reporting = np.count_nonzero(partition.records_per_client)  # clients holding a record
     mech_params = randomizer_params(iter_params, reporting)
     eta = eta_bound(mech_params, mechanism, reporting, beta)
     mech_name = f"shuffled-{mechanism}" if params.model is PrivacyModel.SHUFFLE_SINGLE else mechanism

@@ -14,6 +14,9 @@ Cases:
   on the benchmark world, the same shapes as the benchmark's workloads: the
   queries, exact and noisy counts, hard labels and η of every iteration, the
   public labels, the cluster assignment and ``eta_exceed_rate``.
+- ``trial/local-rr/mixed-clients``: the same fields of a local-rr trial on a
+  2,000-record world split IID over 1,500 clients, so that clients holding
+  one record and clients holding several share one permutation of the records.
 - ``kmeans/s=<s>``: centers and assignment over the benchmark's public pool.
 - ``kmeans/near-ties``: centers and assignments over pools of points on the
   bisectors of query pairs, whose near ties move an assignment wherever
@@ -65,6 +68,8 @@ TRIAL_KINDS = {
     "shuffle-single-collision": ("SHUFFLE_SINGLE", "collision", ONE_RECORD),
 }
 TRIAL_SEEDS = (1_000_000, 1_000_001)
+MIXED_WORLD = dict(WORLD, per_class=200, pub_per_class=50)
+MIXED_CLIENTS = dict(s=10, k=1, T=1, epsilon=1.0, scheme="iid", n_clients=1500)
 KMEANS_S = (10, 40, 200)
 NEAR_TIES = dict(seeds=range(8), s=8, dim=2, per_bisector=200)
 CONNECT_K = (1, 2, 5)
@@ -103,8 +108,7 @@ def digest(value) -> str:
     return h.hexdigest()
 
 
-def _trial(records, public, kind: str, seed: int) -> dict:
-    model_name, mechanism, shape = TRIAL_KINDS[kind]
+def _trial(records, public, model_name: str, mechanism: str, shape: dict, seed: int) -> dict:
     model = core.PrivacyModel[model_name]
     delta = 1e-6 if model_name.startswith("SHUFFLE") else 0.0
     params = core.PrivacyParams(
@@ -175,8 +179,11 @@ def compute() -> dict:
     cases = {}
     for kind in TRIAL_KINDS:
         for seed in TRIAL_SEEDS:
-            fields = _trial(records, public, kind, seed)
+            fields = _trial(records, public, *TRIAL_KINDS[kind], seed)
             cases[f"trial/{kind}/seed={seed}"] = {name: digest(v) for name, v in fields.items()}
+    small_records, small_public = data.generate_synthetic(data.SyntheticSpec(**MIXED_WORLD), seed=WORLD_SEED)
+    fields = _trial(small_records, small_public, "LOCAL", "rr", MIXED_CLIENTS, TRIAL_SEEDS[0])
+    cases["trial/local-rr/mixed-clients"] = {name: digest(v) for name, v in fields.items()}
     centers = {}
     for s in KMEANS_S:
         centers[s], assignment = geometry.kmeans(public.embeddings, s, np.random.default_rng(s))

@@ -657,6 +657,81 @@ class TestBlockedConnect:
         assert peak < m * s * 8 / 4
 
 
+def _short_row_blocks(s):
+    """(rows, s) blocks with exact ties, repeated rows, NaN, ±inf and ±0.0."""
+    gen = np.random.default_rng(s)
+    ties = gen.integers(-2, 3, size=(40, s)).astype(np.float64)
+    ties[20:] = ties[gen.integers(0, 20, size=20)]
+    special = gen.normal(size=(60, s))
+    cells = gen.integers(0, s, size=(60, 3))
+    special[np.arange(0, 60, 6)[:, None], cells[::6]] = np.nan
+    special[np.arange(1, 60, 6)[:, None], cells[1::6]] = np.inf
+    special[np.arange(2, 60, 6)[:, None], cells[2::6]] = -np.inf
+    special[np.arange(3, 60, 6)[:, None], cells[3::6]] = 0.0
+    special[np.arange(4, 60, 6)[:, None], cells[4::6]] = -0.0
+    special[5] = np.nan
+    special[11] = np.inf
+    special[17] = np.where(np.arange(s) % 2, 0.0, -0.0)
+    return ties, special, gen.normal(size=(30, s))
+
+
+class TestShortRowPicks:
+    """Rows below ``_SHORT_ROW`` cells read the value after their picks by
+    column minima, longer rows by one more argmin pass."""
+
+    def test_picks_equal_the_argmin_passes_on_both_sides_of_the_bound(self):
+        assert 2 < geometry_mod._SHORT_ROW < 40
+        for s in range(2, 41):
+            for block in _short_row_blocks(s):
+                for degree in range(1, min(5, s - 1) + 1):
+                    ref = block.copy()
+                    rows = np.arange(len(ref))
+                    expected = np.empty((degree, len(ref)), dtype=np.int64)
+                    values = []
+                    for col in range(degree):
+                        expected[col] = np.argmin(ref, axis=1)
+                        values.append(ref[rows, expected[col]])
+                        ref[rows, expected[col]] = np.inf
+                    after = ref[rows, np.argmin(ref, axis=1)]
+                    picks = np.empty((degree, len(block)), dtype=np.int64)
+                    got = geometry_mod._picks(block.copy(), picks)
+                    assert picks.tobytes() == expected.tobytes(), (s, degree)
+                    assert got[0].tobytes() == values[0].tobytes(), (s, degree)
+                    assert got[1].tobytes() == values[-1].tobytes(), (s, degree)
+                    # the same value, up to the sign of a zero; NaN where argmin reads NaN
+                    assert np.array_equal(got[2], after, equal_nan=True), (s, degree)
+
+    def test_only_long_rows_take_an_argmin_pass_for_the_next_value(self):
+        argmin, shapes = np.argmin, []
+
+        def spy(a, *args, **kwargs):
+            shapes.append(a.shape)
+            return argmin(a, *args, **kwargs)
+
+        gen = np.random.default_rng(2)
+        bound = geometry_mod._SHORT_ROW
+        for s, passes in ((200, 3), (bound, 3), (bound - 1, 2), (10, 2)):
+            shapes.clear()
+            with mock.patch.object(geometry_mod.np, "argmin", side_effect=spy):
+                geometry_mod._picks(gen.normal(size=(50, s)), np.empty((2, 50), dtype=np.int64))
+            assert shapes == [(50, s)] * passes, s
+
+    @pytest.mark.parametrize("s", [2, 10] + [geometry_mod._SHORT_ROW + i for i in (-1, 0, 1)])
+    def test_connect_equals_the_dense_reference_around_the_bound(self, s):
+        for seed in range(10):
+            gen = np.random.default_rng(seed)
+            # queries repeat rows of a small-integer pool, so distances tie exactly
+            pool = gen.integers(1, 4, size=(max(1, s // 2), 3)).astype(np.float64)
+            queries = QuerySet(pool[gen.integers(0, len(pool), size=s)])
+            emb = np.vstack([pool, gen.normal(size=(300, 3)) + 2.0])
+            for k in sorted({1, 2, s - 1} & set(range(1, s))):
+                expected = _reference_connect(emb, queries, k).tobytes()
+                # the default block, and 7-row blocks
+                for cells in (geometry_mod._DISTANCE_BLOCK_CELLS, 7 * s):
+                    with mock.patch.object(geometry_mod, "_DISTANCE_BLOCK_CELLS", cells):
+                        assert reverse_knn_connect(emb, queries, k).indices.tobytes() == expected, (seed, k)
+
+
 @contextlib.contextmanager
 def _kernel_rows():
     """Collect the rows every ``_squared`` call receives, as one list of row bytes."""

@@ -302,6 +302,24 @@ class TestCollisionEstimation:
             assert collision_report_estimates(seeds, cells, params).tobytes() == expected_rows.tobytes()
             assert collision_indicator_estimates(seeds, cells, params).tobytes() == expected_sums.tobytes()
 
+    @pytest.mark.parametrize("d, n", [(1, 70_000), (100, 2_000), (10_000, 20), (70_000, 3)])
+    def test_hit_counts_equal_count_nonzero(self, d, n, rng):
+        # every report hits at coordinate 0, so at d = 1 a block sums 2**16
+        # hits; d = 10,000 puts 6 reports in a block, and d = 70,000 one,
+        # whose row is wider than 2**16 cells
+        import privlabel.local as local_mod
+
+        assert local_mod._COLLISION_CHUNK_CELLS == 2**16
+        params = CollisionParams(d, 1, 1.0, 2)
+        seeds = rng.integers(0, 2**63, size=n, dtype=np.uint64)
+        cells = bucket_hash(seeds, np.zeros(n, dtype=np.int64), params.filter_length)
+        hits = bucket_hash(seeds[:, None], np.arange(d), params.filter_length) == cells[:, None]
+        columns = (slice(None), np.arange(0, d, 3), slice(1, None), np.array([0, 0, d - 1]))
+        expected = np.stack([np.count_nonzero(hits[:, cols], axis=1) for cols in columns])
+        assert np.array_equal(collision_hit_counts(seeds, cells, params, columns), expected)
+        sums = (np.count_nonzero(hits, axis=0) - n / params.filter_length) / params.estimator_denominator
+        assert collision_indicator_estimates(seeds, cells, params).tobytes() == sums.tobytes()
+
     def test_coordinates_are_mixed_once_per_call(self, rng, monkeypatch):
         import privlabel.local as local_mod
 

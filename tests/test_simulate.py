@@ -82,6 +82,15 @@ class TestPartition:
         chosen = simulate_mod._one_record_per_client(partition, np.random.default_rng(3))
         assert chosen.tobytes() == perm[first].tobytes()
 
+    @pytest.mark.parametrize("n_clients, m", [(50, 50), (80, 50)])
+    def test_one_record_clients_report_without_a_draw(self, n_clients, m):
+        client_of = np.random.default_rng(m).permutation(n_clients)[:m]
+        rng = np.random.default_rng(3)
+        state = rng.bit_generator.state
+        chosen = simulate_mod._one_record_per_client(Partition(client_of, n_clients, PartitionScheme.IID), rng)
+        assert rng.bit_generator.state == state
+        assert chosen.tolist() == np.argsort(client_of).tolist()
+
     @given(
         st.lists(st.integers(0, 50), min_size=1, max_size=4),
         st.integers(1, 200),
