@@ -86,7 +86,7 @@ def log_density_ratio(aggregate: np.ndarray, neighbor: np.ndarray, output: np.nd
 
 def pipeline_aggregate(records: RecordSet, queries: QuerySet, k: int) -> np.ndarray:
     """Exact aggregate of the full connect-and-count pipeline (no privacy)."""
-    conn = reverse_knn_connect(records.embeddings, queries, k)
+    conn = reverse_knn_connect(records.embeddings, queries, k, squares=records.squared_norms)
     return vote_counts(record_votes(records, conn), (queries.s, records.label_count))
 
 

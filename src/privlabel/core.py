@@ -12,6 +12,7 @@ a ``vote_counts`` of such indices.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Iterable
@@ -112,12 +113,18 @@ def validate_label_matrix(labels: np.ndarray) -> int:
     return found
 
 
-@dataclass
+@dataclass(frozen=True)
 class RecordSet:
     """Column-stacked private dataset.
 
     ``embeddings`` is (m, dim) float64, ``labels`` is (m, label_count)
-    multi-hot with a uniform cardinality ``r`` across rows.
+    multi-hot with a uniform cardinality ``r`` across rows.  A record set is
+    immutable: its fields are validated once and cannot be reassigned, and
+    ``dataclasses.replace`` builds a revalidated copy.  So it keeps two
+    read-only per-record arrays, computed at first use and shared by every
+    query set connected to these records: ``squared_norms`` and
+    ``label_indices``.  The field arrays are not copied, so a write into
+    them in place is not seen by these.
     """
 
     embeddings: np.ndarray
@@ -125,21 +132,24 @@ class RecordSet:
     ids: np.ndarray = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
-        self.embeddings = np.asarray(self.embeddings, dtype=np.float64)
-        self.labels = np.asarray(self.labels, dtype=np.uint8)
-        if self.embeddings.ndim != 2:
+        embeddings = np.asarray(self.embeddings, dtype=np.float64)
+        labels = np.asarray(self.labels, dtype=np.uint8)
+        if embeddings.ndim != 2:
             raise ValueError("embeddings must be (m, dim)")
-        if not np.isfinite(self.embeddings).all():
+        if not np.isfinite(embeddings).all():
             raise ValueError("record embeddings must be finite")
-        if self.labels.shape[0] != self.embeddings.shape[0]:
+        if labels.shape[0] != embeddings.shape[0]:
             raise ValueError("embeddings and labels disagree on record count")
-        validate_label_matrix(self.labels)
+        validate_label_matrix(labels)
         if self.ids is None:
-            self.ids = np.arange(self.embeddings.shape[0])
+            ids = np.arange(embeddings.shape[0])
         else:
-            self.ids = np.asarray(self.ids)
-            if self.ids.shape[0] != self.embeddings.shape[0]:
+            ids = np.asarray(self.ids)
+            if ids.shape[0] != embeddings.shape[0]:
                 raise ValueError("ids length mismatch")
+        object.__setattr__(self, "embeddings", embeddings)
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "ids", ids)
 
     @property
     def m(self) -> int:
@@ -156,6 +166,27 @@ class RecordSet:
     @property
     def r(self) -> int:
         return int(self.labels[0].sum()) if self.m else 1
+
+    @functools.cached_property
+    def squared_norms(self) -> np.ndarray:
+        """(m,) |x|² of every record, as ``np.einsum("ij,ij->i")`` sums it:
+        the norms a connect's rounding margins read.  A norm beyond the
+        float range reads inf."""
+        with np.errstate(over="ignore"):
+            squares = np.einsum("ij,ij->i", self.embeddings, self.embeddings)
+        squares.flags.writeable = False
+        return squares
+
+    @functools.cached_property
+    def label_indices(self) -> np.ndarray:
+        """(m, r) label ids of every record, increasing along each row."""
+        # the 0/1 matrix's ones in row-major order, each flat index modulo
+        # label_count: np.nonzero(labels)[1] without its row indices
+        indices = np.flatnonzero(self.labels.view(bool))
+        indices %= self.label_count
+        indices = indices.reshape(self.m, self.r)
+        indices.flags.writeable = False
+        return indices
 
     def subset(self, index: np.ndarray) -> "RecordSet":
         return RecordSet(self.embeddings[index], self.labels[index], self.ids[index])
@@ -255,11 +286,7 @@ def record_votes(records: RecordSet, connections: ConnectionMap) -> np.ndarray:
     its buckets."""
     if connections.m != records.m:
         raise ValueError("connections must cover exactly these records")
-    # the validated 0/1 matrix's ones in row-major order, each flat index
-    # modulo label_count: np.nonzero(labels)[1] without its row indices
-    labels = np.flatnonzero(np.asarray(records.labels, dtype=np.uint8).view(bool))
-    labels %= records.label_count
-    return flatten_support(connections.indices, labels.reshape(records.m, records.r), records.label_count)
+    return flatten_support(connections.indices, records.label_indices, records.label_count)
 
 
 def vote_counts(votes: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:

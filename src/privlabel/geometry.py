@@ -261,6 +261,33 @@ class _LloydBounds:
         return self.assignment
 
 
+def _resum(sums: np.ndarray, columns: np.ndarray, assignment: np.ndarray, summed: np.ndarray | None) -> None:
+    """Make ``sums`` (s, dim) the coordinate sums of each cluster's members
+    under ``assignment``, given that they are those under ``summed`` (None:
+    ``sums`` holds nothing yet).  ``columns`` is the (dim, n) pool.
+
+    Only the clusters that gained or lost a row are summed again, each over
+    all its members in index order: adding and subtracting the moved rows
+    would round differently.  Where those clusters hold more than half the
+    pool, every cluster is summed, which is cheaper than gathering them."""
+    s = sums.shape[0]
+    if summed is not None:
+        moved = assignment != summed
+        if not moved.any():
+            return
+        changed = np.zeros(s, dtype=bool)
+        changed[summed[moved]] = True
+        changed[assignment[moved]] = True
+        rows = np.flatnonzero(changed[assignment])
+        if 2 * rows.size <= assignment.size:
+            members = assignment[rows]
+            for sum_, column in zip(sums.T, columns[:, rows]):
+                sum_[changed] = np.bincount(members, column, s)[changed]
+            return
+    for sum_, column in zip(sums.T, columns):
+        sum_[:] = np.bincount(assignment, column, s)
+
+
 def kmeans(
     points: np.ndarray,
     s: int,
@@ -277,6 +304,11 @@ def kmeans(
     per iteration, byte for byte; ``_LloydBounds`` passes only the rows whose
     argmin could change.  An emptied cluster is reseeded at the point
     farthest from its current center, and the pass after a reseed is full.
+
+    A cluster's coordinate sum is the in-order ``np.bincount`` of its
+    members from 0.0, as an axis-0 mean sums them, so each mean equals
+    ``points[assignment == j].mean(axis=0)`` bytewise; a sum is redone only
+    when its cluster's member set changes (``_resum``).
     """
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2:
@@ -291,11 +323,11 @@ def kmeans(
     # the center sums read one contiguous (dim, n) copy per call: bincount
     # reads points.T's strided rows slower
     columns = np.ascontiguousarray(points.T)
+    sums, summed = np.empty_like(centers), None
     for _ in range(max_iter):
         counts = np.bincount(assignment, minlength=s)
-        # bincount sums rows in index order from 0.0, as an axis-0 mean does,
-        # so each mean equals points[assignment == j].mean(axis=0) bytewise
-        sums = np.stack([np.bincount(assignment, col, s) for col in columns], axis=1)
+        _resum(sums, columns, assignment, summed)
+        summed = assignment.copy()
         new_centers = centers.copy()
         filled = counts > 0
         new_centers[filled] = sums[filled] / counts[filled, None]
@@ -489,7 +521,9 @@ def _connected_distances(embeddings: np.ndarray, queries: QuerySet, indices: np.
     return np.sqrt(picked, out=picked)
 
 
-def reverse_knn_connect(embeddings: np.ndarray, queries: QuerySet, k: int) -> ConnectionMap:
+def reverse_knn_connect(
+    embeddings: np.ndarray, queries: QuerySet, k: int, squares: np.ndarray | None = None
+) -> ConnectionMap:
     """Connect each record to its min(k, s) nearest queries.
 
     The picks are min(k, s) argmin passes over the record's row of
@@ -498,6 +532,10 @@ def reverse_knn_connect(embeddings: np.ndarray, queries: QuerySet, k: int) -> Co
     finite raises ValueError.  Distances are taken in row blocks, so memory
     is O(m·min(k, s)) plus one block; with k >= s every record takes every
     query and no distance is computed.
+
+    ``squares``, if given, are the rows' |x|² as ``np.einsum("ij,ij->i")``
+    sums them (``RecordSet.squared_norms``), which the rounding margins read;
+    otherwise they are computed here.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -505,11 +543,14 @@ def reverse_knn_connect(embeddings: np.ndarray, queries: QuerySet, k: int) -> Co
     s = queries.s
     degree = min(k, s)
     m = embeddings.shape[0]
+    if squares is not None and np.shape(squares) != (m,):
+        raise ValueError(f"squares must hold one squared norm per record, got shape {np.shape(squares)}")
     if m == 0 or degree == s:
         return ConnectionMap(np.tile(np.arange(degree, dtype=np.int64), (m, 1)), s=s, k=k)
     cols = _query_side(queries.embeddings)
     with np.errstate(over="ignore", invalid="ignore"):
-        squares = np.einsum("ij,ij->i", embeddings, embeddings)
+        if squares is None:
+            squares = np.einsum("ij,ij->i", embeddings, embeddings)
         gaps = _margins(squares, cols)
         gaps *= 4
     chosen = np.empty((m, degree), dtype=np.int64)

@@ -93,7 +93,8 @@ def partition_records(
         return Partition(rng.integers(0, n_clients, size=m), n_clients, scheme)
     if dirichlet_alpha <= 0:
         raise ValueError("dirichlet alpha must be positive")
-    primary = np.argmax(records.labels, axis=1)
+    # a 0/1 row's first 1 is its argmax
+    primary = records.label_indices[:, 0]
     client_of = np.empty(m, dtype=np.int64)
     clients = np.arange(n_clients)
     for cls in np.flatnonzero(np.bincount(primary)):
@@ -385,7 +386,7 @@ def run_algorithm1(
             query_indices = select_queries_uncertainty(student.soft(pub_embeddings), s, np.flatnonzero(direct))
             queries = QuerySet(pub_embeddings[query_indices])
 
-        connections = reverse_knn_connect(records.embeddings, queries, k)
+        connections = reverse_knn_connect(records.embeddings, queries, k, squares=records.squared_norms)
         votes = record_votes(records, connections)
         exact = vote_counts(votes, (s, records.label_count))
         ledger.charge(iter_params.epsilon, connections.degree)
@@ -470,7 +471,8 @@ def verify_partition_invariance(
     """
     if params is not None and params.model in (PrivacyModel.LOCAL, PrivacyModel.SHUFFLE_SINGLE):
         return InvarianceResult(False, None, None, "per-client noise depends on the partition")
-    votes = record_votes(records, reverse_knn_connect(records.embeddings, queries, k))
+    connections = reverse_knn_connect(records.embeddings, queries, k, squares=records.squared_norms)
+    votes = record_votes(records, connections)
     shape = (queries.s, records.label_count)
     aggregates = []
     for i, scheme in enumerate(schemes):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -123,11 +124,9 @@ class TestSensitivityVerifier:
         def pairs():
             records = random_record_set(rng, m=5, dim=2, label_count=3)
             queries = random_queries(rng, s=4, dim=2)
-            neighbor = records.subset(np.arange(5))
-            labels = neighbor.labels.copy()
+            labels = records.labels.copy()
             labels[0] = np.roll(labels[0], 1)
-            neighbor.labels = labels
-            return records, neighbor, queries
+            return records, replace(records, labels=labels), queries
 
         assert verify_sensitivity(pairs, k=1, trials=50) <= 2
 
@@ -135,11 +134,9 @@ class TestSensitivityVerifier:
         def pairs():
             records = random_record_set(rng, m=4, dim=2, label_count=3)
             queries = random_queries(rng, s=3, dim=2)
-            neighbor = records.subset(np.arange(4))
-            emb = neighbor.embeddings.copy()
+            emb = records.embeddings.copy()
             emb[0] += 1e-9  # nudge too small to change any nearest query
-            neighbor.embeddings = emb
-            return records, neighbor, queries
+            return records, replace(records, embeddings=emb), queries
 
         assert verify_sensitivity(pairs, k=2, trials=20) == 0.0
 

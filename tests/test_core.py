@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -176,6 +177,47 @@ class TestAccuracySpecAndRecords:
         labels = np.array([[1, 0, 0], [1, 1, 0]], dtype=np.uint8)
         with pytest.raises(ValueError, match="cardinality"):
             RecordSet(np.zeros((2, 2)), labels)
+
+
+class TestRecordSet:
+    @pytest.mark.parametrize("name", ["embeddings", "labels", "ids"])
+    def test_fields_cannot_be_reassigned(self, rng, name):
+        records = random_record_set(rng, m=3, dim=2, label_count=3)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(records, name, getattr(records, name).copy())
+
+    def test_replace_revalidates(self, rng):
+        records = random_record_set(rng, m=3, dim=2, label_count=3)
+        emb = records.embeddings.copy()
+        emb[1, 0] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            dataclasses.replace(records, embeddings=emb)
+        labels = records.labels.copy()
+        labels[0] = 1
+        with pytest.raises(ValueError, match="cardinality"):
+            dataclasses.replace(records, labels=labels)
+
+    @pytest.mark.parametrize("m, r", [(0, 1), (1, 1), (50, 1), (50, 2), (50, 3)])
+    def test_cached_arrays_equal_the_forms_they_replace(self, m, r):
+        gen = np.random.default_rng(m * 10 + r)
+        records = random_record_set(gen, m=m, dim=8, label_count=5, r=r)
+        # the first half's norms overflow to inf
+        scale = np.where(np.arange(m) < m // 2, 1e155, 1.0)[:, None]
+        records = dataclasses.replace(records, embeddings=records.embeddings * scale)
+        # computed at first use, not at construction
+        assert "squared_norms" not in vars(records) and "label_indices" not in vars(records)
+        with np.errstate(over="ignore"):
+            squares = np.einsum("ij,ij->i", records.embeddings, records.embeddings)
+        indices = np.flatnonzero(records.labels.view(bool)) % records.label_count
+        assert records.squared_norms.tobytes() == squares.tobytes()
+        assert records.label_indices.shape == (m, r)
+        assert records.label_indices.tobytes() == indices.tobytes()
+        assert (records.label_indices == np.nonzero(records.labels)[1].reshape(m, r)).all()
+        for cached in (records.squared_norms, records.label_indices):
+            assert not cached.flags.writeable
+            with pytest.raises(ValueError):
+                cached[...] = 0
+        assert records.squared_norms is records.squared_norms
 
 
 @st.composite

@@ -276,13 +276,32 @@ class TestQuerySelection:
             reseeds += len(after)
         assert reseeds
 
-    @pytest.mark.parametrize("s", [10, 200])
+    @pytest.mark.parametrize("s", [10, 40, 200])
     def test_lloyd_matches_sequential_loop_on_the_bench_pool(self, s):
+        # s = 10 re-sums only the changed clusters on every pass after the
+        # first, s = 40 sums the whole pool on many (see the tests below)
         pool = _bench_pool(3)
         centers, assignment = kmeans(pool, s, np.random.default_rng(s))
         ref_centers, ref_assignment = _sequential_kmeans(pool, s, np.random.default_rng(s))
         assert centers.tobytes() == ref_centers.tobytes()
         assert assignment.tobytes() == ref_assignment.tobytes()
+
+    def test_lloyd_resums_only_the_clusters_whose_members_changed(self):
+        pool = _bench_pool(3)
+        passes = _sum_passes(pool, 10, np.random.default_rng(10))
+        assert all(kind == "changed" for kind, _ in passes[1:-1])
+        assert max(rows for _, rows in passes[1:]) <= len(pool) // 2
+        # the last assignment repeats the one before, so its centers repeat
+        # and kmeans returns without summing a row
+        assert passes[-1] == ("none", 0)
+
+    def test_lloyd_sums_every_cluster_when_the_changed_ones_hold_most_rows(self):
+        pool = _bench_pool(3)
+        passes = _sum_passes(pool, 40, np.random.default_rng(40))
+        kinds = {kind for kind, _ in passes[1:]}
+        assert kinds >= {"full", "changed"}
+        # a full pass sums all rows where the changed clusters held fewer
+        assert any(kind == "full" and rows < len(pool) for kind, rows in passes[1:])
 
     def test_lloyd_skips_most_rows_on_the_bench_pool(self):
         # a full pass per center set assigns (iterations + 1)·n rows; the
@@ -338,6 +357,61 @@ def _bench_pool(seed):
     """The public pool of the benchmark world: 5,000 rows of dim 8."""
     spec = SyntheticSpec(classes=10, per_class=6000, dim=8, separation=12.0, std=1.0, pub_per_class=500)
     return generate_synthetic(spec, seed)[1].embeddings
+
+
+def _sum_passes(points, s, rng):
+    """(kind, rows) for each assignment of ``kmeans(points, s, rng)``, from
+    the weighted ``np.bincount`` calls that follow it, one per coordinate:
+    "full" calls read every row's cluster, "changed" ones the clusters of
+    the ``rows`` rows whose cluster gained or lost a row since the previous
+    assignment, in index order, and "none" makes no call.  Fails on a reseed,
+    or where the kind does not fit the half-pool rule."""
+    events = []
+    bincount, assign = np.bincount, geometry_mod._LloydBounds.assign
+
+    def spy_bincount(x, weights=None, minlength=0):
+        if weights is not None:
+            events.append(np.array(x))
+        return bincount(x, weights, minlength)
+
+    def spy_assign(bounds, queries):
+        assignment = assign(bounds, queries)
+        events.append(("assign", assignment.copy()))
+        return assignment
+
+    with mock.patch.object(np, "bincount", side_effect=spy_bincount), mock.patch.object(
+        geometry_mod._LloydBounds, "assign", autospec=True, side_effect=spy_assign
+    ), mock.patch.object(geometry_mod, "_connected_distances", side_effect=AssertionError("reseeded")):
+        kmeans(points, s, rng)
+    groups = []  # (assignment, the weighted bincounts that follow it)
+    for event in events:
+        if isinstance(event, tuple):
+            groups.append((event[1], []))
+        else:
+            groups[-1][1].append(event)
+    n, dim = points.shape
+    passes, previous = [], None
+    for assignment, calls in groups:
+        if previous is None:
+            rows = np.arange(n)
+        else:
+            moved = assignment != previous
+            changed = np.zeros(s, dtype=bool)
+            changed[previous[moved]] = changed[assignment[moved]] = True
+            rows = np.flatnonzero(changed[assignment])
+        previous = assignment
+        if not calls:
+            passes.append(("none", rows.size))
+            continue
+        assert len(calls) == dim
+        kind = "full" if all(x.tobytes() == assignment.tobytes() for x in calls) else "changed"
+        if kind == "changed":
+            assert 2 * rows.size <= n
+            assert all(x.tobytes() == assignment[rows].tobytes() for x in calls)
+        else:
+            assert 2 * rows.size > n
+        passes.append((kind, rows.size))
+    return passes
 
 
 def _count_kernel_rows(run):
@@ -910,6 +984,33 @@ class TestRowWorkOncePerCall:
             kmeans(pool, 200, np.random.default_rng(200))
         assert len(assigned) > 3
         assert margins_spy.call_count == len(assigned)
+
+    def test_connect_reads_the_record_sets_norms(self):
+        # the norms cached on the record set give the map of the norms
+        # computed per call, and the connect computes none of its own
+        gen = np.random.default_rng(17)
+        queries = QuerySet(gen.normal(size=(200, 8)))
+        records = random_record_set(gen, m=5_000, dim=8, label_count=3)
+        squares = records.squared_norms
+        expected = {k: reverse_knn_connect(records.embeddings, queries, k).indices for k in (1, 2, 5)}
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the connect computed the norms")
+
+        with mock.patch.object(np, "einsum", forbidden), mock.patch.object(
+            geometry_mod, "_margins", wraps=geometry_mod._margins
+        ) as margins_spy:
+            for k, indices in expected.items():
+                got = reverse_knn_connect(records.embeddings, queries, k, squares=squares)
+                assert got.indices.tobytes() == indices.tobytes(), k
+                assert margins_spy.call_count == 1, k
+                margins_spy.reset_mock()
+
+    @pytest.mark.parametrize("shape", [(4,), (6,), (5, 1), ()])
+    def test_norms_of_the_wrong_shape_are_rejected(self, shape):
+        emb = np.zeros((5, 2))
+        with pytest.raises(ValueError, match="one squared norm per record"):
+            reverse_knn_connect(emb, QuerySet(np.eye(2)), 1, squares=np.zeros(shape))
 
     def test_blocks_compute_no_norm_or_margin(self):
         # 16 blocks of 327 rows, some rows through the exact kernel (the

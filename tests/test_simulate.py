@@ -133,6 +133,16 @@ class TestPartition:
             at_size += sum(int((c == size).any()) for c, size in zip(cuts, [50, 1, 37]))
         assert at_zero > 10 and at_size > 10
 
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    def test_multi_label_records_split_by_their_argmax(self, r):
+        # a record's class is the first 1 of its row, the row's argmax
+        for seed in range(6):
+            records = random_record_set(np.random.default_rng(seed), m=400, dim=2, label_count=5, r=r)
+            for alpha in (0.05, 0.5, 10.0):
+                part = partition_records(records, PartitionScheme.DIRICHLET, 30, np.random.default_rng(seed), alpha)
+                expected = _dirichlet_searchsorted_reference(records, 30, np.random.default_rng(seed), alpha)
+                assert part.client_of.tobytes() == expected.tobytes(), (seed, alpha)
+
     def test_every_record_assigned_once(self, rng):
         records = random_record_set(rng, m=300, dim=2, label_count=3)
         part = partition_records(records, PartitionScheme.DIRICHLET, 7, rng, 0.3)
