@@ -24,6 +24,12 @@ Cases:
 - ``connect/k=<k>``: the reverse k-NN map of the benchmark's records to the
   ``kmeans/s=200`` centers.
 - ``mse-point``: one budget point of the MSE figure.
+- ``encode/collision/<shape>`` and ``encode/gse/<shape>``: the batched
+  encoders, and the summed collision estimate where the shape can be
+  estimated, at shapes the benchmark's trials do not reach: per-report
+  collision supports, a hashed support that can cover the whole filter, a
+  power-of-two filter longer than 2 cells, and both of the GSE subset draw's
+  paths that the one-record trial (l = 2 of d = 100) does not take.
 - ``cli/bounds``: the standard output of ``privlabel bounds``.
 - ``cli/simulate/<model>``: the bytes of one ``privlabel simulate --out``
   file per privacy model.
@@ -48,7 +54,7 @@ GOLDEN_PATH = Path(__file__).with_name("golden.json")
 if __name__ == "__main__":
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from privlabel import cli, core, data, geometry, mse, simulate  # noqa: E402
+from privlabel import cli, core, data, geometry, local, mse, simulate  # noqa: E402
 
 # the benchmark world: 60k records, 5k public samples, 10 classes
 WORLD = dict(classes=10, per_class=6000, dim=8, separation=12.0, std=1.0, pub_per_class=500)
@@ -74,6 +80,17 @@ KMEANS_S = (10, 40, 200)
 NEAR_TIES = dict(seeds=range(8), s=8, dim=2, per_bisector=200)
 CONNECT_K = (1, 2, 5)
 MSE_POINT = dict(s=200, label_count=50, k=2, r=2, epsilon=1.0, trials=2000, seed=1_000_000)
+# encoder shape -> (d, c, l, eps, reports, per-report supports)
+COLLISION_ENCODE = {
+    "per-report/d=100-c=1-l=2": (100, 1, 2, 0.4, 6000, True),
+    "covered-filter/d=12-c=4-l=3": (12, 4, 3, 1.0, 3000, False),  # estimation rejects c >= l
+    "power-of-two/d=2000-c=2-l=8": (2000, 2, 8, 1.0, 500, False),
+}
+GSE_ENCODE = {
+    "argsort/d=12-c=2-l=7": (12, 2, 7, 1.0, 3000, True),
+    "long-sequences/d=2000-c=2-l=300": (2000, 2, 300, 5.0, 300, False),
+}
+ENCODE_SEED = 1_000_000
 BOUNDS_ARGV = ["bounds", "--eps", "1", "--delta", "1e-6", "--n", "60000", "--s", "10", "--k", "2", "--r", "1"]
 SIMULATE_ARGV = ["simulate", "--seed", "7", "--s", "10", "--k", "2", "--epsilon", "0.5", "--trials", "2"]
 SIMULATE_MODELS = {
@@ -173,6 +190,30 @@ def _simulate_file(extra) -> bytes:
         return path.read_bytes()
 
 
+def _supports(gen: np.random.Generator, d: int, c: int, n: int, per_report: bool) -> np.ndarray:
+    """n sorted rows of c distinct indices below d, or one such row."""
+    rows = np.sort(np.argsort(gen.random((n if per_report else 1, d)), axis=1)[:, :c], axis=1)
+    return rows if per_report else rows[0]
+
+
+def _encode_cases() -> dict:
+    cases = {}
+    for i, (name, (d, c, l, eps, n, per_report)) in enumerate(COLLISION_ENCODE.items()):
+        gen = np.random.default_rng([ENCODE_SEED, i])
+        params = local.CollisionParams(d, c, eps, l)
+        seeds, cells = local.collision_encode_batch(_supports(gen, d, c, n, per_report), params, gen, n)
+        fields = {"seeds": digest(seeds), "cells": digest(cells)}
+        if params.estimator_denominator > 0:
+            fields["estimates"] = digest(local.collision_indicator_estimates(seeds, cells, params))
+        cases[f"encode/collision/{name}"] = fields
+    for i, (name, (d, c, l, eps, n, per_report)) in enumerate(GSE_ENCODE.items()):
+        gen = np.random.default_rng([ENCODE_SEED, len(COLLISION_ENCODE) + i])
+        params = local.GseParams(d, c, eps, l)
+        cells = local.gse_encode_batch(_supports(gen, d, c, n, per_report), params, gen, n)
+        cases[f"encode/gse/{name}"] = {"cells": digest(cells)}
+    return cases
+
+
 def compute() -> dict:
     """{case: {field: digest}} of every case, in a fixed order."""
     records, public = data.generate_synthetic(data.SyntheticSpec(**WORLD), seed=WORLD_SEED)
@@ -199,6 +240,7 @@ def compute() -> dict:
     cases["mse-point"] = {
         name: digest(getattr(curves, name)) for name in ("collision", "separation", "concatenation")
     }
+    cases.update(_encode_cases())
     cases["cli/bounds"] = {"stdout": digest(_cli(BOUNDS_ARGV))}
     for model, extra in SIMULATE_MODELS.items():
         cases[f"cli/simulate/{model}"] = {"results": digest(_simulate_file(["--model", model] + extra))}
