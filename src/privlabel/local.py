@@ -37,7 +37,6 @@ from .central import noise_scale
 from .core import PrivacyParams, vote_counts
 
 _U64 = np.uint64
-_FULL = np.uint64(0xFFFFFFFFFFFFFFFF)
 
 
 # ---------------------------------------------------------------------------
@@ -45,12 +44,22 @@ _FULL = np.uint64(0xFFFFFFFFFFFFFFFF)
 
 
 def _mix64(x: np.ndarray) -> np.ndarray:
-    """splitmix64 finalizer; a cheap keyed map from 64-bit keys to 64 bits."""
-    with np.errstate(over="ignore"):
-        x = (x + _U64(0x9E3779B97F4A7C15)) & _FULL
-        x = (x ^ (x >> _U64(30))) * _U64(0xBF58476D1CE4E5B9) & _FULL
-        x = (x ^ (x >> _U64(27))) * _U64(0x94D049BB133111EB) & _FULL
-        return x ^ (x >> _U64(31))
+    """splitmix64 finalizer; a cheap keyed map from 64-bit keys to 64 bits.
+
+    Returns a new uint64 array of ``x``'s shape.  Every pass runs in place on
+    it and one scratch array: ufunc loops wrap uint64 products silently, even
+    on a 0-d array, where a numpy scalar would warn.
+    """
+    out = np.empty(np.shape(x), dtype=_U64)
+    np.add(x, _U64(0x9E3779B97F4A7C15), out=out)
+    scratch = np.empty_like(out)
+    for shift, factor in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
+        np.right_shift(out, _U64(shift), out=scratch)
+        out ^= scratch
+        out *= _U64(factor)
+    np.right_shift(out, _U64(31), out=scratch)
+    out ^= scratch
+    return out
 
 
 def _hash_mixed(
@@ -58,15 +67,23 @@ def _hash_mixed(
 ) -> np.ndarray:
     """The passes of ``bucket_hash`` after mixing, run in place on ``x`` and
     ``scratch`` (uint64, the broadcast shape of the mixed seeds and values);
-    returns ``x`` viewed as int64."""
+    returns ``x`` viewed as int64.
+
+    x mod l is x & (l - 1) when l is a power of two (every one-vote filter
+    below e^eps = 1.5 has l = 2), else x - (x // l) * l: both exact in
+    uint64, and scalar division is faster than ``%``.
+    """
     np.bitwise_xor(mixed_seeds, mixed_vals, out=x)
     x *= _U64(0xD6E8FEB86659FD93)
     np.right_shift(x, _U64(29), out=scratch)
     x ^= scratch
-    # x mod l as x - (x // l) * l: exact in uint64, and scalar division is faster than %
-    np.floor_divide(x, l, out=scratch)
-    scratch *= l
-    x -= scratch
+    mask = l - _U64(1)
+    if l & mask:
+        np.floor_divide(x, l, out=scratch)
+        scratch *= l
+        x -= scratch
+    else:
+        x &= mask
     return x.view(np.int64)  # every value is below l < 2**63
 
 
@@ -247,31 +264,28 @@ def collision_encode_batch(
     l = params.filter_length
     e_eps = math.exp(params.epsilon)
     seeds = rng.integers(0, 2 ** 63, size=n_reports, dtype=np.uint64)
-    hashed = np.sort(bucket_hash(seeds[:, None], support, l), axis=1)
-    is_new = np.ones_like(hashed, dtype=bool)
+    hashed = bucket_hash(seeds[:, None], support, l)
     if hashed.shape[1] > 1:
+        hashed.sort(axis=1)
+        is_new = np.ones_like(hashed, dtype=bool)
         is_new[:, 1:] = np.diff(hashed, axis=1) > 0
-    kappa = is_new.sum(axis=1)
-    # each row's distinct hashed values in increasing order, padded past kappa
-    distinct = np.sort(np.where(is_new, hashed, np.iinfo(np.int64).max), axis=1)
+        kappa = is_new.sum(axis=1)
+        # each row's distinct hashed values in increasing order, padded past kappa
+        distinct = np.sort(np.where(is_new, hashed, np.iinfo(np.int64).max), axis=1)
+    else:
+        kappa, distinct = np.ones(n_reports, dtype=np.int64), hashed
     hit_mass = kappa * e_eps / params.omega
     # a fully covered filter renormalizes to uniform over the hit cells
     pick_hit = (rng.random(n_reports) < np.minimum(hit_mass, 1.0)) | (kappa == l)
     u = rng.random(n_reports)
-    cells = np.empty(n_reports, dtype=np.int64)
-
-    # hit branch: j-th distinct hashed value
-    j = np.floor(u * kappa).astype(np.int64)
-    cells[pick_hit] = distinct[pick_hit, j[pick_hit]]
-
-    # miss branch: j-th cell skipping the distinct hashed values in order
-    miss = ~pick_hit
-    z = np.floor(u[miss] * (l - kappa[miss])).astype(np.int64)
-    skipped = distinct[miss]
-    for col in range(skipped.shape[1]):
-        z += z >= skipped[:, col]
-    cells[miss] = z
-    return seeds, cells
+    # both branches for every row, since u * kappa < kappa and u * (l - kappa) >= 0:
+    # the hit branch takes the j-th distinct hashed value, the miss branch the
+    # j-th cell skipping the distinct hashed values in order
+    hit = np.take_along_axis(distinct, (u * kappa).astype(np.int64)[:, None], axis=1)[:, 0]
+    miss = (u * (l - kappa)).astype(np.int64)
+    for skipped in distinct.T:
+        miss += miss >= skipped
+    return seeds, np.where(pick_hit, hit, miss)
 
 
 # (report, coordinate) hash cells per hit block.  The block's uint64 hash and
@@ -286,15 +300,22 @@ def _hit_blocks(seeds: np.ndarray, cells: np.ndarray, params: CollisionParams):
     cells each (one report's row if the domain is wider); every collision
     estimate is a reduction of these blocks.
 
-    The coordinates are mixed once per call and each block's seeds inside the
-    block, so memory stays O(block).  The hash, scratch and hit buffers are
-    allocated once per call and reused: each block is a view that the next
-    block overwrites, so reduce it before pulling the next one.
+    ``seeds`` and ``cells`` must be equally long 1-D arrays with every cell
+    in [0, l): a cell outside the filter would never hit and silently bias
+    every estimate.  The coordinates are mixed once per call and each block's
+    seeds inside the block, so memory stays O(block).  The hash, scratch and
+    hit buffers are allocated once per call and reused: each block is a view
+    that the next block overwrites, so reduce it before pulling the next one.
+    The hash reduces modulo l by a mask when l is a power of two.
     """
     if params.estimator_denominator <= 0:
         raise ValueError("mis-sized filter: e^eps/Omega must exceed 1/l for estimation")
     seeds = np.asarray(seeds, dtype=np.uint64)
     cells = np.asarray(cells, dtype=np.int64)
+    if seeds.ndim != 1 or seeds.shape != cells.shape:
+        raise ValueError(f"expected one cell per seed, got seeds {seeds.shape} and cells {cells.shape}")
+    if cells.size and (cells.min() < 0 or cells.max() >= params.filter_length):
+        raise ValueError(f"report cell out of filter range [0, {params.filter_length})")
     d = params.domain_size
     l = _U64(params.filter_length)
     mixed_coords = _mix64(np.arange(1, d + 1, dtype=_U64))  # bucket_hash mixes value + 1
@@ -319,24 +340,20 @@ def collision_indicator_estimates(seeds: np.ndarray, cells: np.ndarray, params: 
     coordinate v; the sum over reports estimates the support counts.
     """
     hits = np.zeros(params.domain_size, dtype=np.int64)
-    for _, block in _hit_blocks(seeds, cells, params):
-        # bytes summed into uint32 give count_nonzero's counts about twice as
-        # fast as its intp sums; a reduced axis reaches 2**16 cells (d >= 2**16,
-        # or a one-cell domain's 2**16-row blocks), which would overflow uint16
-        hits += np.add.reduce(block.view(np.uint8), axis=0, dtype=np.uint32)
+    # each block's hit bytes are added into one byte buffer of the block's
+    # shape, which is reduced over its rows every 255 blocks (before a byte
+    # can wrap) and at the end: one cheap add per block instead of a reduction
+    acc = None
+    for count, (_, block) in enumerate(_hit_blocks(seeds, cells, params), 1):
+        if acc is None:
+            acc = np.zeros(block.shape, dtype=np.uint8)
+        acc[: len(block)] += block.view(np.uint8)
+        if count % 255 == 0:
+            hits += np.add.reduce(acc, axis=0, dtype=np.int64)
+            acc[:] = 0
+    if acc is not None:
+        hits += np.add.reduce(acc, axis=0, dtype=np.int64)
     return (hits - np.size(seeds) / params.filter_length) / params.estimator_denominator
-
-
-def collision_report_estimates(seeds: np.ndarray, cells: np.ndarray, params: CollisionParams) -> np.ndarray:
-    """(n_reports, d) unbiased indicator estimates, one row per report.
-
-    Row i holds (1[H_i(v) = z_i] - 1/l) / (e^eps/Omega - 1/l) at every
-    coordinate v; ``collision_indicator_estimates`` is their column sum.
-    """
-    rows = np.empty((np.size(seeds), params.domain_size))
-    for start, block in _hit_blocks(seeds, cells, params):
-        rows[start : start + len(block)] = (block - 1.0 / params.filter_length) / params.estimator_denominator
-    return rows
 
 
 def collision_hit_counts(
@@ -477,15 +494,63 @@ def gse_subset_probability(subset: Iterable[int], support: np.ndarray, params: G
     return math.exp(params.log_tilt(overlap) - params.law.log_omega)
 
 
+# with-replacement sequences up to this long find their first occurrences by
+# comparing columns, O(length^2) elementwise passes over all rows at once;
+# longer ones sort each row, O(length log length) a row
+_SHORT_SEQUENCE = 16
+
+
+def _first_values_by_columns(draws: np.ndarray, need: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """(found, seen) of ``_uniform_subsets``' short sequences: row j of
+    ``found`` holds the first need[j] distinct values of ``draws[j]`` in order
+    of first occurrence, zero padded to ``width``, and seen[j] counts its
+    distinct values.  Works on the transposed draws, one column at a time."""
+    columns = np.ascontiguousarray(draws.T)
+    found = np.zeros((width, len(draws)), dtype=np.int64)
+    seen = np.zeros(len(draws), dtype=np.int64)
+    for j, column in enumerate(columns):
+        # a draw is new unless an earlier draw of its row has its value
+        new = np.ones(len(draws), dtype=bool)
+        for earlier in columns[:j]:
+            new &= column != earlier
+        seen += new
+        # the k-th kept value (k <= need) goes to row k - 1
+        new &= seen <= need
+        for k in range(min(j + 1, width)):
+            np.copyto(found[k], column, where=new & (seen == k + 1))
+    return found.T, seen
+
+
+def _first_values_by_sorting(draws: np.ndarray, need: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """``_first_values_by_columns``' (found, seen) for long sequences, by
+    sorting each row once."""
+    length = draws.shape[1]
+    # sorting value * length + position orders each row by value, ties by position
+    keys = np.sort(draws * length + np.arange(length), axis=1)
+    # a value's first occurrence heads its run
+    head = np.ones(draws.shape, dtype=bool)
+    np.not_equal(keys[:, 1:] // length, keys[:, :-1] // length, out=head[:, 1:])
+    first = np.empty_like(head)
+    np.put_along_axis(first, keys % length, head, axis=1)
+    seen = np.cumsum(first, axis=1)
+    # the k-th kept value goes to column k - 1, every other draw to a spare last column
+    found = np.zeros((len(draws), width + 1), dtype=np.int64)
+    np.put_along_axis(found, np.where(first & (seen <= need[:, None]), seen - 1, width), draws, axis=1)
+    return found[:, :width], seen[:, -1]
+
+
 def _uniform_subsets(rng: np.random.Generator, population: int, counts: np.ndarray) -> np.ndarray:
     """(rows, max(counts)) positions whose row j begins with a uniform
-    counts[j]-subset of range(population); the rest of each row is padding.
+    counts[j]-subset of range(population); the rest of each row is zero.
 
     Where a count may exceed half the population, each row ranks one uniform
     key per position, O(population) = O(max count) a row.  Otherwise a row
     keeps the first counts[j] distinct values of a with-replacement sequence,
     a uniform subset because relabeling the values leaves the sequence's law
     unchanged, and only the rows whose sequence comes up short are redrawn.
+    Sequences of at most ``_SHORT_SEQUENCE`` draws find their first
+    occurrences column by column, comparing each column of the transposed
+    draws with the columns before it; longer ones sort each row.
     """
     width = int(counts.max(initial=0))
     if width == 0:
@@ -495,24 +560,15 @@ def _uniform_subsets(rng: np.random.Generator, population: int, counts: np.ndarr
     # sequence length: the mean number of draws to see `width` distinct values plus 4 sd
     q = np.arange(width) / population
     length = math.ceil(np.sum(1.0 / (1.0 - q)) + 4.0 * math.sqrt(np.sum(q / (1.0 - q) ** 2))) + 1
+    first_values = _first_values_by_columns if length <= _SHORT_SEQUENCE else _first_values_by_sorting
     out = np.zeros((counts.size, width), dtype=np.int64)
     todo = np.arange(counts.size)
     while todo.size:
         draws = rng.integers(0, population, size=(todo.size, length))
-        # sorting value * length + position orders each row by value, ties by position
-        keys = np.sort(draws * length + np.arange(length), axis=1)
-        # a value's first occurrence heads its run
-        head = np.ones(draws.shape, dtype=bool)
-        np.not_equal(keys[:, 1:] // length, keys[:, :-1] // length, out=head[:, 1:])
-        first = np.empty_like(head)
-        np.put_along_axis(first, keys % length, head, axis=1)
-        seen = np.cumsum(first, axis=1)
         need = counts[todo]
-        # the k-th kept value goes to column k - 1, every other draw to a spare last column
-        found = np.zeros((todo.size, width + 1), dtype=np.int64)
-        np.put_along_axis(found, np.where(first & (seen <= need[:, None]), seen - 1, width), draws, axis=1)
-        full = seen[:, -1] >= need
-        out[todo[full]] = found[full, :width]
+        found, seen = first_values(draws, need, width)
+        full = seen >= need
+        out[todo[full]] = found[full]
         todo = todo[~full]
     return out
 
@@ -539,10 +595,14 @@ def gse_encode_batch(
     others = _uniform_subsets(rng, d - c, l - overlaps)
     for skipped in np.sort(members, axis=1).T:
         others += others >= skipped[:, None]
-    # column j is the row's j-th member while j < i, else its (j - i)-th other cell
-    pos = np.arange(l)
-    pick = np.where(pos < overlaps[:, None], pos, c + pos - overlaps[:, None])
-    return np.take_along_axis(np.concatenate([members, others], axis=1), pick, axis=1)
+    # a row with overlap i holds its first i members, then its first l - i other cells
+    cells = np.empty((n_reports, l), dtype=np.int64)
+    for i in range(min(c, l) + 1):
+        if l - i <= others.shape[1]:
+            np.copyto(cells[:, i:], others[:, : l - i], where=(overlaps == i)[:, None])
+        if i < min(c, l):
+            np.copyto(cells[:, i], members[:, i], where=overlaps > i)
+    return cells
 
 
 def gse_estimate(cells: np.ndarray, params: GseParams) -> np.ndarray:
@@ -661,17 +721,6 @@ def concatenation_params(s: int, label_count: int, k: int, r: int, epsilon: floa
     return CollisionParams.for_budget(s + label_count, k + r, epsilon)
 
 
-def separation_entry_mse(
-    params_pair: tuple[CollisionParams, CollisionParams], in_bucket: bool, in_label: bool
-) -> float:
-    """Exact per-entry MSE of the separation product at a given truth."""
-    bucket_params, label_params = params_pair
-    _, m2_t = collision_indicator_moments(bucket_params, in_bucket)
-    _, m2_y = collision_indicator_moments(label_params, in_label)
-    truth = float(in_bucket and in_label)
-    return m2_t * m2_y - truth * truth
-
-
 def concatenation_entry_mse(params: CollisionParams, in_bucket: bool, in_label: bool) -> float:
     """Exact per-entry MSE of the shared-report product at a given truth.
 
@@ -768,38 +817,6 @@ def rr_bit_pmfs(epsilon: float) -> tuple[list[int], Callable[[int], np.ndarray]]
     return [0, 1], pmf
 
 
-def rr_matrix_pmfs(params: PrivacyParams) -> tuple[list[tuple], Callable[[tuple], np.ndarray]]:
-    """Whole-matrix randomized response on a tiny shape.
-
-    Inputs are all valid one-record vote matrices; outputs all binary
-    matrices.  Guarded to shapes with at most 12 cells.
-    """
-    s, y, k, r = params.s, params.label_count, params.k, params.r
-    cells = s * y
-    if cells > 12:
-        raise ValueError("matrix-level verification is guarded to <= 12 cells")
-    p = rr_flip_probability(params.epsilon, params.k, params.r)
-    degree = min(k, s)
-    inputs = []
-    for buckets in itertools.combinations(range(s), degree):
-        for labels in itertools.combinations(range(y), r):
-            matrix = np.zeros((s, y), dtype=np.uint8)
-            for b in buckets:
-                matrix[b, list(labels)] = 1
-            inputs.append(tuple(matrix.ravel().tolist()))
-    outputs = list(itertools.product((0, 1), repeat=cells))
-
-    def pmf(flat_input: tuple) -> np.ndarray:
-        inp = np.asarray(flat_input)
-        probs = np.empty(len(outputs))
-        for i, out in enumerate(outputs):
-            flips = int(np.sum(inp != np.asarray(out)))
-            probs[i] = (p ** flips) * ((1.0 - p) ** (cells - flips))
-        return probs
-
-    return inputs, pmf
-
-
 def collision_pmfs(params: CollisionParams, hash_seed: int) -> tuple[list[tuple], Callable[[tuple], np.ndarray]]:
     """All size-c supports against the cell distribution, for one fixed hash."""
     inputs = list(itertools.combinations(range(params.domain_size), params.support_size))
@@ -834,8 +851,12 @@ def _check_beta(beta: float) -> None:
 def _check_support(support: np.ndarray, params, n_reports: int | None = None) -> np.ndarray:
     """Validate supports against ``params`` (collision or GSE): one index
     vector, returned sorted and deduplicated, or an (n_reports, c) array
-    giving each report its own support of c distinct indices."""
-    support = np.asarray(support, dtype=np.int64)
+    giving each report its own support of c distinct indices.  Indices must
+    be integers: a float support would be truncated into another support."""
+    support = np.asarray(support)
+    if support.size and not np.issubdtype(support.dtype, np.integer):
+        raise ValueError(f"support indices must be integers, got {support.dtype}")
+    support = support.astype(np.int64, copy=False)
     if support.ndim == 1:
         support = np.unique(support)
     if support.shape[-1] != params.support_size:

@@ -27,12 +27,9 @@ TEST_ONLY = {
     "simulate.verify_partition_invariance": "acceptance gate: criterion 7",
     "simulate.InvarianceResult": "acceptance gate: criterion 7's verdict",
     "shuffle.discrete_laplace_pmf": "reference: criterion 5c fits the distributed noise against it",
-    "local.collision_report_estimates": "reference: the MSE curves are compared against per-report estimates",
     "local.collision_average_mse": "reference: exact average MSE the collision curve is checked against",
     "local.collision_indicator_moments": "reference: the moments the exact MSE references are built from",
-    "local.separation_entry_mse": "reference: exact per-entry MSE the separation curve is checked against",
     "local.concatenation_entry_mse": "reference: exact per-entry MSE the concatenation curve is checked against",
-    "local.rr_matrix_pmfs": "reference: whole-matrix randomized response for the exhaustive DP verifier",
     "analysis.predict_labeling_accuracy": "ROADMAP item 2 reports it per iteration; criterion 8 checks it",
     "analysis.collision_entry_std": "ROADMAP item 2: collision's per-entry variance; criterion 8 imports it",
     "core.count_gap": "ROADMAP item 2 replaces it with a vectorized per-bucket margin",

