@@ -26,10 +26,12 @@ Cases:
 - ``mse-point``: one budget point of the MSE figure.
 - ``encode/collision/<shape>`` and ``encode/gse/<shape>``: the batched
   encoders, and the summed collision estimate where the shape can be
-  estimated, at shapes the benchmark's trials do not reach: per-report
-  collision supports, a hashed support that can cover the whole filter, a
-  power-of-two filter longer than 2 cells, and both of the GSE subset draw's
-  paths that the one-record trial (l = 2 of d = 100) does not take.
+  estimated: per-report collision supports at l = 2, 4, 16 and 19 (either
+  side of the 8-cell bound of the 32-bit hash, and the shuffle-single
+  trial's filter), a hashed support that can cover the whole filter, a
+  power-of-two filter of 8 cells over a wide domain, the local-gse trial's
+  shape (l = 2 of d = 100), and both of the GSE subset draw's paths that
+  this shape does not take.
 - ``cli/bounds``: the standard output of ``privlabel bounds``.
 - ``cli/simulate/<model>``: the bytes of one ``privlabel simulate --out``
   file per privacy model.
@@ -80,15 +82,18 @@ KMEANS_S = (10, 40, 200)
 NEAR_TIES = dict(seeds=range(8), s=8, dim=2, per_bisector=200)
 CONNECT_K = (1, 2, 5)
 MSE_POINT = dict(s=200, label_count=50, k=2, r=2, epsilon=1.0, trials=2000, seed=1_000_000)
-# encoder shape -> (d, c, l, eps, reports, per-report supports)
-COLLISION_ENCODE = {
-    "per-report/d=100-c=1-l=2": (100, 1, 2, 0.4, 6000, True),
-    "covered-filter/d=12-c=4-l=3": (12, 4, 3, 1.0, 3000, False),  # estimation rejects c >= l
-    "power-of-two/d=2000-c=2-l=8": (2000, 2, 8, 1.0, 500, False),
-}
-GSE_ENCODE = {
-    "argsort/d=12-c=2-l=7": (12, 2, 7, 1.0, 3000, True),
-    "long-sequences/d=2000-c=2-l=300": (2000, 2, 300, 5.0, 300, False),
+# encoder case -> (d, c, l, eps, reports, per-report supports); each case's
+# generator is seeded by its position, so new cases go at the end
+ENCODE_CASES = {
+    "collision/per-report/d=100-c=1-l=2": (100, 1, 2, 0.4, 6000, True),
+    "collision/covered-filter/d=12-c=4-l=3": (12, 4, 3, 1.0, 3000, False),  # estimation rejects c >= l
+    "collision/power-of-two/d=2000-c=2-l=8": (2000, 2, 8, 1.0, 500, False),
+    "gse/argsort/d=12-c=2-l=7": (12, 2, 7, 1.0, 3000, True),
+    "gse/long-sequences/d=2000-c=2-l=300": (2000, 2, 300, 5.0, 300, False),
+    "collision/per-report/d=100-c=1-l=4": (100, 1, 4, 1.0, 6000, True),
+    "collision/per-report/d=100-c=1-l=16": (100, 1, 16, 2.7, 6000, True),
+    "collision/per-report/d=100-c=1-l=19": (100, 1, 19, 2.9, 6000, True),  # shuffle-single's shape
+    "gse/per-report/d=100-c=1-l=2": (100, 1, 2, 0.4, 6000, True),  # the local-gse trial's shape
 }
 ENCODE_SEED = 1_000_000
 BOUNDS_ARGV = ["bounds", "--eps", "1", "--delta", "1e-6", "--n", "60000", "--s", "10", "--k", "2", "--r", "1"]
@@ -198,19 +203,19 @@ def _supports(gen: np.random.Generator, d: int, c: int, n: int, per_report: bool
 
 def _encode_cases() -> dict:
     cases = {}
-    for i, (name, (d, c, l, eps, n, per_report)) in enumerate(COLLISION_ENCODE.items()):
+    for i, (name, (d, c, l, eps, n, per_report)) in enumerate(ENCODE_CASES.items()):
         gen = np.random.default_rng([ENCODE_SEED, i])
+        support = _supports(gen, d, c, n, per_report)
+        if name.startswith("gse/"):
+            params = local.GseParams(d, c, eps, l)
+            cases[f"encode/{name}"] = {"cells": digest(local.gse_encode_batch(support, params, gen, n))}
+            continue
         params = local.CollisionParams(d, c, eps, l)
-        seeds, cells = local.collision_encode_batch(_supports(gen, d, c, n, per_report), params, gen, n)
+        seeds, cells = local.collision_encode_batch(support, params, gen, n)
         fields = {"seeds": digest(seeds), "cells": digest(cells)}
         if params.estimator_denominator > 0:
             fields["estimates"] = digest(local.collision_indicator_estimates(seeds, cells, params))
-        cases[f"encode/collision/{name}"] = fields
-    for i, (name, (d, c, l, eps, n, per_report)) in enumerate(GSE_ENCODE.items()):
-        gen = np.random.default_rng([ENCODE_SEED, len(COLLISION_ENCODE) + i])
-        params = local.GseParams(d, c, eps, l)
-        cells = local.gse_encode_batch(_supports(gen, d, c, n, per_report), params, gen, n)
-        cases[f"encode/gse/{name}"] = {"cells": digest(cells)}
+        cases[f"encode/{name}"] = fields
     return cases
 
 
