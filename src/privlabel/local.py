@@ -17,11 +17,9 @@ bound eta(beta):
 Two composite oracles trade budget differently for the low-privacy regime:
 ``separation`` spends eps/2 on the bucket set and eps/2 on the label vector,
 ``concatenation`` spends the whole budget on their concatenation.  Only their
-report parameters and exact per-entry MSE live here, not the products of
-indicator estimates they rebuild matrix entries from.  The separation product
-is unbiased (independent reports); the concatenation product shares one
-report between its factors and is biased at jointly-nonzero entries, which
-only the average MSE forgives -- see ``concatenation_entry_mse``.
+report parameters live here.  The separation product is unbiased; the
+concatenation product shares one report between its factors and is biased
+at jointly-nonzero entries, which only the average MSE forgives.
 """
 from __future__ import annotations
 
@@ -62,46 +60,63 @@ def _mix64(x: np.ndarray) -> np.ndarray:
     return out
 
 
+def _aligned_empty(shape: tuple, dtype) -> np.ndarray:
+    """``np.empty`` starting on a 64-byte boundary.  numpy promises only 16
+    bytes, and two-array passes run slower over rows 16 or 48 bytes past one."""
+    nbytes = math.prod(shape) * np.dtype(dtype).itemsize
+    raw = np.empty(nbytes + 64, dtype=np.uint8)
+    return raw[-raw.ctypes.data % 64 :][:nbytes].view(dtype).reshape(shape)
+
+
+def _hash_width(filter_length: int) -> type:
+    """The unsigned type ``_hash_mixed`` runs at for a filter of this length."""
+    return np.uint32 if filter_length in (2, 4, 8) else _U64
+
+
 def _hash_mixed(
-    mixed_seeds: np.ndarray, mixed_vals: np.ndarray, l: np.uint64, x: np.ndarray, scratch: np.ndarray
+    mixed_seeds: np.ndarray, mixed_vals: np.ndarray, l: int, x: np.ndarray, scratch: np.ndarray
 ) -> np.ndarray:
     """The passes of ``bucket_hash`` after mixing, run in place on ``x`` and
-    ``scratch`` (uint64, the broadcast shape of the mixed seeds and values);
-    returns ``x`` viewed as int64.
+    ``scratch`` (the broadcast shape of the mixed seeds and values, all at
+    ``_hash_width(l)``); returns ``x``, every value in [0, l).
 
-    x mod l is x & (l - 1) when l is a power of two (every one-vote filter
-    below e^eps = 1.5 has l = 2), else x - (x // l) * l: both exact in
-    uint64, and scalar division is faster than ``%``.
+    At uint64, x mod l is x - (x // l) * l (scalar division beats ``%``).  At
+    uint32 (l = 2, 4 or 8) it is x & (l - 1), and equals the 64-bit hash:
+      bits 0-31 of y*K mod 2**64 depend only on bits 0-31 of y and of K;
+      the 64-bit x ^ (x >> 29) mod l reads only bits 0-2 and 29-31 of x;
+      so truncating the mixed seeds, values and K to 32 bits moves no hash.
     """
+    t = x.dtype.type
     np.bitwise_xor(mixed_seeds, mixed_vals, out=x)
-    x *= _U64(0xD6E8FEB86659FD93)
-    np.right_shift(x, _U64(29), out=scratch)
+    x *= t(0xD6E8FEB86659FD93 % (1 << 8 * x.itemsize))
+    np.right_shift(x, t(29), out=scratch)
     x ^= scratch
-    mask = l - _U64(1)
-    if l & mask:
-        np.floor_divide(x, l, out=scratch)
-        scratch *= l
-        x -= scratch
+    if t is np.uint32:
+        x &= t(l - 1)
     else:
-        x &= mask
-    return x.view(np.int64)  # every value is below l < 2**63
+        np.floor_divide(x, t(l), out=scratch)
+        scratch *= t(l)
+        x -= scratch
+    return x
 
 
 def bucket_hash(hash_seed: int | np.ndarray, values: np.ndarray, filter_length: int) -> np.ndarray:
     """Hash domain indices into [0, filter_length) under the given seed(s).
 
     Broadcasts: a scalar seed with a vector of values, or a seed column with a
-    value row, yielding a (n_seeds, n_values) matrix.  Seeds and values are
-    mixed separately (cheap, pre-broadcast); ``_hash_mixed`` then writes the
-    broadcast matrix once and runs every later pass in place on it and one
-    scratch array, since fresh matrices cost more memory traffic than the
-    arithmetic.  The collision hit kernel calls ``_hash_mixed`` directly, with
-    the values mixed once per call and its buffers reused across blocks.
+    value row, yielding a (n_seeds, n_values) int64 matrix.  Seeds and values
+    are mixed separately, before broadcasting; ``_hash_mixed`` then runs every
+    later pass in place, since fresh matrices cost more memory traffic than
+    the arithmetic.  The collision hit kernels call it directly.
     """
-    seeds = _mix64(np.asarray(hash_seed, dtype=_U64))
-    vals = _mix64(np.asarray(values, dtype=_U64) + _U64(1))
-    x = np.empty(np.broadcast_shapes(seeds.shape, vals.shape), dtype=_U64)
-    return _hash_mixed(seeds, vals, _U64(filter_length), x, np.empty_like(x))
+    if filter_length < 1:
+        raise ValueError(f"filter length must be at least 1, got {filter_length}")
+    t = _hash_width(filter_length)
+    seeds = _mix64(np.asarray(hash_seed, dtype=_U64)).astype(t, copy=False)
+    vals = _mix64(np.asarray(values, dtype=_U64) + _U64(1)).astype(t, copy=False)
+    x = np.empty(np.broadcast_shapes(seeds.shape, vals.shape), dtype=t)
+    hashed = _hash_mixed(seeds, vals, filter_length, x, np.empty_like(x))
+    return hashed.view(np.int64) if t is _U64 else hashed.astype(np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -288,47 +303,51 @@ def collision_encode_batch(
     return seeds, np.where(pick_hit, hit, miss)
 
 
-# (report, coordinate) hash cells per hit block.  The block's uint64 hash and
-# scratch buffers and its bool hit buffer total 17 bytes a cell, about 1.06 MiB,
+# (report, coordinate) hash cells per hit block or tile.  The uint64 hash and
+# scratch buffers and the bool hit buffer total 17 bytes a cell, about 1.06 MiB,
 # so a block stays inside a 2 MiB per-core L2 cache.
 _COLLISION_CHUNK_CELLS = 1 << 16
 
 
-def _hit_blocks(seeds: np.ndarray, cells: np.ndarray, params: CollisionParams):
-    """Yield (first report, block) for consecutive boolean blocks
-    1[H_i(v) = z_i] over the whole domain, at most ``_COLLISION_CHUNK_CELLS``
-    cells each (one report's row if the domain is wider); every collision
-    estimate is a reduction of these blocks.
-
-    ``seeds`` and ``cells`` must be equally long 1-D arrays with every cell
-    in [0, l): a cell outside the filter would never hit and silently bias
-    every estimate.  The coordinates are mixed once per call and each block's
-    seeds inside the block, so memory stays O(block).  The hash, scratch and
-    hit buffers are allocated once per call and reused: each block is a view
-    that the next block overwrites, so reduce it before pulling the next one.
-    The hash reduces modulo l by a mask when l is a power of two.
-    """
+def _hash_inputs(seeds: np.ndarray, cells: np.ndarray, params: CollisionParams):
+    """(seeds and cells as uint64, coordinates mixed as ``bucket_hash`` mixes
+    them, at the hash width) of reports checked before any hashing: equally long 1-D integer
+    arrays, no seed below 0 and every cell in [0, l).  A float would be
+    truncated into another report, a seed of -1 would wrap to 2**64 - 1, and
+    a cell outside the filter would never hit and bias every estimate."""
     if params.estimator_denominator <= 0:
         raise ValueError("mis-sized filter: e^eps/Omega must exceed 1/l for estimation")
-    seeds = np.asarray(seeds, dtype=np.uint64)
-    cells = np.asarray(cells, dtype=np.int64)
+    seeds, cells = np.asarray(seeds), np.asarray(cells)
     if seeds.ndim != 1 or seeds.shape != cells.shape:
         raise ValueError(f"expected one cell per seed, got seeds {seeds.shape} and cells {cells.shape}")
+    if seeds.size and not (np.issubdtype(seeds.dtype, np.integer) and np.issubdtype(cells.dtype, np.integer)):
+        raise ValueError(f"report seeds and cells must be integers, got {seeds.dtype} and {cells.dtype}")
+    if seeds.size and seeds.min() < 0:
+        raise ValueError("report seeds must be non-negative")
     if cells.size and (cells.min() < 0 or cells.max() >= params.filter_length):
         raise ValueError(f"report cell out of filter range [0, {params.filter_length})")
-    d = params.domain_size
-    l = _U64(params.filter_length)
-    mixed_coords = _mix64(np.arange(1, d + 1, dtype=_U64))  # bucket_hash mixes value + 1
-    rows = max(1, min(seeds.size, _COLLISION_CHUNK_CELLS // d))
-    x, scratch = np.empty((2, rows, d), dtype=_U64)
-    hit = np.empty((rows, d), dtype=bool)
+    mixed_coords = _mix64(np.arange(1, params.domain_size + 1, dtype=_U64)).astype(_hash_width(params.filter_length))
+    return seeds.astype(_U64, copy=False), cells.astype(np.int64, copy=False).view(_U64), mixed_coords
+
+
+def _hit_blocks(seeds: np.ndarray, cells: np.ndarray, params: CollisionParams):
+    """Yield (first report, block) for consecutive report-major boolean
+    blocks 1[H_i(v) = z_i] over the whole domain, at most
+    ``_COLLISION_CHUNK_CELLS`` cells each (one report's row if the domain is
+    wider), after ``_hash_inputs``' checks.  Each block's seeds are mixed in
+    the block, so memory stays O(block), and each block is a view of buffers
+    that the next block overwrites: reduce it before pulling the next one."""
+    seeds, cells, mixed_coords = _hash_inputs(seeds, cells, params)
+    rows, t = max(1, min(seeds.size, _COLLISION_CHUNK_CELLS // params.domain_size)), mixed_coords.dtype
+    x, scratch = _aligned_empty((2, rows, params.domain_size), t)
+    hit = np.empty(x.shape, dtype=bool)
 
     def blocks():
         for start in range(0, seeds.size, rows):
-            mixed_seeds = _mix64(seeds[start : start + rows, None])
+            mixed_seeds = _mix64(seeds[start : start + rows, None]).astype(t, copy=False)
             n = len(mixed_seeds)
-            hashed = _hash_mixed(mixed_seeds, mixed_coords, l, x[:n], scratch[:n])
-            yield start, np.equal(hashed, cells[start : start + rows, None], out=hit[:n])
+            hashed = _hash_mixed(mixed_seeds, mixed_coords, params.filter_length, x[:n], scratch[:n])
+            yield start, np.equal(hashed, cells[start : start + n, None].astype(t, copy=False), out=hit[:n])
 
     return blocks()
 
@@ -337,35 +356,46 @@ def collision_indicator_estimates(seeds: np.ndarray, cells: np.ndarray, params: 
     """Summed unbiased indicator estimates for every domain index.
 
     Each report contributes (1[H(v) = z] - 1/l) / (e^eps/Omega - 1/l) at every
-    coordinate v; the sum over reports estimates the support counts.
+    coordinate v; the sum over reports estimates the support counts.  After
+    ``_hash_inputs``' checks, hits are hashed in tiles of at most
+    ``_COLLISION_CHUNK_CELLS`` cells whose rows are coordinates over up to
+    1/16 of that many reports (16 rows, more when fewer reports remain), so
+    every pass and row sum runs along the report axis; memory stays O(tile).
     """
-    hits = np.zeros(params.domain_size, dtype=np.int64)
-    # each block's hit bytes are added into one byte buffer of the block's
-    # shape, which is reduced over its rows every 255 blocks (before a byte
-    # can wrap) and at the end: one cheap add per block instead of a reduction
-    acc = None
-    for count, (_, block) in enumerate(_hit_blocks(seeds, cells, params), 1):
-        if acc is None:
-            acc = np.zeros(block.shape, dtype=np.uint8)
-        acc[: len(block)] += block.view(np.uint8)
-        if count % 255 == 0:
-            hits += np.add.reduce(acc, axis=0, dtype=np.int64)
-            acc[:] = 0
-    if acc is not None:
-        hits += np.add.reduce(acc, axis=0, dtype=np.int64)
-    return (hits - np.size(seeds) / params.filter_length) / params.estimator_denominator
+    seeds, cells, mixed_coords = _hash_inputs(seeds, cells, params)
+    d, l, t = params.domain_size, params.filter_length, mixed_coords.dtype
+    reports = max(1, min(seeds.size, _COLLISION_CHUNK_CELLS // 16))
+    band = min(d, max(16, _COLLISION_CHUNK_CELLS // reports))
+    x, scratch = _aligned_empty((2, band, reports), t)
+    hit = np.empty(x.shape, dtype=bool)
+    hits = np.zeros(d, dtype=np.int64)
+    for start in range(0, seeds.size, reports):
+        mixed_seeds = _mix64(seeds[start : start + reports]).astype(t, copy=False)
+        chunk_cells, n = cells[start : start + reports].astype(t, copy=False), len(mixed_seeds)
+        for low in range(0, d, band):
+            b = min(band, d - low)
+            hashed = _hash_mixed(mixed_seeds, mixed_coords[low : low + b, None], l, x[:b, :n], scratch[:b, :n])
+            np.equal(hashed, chunk_cells, out=hit[:b, :n])
+            # a row holds at most one hit per report: uint32 sums are exact
+            hits[low : low + b] += np.add.reduce(hit[:b, :n].view(np.uint8), axis=1, dtype=np.uint32)
+    return (hits - seeds.size / l) / params.estimator_denominator
 
 
 def collision_hit_counts(
     seeds: np.ndarray, cells: np.ndarray, params: CollisionParams, columns: Sequence
 ) -> np.ndarray:
     """(len(columns), n_reports) integer hit counts: row j holds each report's
-    number of coordinates v in ``columns[j]`` (an index array or a slice)
-    with H_i(v) = z_i."""
+    number of coordinates v in ``columns[j]`` (a slice, or an array of
+    indices in [0, d)) with H_i(v) = z_i.  Blocks stay report-major, since
+    mse-figure's 10,000-coordinate domains give each block only 6 reports."""
+    d = params.domain_size
+    for cols in (np.asarray(c) for c in columns if not isinstance(c, slice)):
+        if cols.size and not (np.issubdtype(cols.dtype, np.integer) and 0 <= cols.min() and cols.max() < d):
+            raise ValueError(f"column indices must be integers in [0, {d})")
     counts = np.empty((len(columns), np.size(seeds)), dtype=np.int64)
     for start, block in _hit_blocks(seeds, cells, params):
         for j, cols in enumerate(columns):
-            # uint32 sums, as in collision_indicator_estimates
+            # a block row holds at most d hits: uint32 sums are exact
             counts[j, start : start + len(block)] = np.add.reduce(block[:, cols].view(np.uint8), axis=1, dtype=np.uint32)
     return counts
 
@@ -495,16 +525,15 @@ def gse_subset_probability(subset: Iterable[int], support: np.ndarray, params: G
 
 
 # with-replacement sequences up to this long find their first occurrences by
-# comparing columns, O(length^2) elementwise passes over all rows at once;
-# longer ones sort each row, O(length log length) a row
+# comparing columns (O(length^2) passes over all rows), longer ones by sorting
 _SHORT_SEQUENCE = 16
 
 
 def _first_values_by_columns(draws: np.ndarray, need: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
-    """(found, seen) of ``_uniform_subsets``' short sequences: row j of
-    ``found`` holds the first need[j] distinct values of ``draws[j]`` in order
-    of first occurrence, zero padded to ``width``, and seen[j] counts its
-    distinct values.  Works on the transposed draws, one column at a time."""
+    """(found, seen) of ``_uniform_subsets``' short sequences: column j of
+    the (width, rows) ``found`` holds the first need[j] distinct values of
+    ``draws[j]`` in order of first occurrence, zero padded, and seen[j]
+    counts its distinct values.  Works on the transposed draws."""
     columns = np.ascontiguousarray(draws.T)
     found = np.zeros((width, len(draws)), dtype=np.int64)
     seen = np.zeros(len(draws), dtype=np.int64)
@@ -518,7 +547,7 @@ def _first_values_by_columns(draws: np.ndarray, need: np.ndarray, width: int) ->
         new &= seen <= need
         for k in range(min(j + 1, width)):
             np.copyto(found[k], column, where=new & (seen == k + 1))
-    return found.T, seen
+    return found, seen
 
 
 def _first_values_by_sorting(draws: np.ndarray, need: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
@@ -536,7 +565,7 @@ def _first_values_by_sorting(draws: np.ndarray, need: np.ndarray, width: int) ->
     # the k-th kept value goes to column k - 1, every other draw to a spare last column
     found = np.zeros((len(draws), width + 1), dtype=np.int64)
     np.put_along_axis(found, np.where(first & (seen <= need[:, None]), seen - 1, width), draws, axis=1)
-    return found[:, :width], seen[:, -1]
+    return found[:, :width].T, seen[:, -1]
 
 
 def _uniform_subsets(rng: np.random.Generator, population: int, counts: np.ndarray) -> np.ndarray:
@@ -548,9 +577,6 @@ def _uniform_subsets(rng: np.random.Generator, population: int, counts: np.ndarr
     keeps the first counts[j] distinct values of a with-replacement sequence,
     a uniform subset because relabeling the values leaves the sequence's law
     unchanged, and only the rows whose sequence comes up short are redrawn.
-    Sequences of at most ``_SHORT_SEQUENCE`` draws find their first
-    occurrences column by column, comparing each column of the transposed
-    draws with the columns before it; longer ones sort each row.
     """
     width = int(counts.max(initial=0))
     if width == 0:
@@ -561,29 +587,34 @@ def _uniform_subsets(rng: np.random.Generator, population: int, counts: np.ndarr
     q = np.arange(width) / population
     length = math.ceil(np.sum(1.0 / (1.0 - q)) + 4.0 * math.sqrt(np.sum(q / (1.0 - q) ** 2))) + 1
     first_values = _first_values_by_columns if length <= _SHORT_SEQUENCE else _first_values_by_sorting
-    out = np.zeros((counts.size, width), dtype=np.int64)
-    todo = np.arange(counts.size)
+
+    def draw(rows):
+        found, seen = first_values(rng.integers(0, population, size=(rows.size, length)), counts[rows], width)
+        return found, seen >= counts[rows]
+
+    # the first draw fills every column; a short one is overwritten by its redraw
+    out, full = draw(np.arange(counts.size))
+    todo = np.flatnonzero(~full)
     while todo.size:
-        draws = rng.integers(0, population, size=(todo.size, length))
-        need = counts[todo]
-        found, seen = first_values(draws, need, width)
-        full = seen >= need
-        out[todo[full]] = found[full]
+        found, full = draw(todo)
+        out[:, todo[full]] = found[:, full]
         todo = todo[~full]
-    return out
+    return out.T
 
 
 def gse_encode_batch(
     support: np.ndarray, params: GseParams, rng: np.random.Generator, n_reports: int
 ) -> np.ndarray:
-    """(n_reports, l) int64 cells of sampled output subsets, distinct in each row.
+    """(n_reports, l) int64 cells of sampled output subsets, distinct in
+    each row, as the transpose of a C-ordered (l, n_reports) array.
 
     ``support`` may be one index vector shared by every report or an
     (n_reports, c) array giving each report its own support.  Each report
     draws its overlap size i, then a uniform size-i subset of its support
     (the first i of a random order of its cells) and a uniform size-(l - i)
     subset of the d - c non-members, drawn as positions and mapped onto the
-    complement by skipping the sorted support.
+    complement by skipping the sorted support.  The skip and the copies run
+    on (cell, report) arrays, so each pass runs along the report axis.
     """
     support = _check_support(support, params, n_reports)
     d, c, l = params.domain_size, params.support_size, params.output_size
@@ -592,17 +623,17 @@ def gse_encode_batch(
     members = np.broadcast_to(support, (n_reports, c))
     if c > 1:
         members = np.take_along_axis(members, np.argsort(rng.random((n_reports, c)), axis=1), axis=1)
-    others = _uniform_subsets(rng, d - c, l - overlaps)
+    others = np.ascontiguousarray(_uniform_subsets(rng, d - c, l - overlaps).T)
     for skipped in np.sort(members, axis=1).T:
-        others += others >= skipped[:, None]
-    # a row with overlap i holds its first i members, then its first l - i other cells
-    cells = np.empty((n_reports, l), dtype=np.int64)
+        others += others >= skipped
+    # a report with overlap i holds its first i members, then its first l - i other cells
+    cells = np.empty((l, n_reports), dtype=np.int64)
     for i in range(min(c, l) + 1):
-        if l - i <= others.shape[1]:
-            np.copyto(cells[:, i:], others[:, : l - i], where=(overlaps == i)[:, None])
+        if l - i <= len(others):
+            np.copyto(cells[i:], others[: l - i], where=overlaps == i)
         if i < min(c, l):
-            np.copyto(cells[:, i], members[:, i], where=overlaps > i)
-    return cells
+            np.copyto(cells[i], members[:, i], where=overlaps > i)
+    return cells.T
 
 
 def gse_estimate(cells: np.ndarray, params: GseParams) -> np.ndarray:
@@ -617,7 +648,7 @@ def gse_estimate(cells: np.ndarray, params: GseParams) -> np.ndarray:
     denom = params.estimator_denominator
     if denom <= 0:
         raise ValueError("p_true must exceed p_false for estimation")
-    return (np.bincount(cells.ravel(), minlength=d) - len(cells) * params.p_false) / denom
+    return (np.bincount(cells.ravel(order="K"), minlength=d) - len(cells) * params.p_false) / denom
 
 
 # ---------------------------------------------------------------------------
@@ -719,39 +750,6 @@ def separation_params(s: int, label_count: int, k: int, r: int, epsilon: float) 
 
 def concatenation_params(s: int, label_count: int, k: int, r: int, epsilon: float) -> CollisionParams:
     return CollisionParams.for_budget(s + label_count, k + r, epsilon)
-
-
-def concatenation_entry_mse(params: CollisionParams, in_bucket: bool, in_label: bool) -> float:
-    """Exact per-entry MSE of the shared-report product at a given truth.
-
-    Joint law of the two hit indicators: both hit only when the two
-    coordinates hash to the same cell (probability 1/l) and that cell is
-    released.
-    """
-    l = params.filter_length
-    p = params.hit_probability
-    w = 1.0 / l
-    denom = params.estimator_denominator
-    q1 = (1.0 - p) / (l - 1)
-
-    hit = ((1.0 - w) / denom) ** 2
-    cross = -w * (1.0 - w) / (denom * denom)
-    both_miss = (w / denom) ** 2
-
-    if in_bucket and in_label:
-        p_hh, p_x, p_y = w * p, (1.0 - w) * p, (1.0 - w) * p
-    elif in_bucket:
-        p_hh, p_x, p_y = w * p, (1.0 - w) * p, (1.0 - w) * q1
-    elif in_label:
-        p_hh, p_x, p_y = w * p, (1.0 - w) * q1, (1.0 - w) * p
-    else:
-        p_hh, p_x, p_y = w * w, w * (1.0 - w), w * (1.0 - w)
-    p_none = 1.0 - p_hh - p_x - p_y
-
-    mean = p_hh * hit + (p_x + p_y) * cross + p_none * both_miss
-    second = p_hh * hit ** 2 + (p_x + p_y) * cross ** 2 + p_none * both_miss ** 2
-    truth = float(in_bucket and in_label)
-    return second - 2.0 * truth * mean + truth * truth
 
 
 def collision_average_mse(params: CollisionParams) -> float:

@@ -2,14 +2,18 @@
 
 Two kinds live here:
 
-- Byte-for-byte references for the batched encoders: copies of
-  ``collision_encode_batch``, ``_uniform_subsets`` and ``gse_encode_batch``
-  as they were before their kernels were rewritten to work column by column.
-  The package's encoders must draw the same random numbers in the same order
+- Byte-for-byte references for the batched encoders and the summed
+  collision estimate: copies of ``collision_encode_batch``,
+  ``_uniform_subsets`` and ``gse_encode_batch`` as they were before their
+  kernels were rewritten to work column by column, and of
+  ``collision_indicator_estimates`` as it was before it hashed
+  (coordinate, report) tiles: it sums the package's report-major hit blocks.
+  The package's kernels must draw the same random numbers in the same order
   and return the same bytes; ``tests/test_local.py`` compares them.
 - Exact or per-report forms the package's results are checked against:
-  per-report collision estimate rows, the separation product's exact
-  per-entry MSE and whole-matrix randomized response for the DP verifier.
+  per-report collision estimate rows, the separation and concatenation
+  products' exact per-entry MSE and whole-matrix randomized response for
+  the DP verifier.
 """
 from __future__ import annotations
 
@@ -32,7 +36,7 @@ from privlabel.local import (
 
 
 # ---------------------------------------------------------------------------
-# the encoders before their column-wise kernels
+# the encoders and the summed collision estimate before their column-wise kernels
 
 
 def collision_encode_batch(
@@ -119,6 +123,29 @@ def gse_encode_batch(
     return np.take_along_axis(np.concatenate([members, others], axis=1), pick, axis=1)
 
 
+def collision_indicator_estimates(seeds: np.ndarray, cells: np.ndarray, params: CollisionParams) -> np.ndarray:
+    """Summed unbiased indicator estimates for every domain index.
+
+    Each report contributes (1[H(v) = z] - 1/l) / (e^eps/Omega - 1/l) at every
+    coordinate v; the sum over reports estimates the support counts.
+    """
+    hits = np.zeros(params.domain_size, dtype=np.int64)
+    # each block's hit bytes are added into one byte buffer of the block's
+    # shape, which is reduced over its rows every 255 blocks (before a byte
+    # can wrap) and at the end: one cheap add per block instead of a reduction
+    acc = None
+    for count, (_, block) in enumerate(_hit_blocks(seeds, cells, params), 1):
+        if acc is None:
+            acc = np.zeros(block.shape, dtype=np.uint8)
+        acc[: len(block)] += block.view(np.uint8)
+        if count % 255 == 0:
+            hits += np.add.reduce(acc, axis=0, dtype=np.int64)
+            acc[:] = 0
+    if acc is not None:
+        hits += np.add.reduce(acc, axis=0, dtype=np.int64)
+    return (hits - np.size(seeds) / params.filter_length) / params.estimator_denominator
+
+
 # ---------------------------------------------------------------------------
 # per-report and exact references
 
@@ -146,6 +173,39 @@ def separation_entry_mse(
     _, m2_y = collision_indicator_moments(label_params, in_label)
     truth = float(in_bucket and in_label)
     return m2_t * m2_y - truth * truth
+
+
+def concatenation_entry_mse(params: CollisionParams, in_bucket: bool, in_label: bool) -> float:
+    """Exact per-entry MSE of the shared-report product at a given truth.
+
+    Joint law of the two hit indicators: both hit only when the two
+    coordinates hash to the same cell (probability 1/l) and that cell is
+    released.
+    """
+    l = params.filter_length
+    p = params.hit_probability
+    w = 1.0 / l
+    denom = params.estimator_denominator
+    q1 = (1.0 - p) / (l - 1)
+
+    hit = ((1.0 - w) / denom) ** 2
+    cross = -w * (1.0 - w) / (denom * denom)
+    both_miss = (w / denom) ** 2
+
+    if in_bucket and in_label:
+        p_hh, p_x, p_y = w * p, (1.0 - w) * p, (1.0 - w) * p
+    elif in_bucket:
+        p_hh, p_x, p_y = w * p, (1.0 - w) * p, (1.0 - w) * q1
+    elif in_label:
+        p_hh, p_x, p_y = w * p, (1.0 - w) * q1, (1.0 - w) * p
+    else:
+        p_hh, p_x, p_y = w * w, w * (1.0 - w), w * (1.0 - w)
+    p_none = 1.0 - p_hh - p_x - p_y
+
+    mean = p_hh * hit + (p_x + p_y) * cross + p_none * both_miss
+    second = p_hh * hit ** 2 + (p_x + p_y) * cross ** 2 + p_none * both_miss ** 2
+    truth = float(in_bucket and in_label)
+    return second - 2.0 * truth * mean + truth * truth
 
 
 def rr_matrix_pmfs(params: PrivacyParams) -> tuple[list[tuple], Callable[[tuple], np.ndarray]]:

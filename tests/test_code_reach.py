@@ -29,7 +29,6 @@ TEST_ONLY = {
     "shuffle.discrete_laplace_pmf": "reference: criterion 5c fits the distributed noise against it",
     "local.collision_average_mse": "reference: exact average MSE the collision curve is checked against",
     "local.collision_indicator_moments": "reference: the moments the exact MSE references are built from",
-    "local.concatenation_entry_mse": "reference: exact per-entry MSE the concatenation curve is checked against",
     "analysis.predict_labeling_accuracy": "ROADMAP item 2 reports it per iteration; criterion 8 checks it",
     "analysis.collision_entry_std": "ROADMAP item 2: collision's per-entry variance; criterion 8 imports it",
     "core.count_gap": "ROADMAP item 2 replaces it with a vectorized per-bucket margin",

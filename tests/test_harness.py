@@ -155,13 +155,8 @@ class TestMseGrid:
             parse_grid("5:1:1")
 
     def test_small_comparison_matches_analytic(self):
-        from privlabel.local import (
-            collision_average_mse,
-            concatenation_entry_mse,
-            concatenation_params,
-            separation_params,
-        )
-        from reference import separation_entry_mse
+        from privlabel.local import collision_average_mse, concatenation_params, separation_params
+        from reference import concatenation_entry_mse, separation_entry_mse
 
         s, labels, k, r = 6, 5, 1, 1
         curves = mse_comparison(s, labels, k, r, np.array([1.0, 5.0]), trials=30_000, master_seed=9)

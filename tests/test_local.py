@@ -19,7 +19,6 @@ from privlabel.local import (
     collision_indicator_estimates,
     collision_indicator_moments,
     collision_pmfs,
-    concatenation_entry_mse,
     concatenation_params,
     default_filter_length,
     gse_encode_batch,
@@ -36,7 +35,7 @@ from privlabel.local import (
     verify_local_dp,
 )
 import reference
-from reference import collision_report_estimates, rr_matrix_pmfs, separation_entry_mse
+from reference import collision_report_estimates, concatenation_entry_mse, rr_matrix_pmfs, separation_entry_mse
 
 
 def local_params(epsilon, k=1, r=1, s=2, labels=2):
@@ -175,7 +174,8 @@ def _reference_hash(seed: int, value: int, filter_length: int) -> int:
 
 
 class TestBucketHash:
-    LENGTHS = (2, 3, 139, 2 ** 31 + 11, 2 ** 62 - 57)
+    # 2, 4 and 8 hash at 32 bits, every other length at 64
+    LENGTHS = (2, 3, 139, 2 ** 31 + 11, 2 ** 62 - 57, 4, 8, 16)
 
     def test_scalar_seed_matches_python_integer_reference(self, rng):
         values = np.arange(10_001, dtype=np.int64)
@@ -207,6 +207,12 @@ class TestBucketHash:
             for l in self.LENGTHS:
                 got = bucket_hash(2 ** 63 - 1, 10_000, l)
                 assert got.shape == () and int(got) == _reference_hash(2 ** 63 - 1, 10_000, l)
+
+    def test_empty_filter_rejected(self):
+        # x mod 0 would warn and leave the 64-bit value unreduced
+        for l in (0, -1):
+            with pytest.raises(ValueError, match="filter length"):
+                bucket_hash(1, [1], l)
 
 
 class TestCollisionEncoding:
@@ -349,9 +355,16 @@ class TestCollisionEstimation:
         assert n // rows > 10
         assert mixed_sizes == [d] + [min(rows, n - start) for start in range(0, n, rows)]
 
-    @pytest.mark.parametrize("release, d, n", [("hit_counts", 10_000, 2_000), ("indicators", 100, 60_000)])
+    @pytest.mark.parametrize(
+        "release, d, n", [("hit_counts", 10_000, 2_000), ("indicators", 100, 60_000), ("indicators", 100_000, 200)]
+    )
     def test_hit_kernel_memory_stays_flat(self, release, d, n, rng):
-        # the kernel holds O(block) memory however many reports there are
+        # the kernel holds O(block) memory however many reports there are,
+        # besides its O(d) arrays.  Up to 10,000 coordinates the 2 MiB
+        # covers those too; past that, each may hold 32 more bytes: four
+        # 8-byte arrays at once, the coordinates with their mix and its
+        # scratch, or the hit counts with the estimate and its temporary
+        o_d = 32 * max(0, d - 10_000)
         params = CollisionParams.for_budget(d, 2, 1.0)
         seeds, cells = collision_encode_batch(np.arange(2), params, rng, n)
         columns = (slice(None), np.array([0, 1]))
@@ -366,7 +379,7 @@ class TestCollisionEstimation:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak < 2 * 2 ** 20
+            assert peak < 2 * 2 ** 20 + o_d
             extra[m] = peak - out.nbytes
         assert extra[n] <= extra[n // 10] + 4096
 
@@ -399,6 +412,34 @@ class TestCollisionEstimation:
             for reduce in self._reductions(seeds, np.array([0, cell]), params):
                 with pytest.raises(ValueError, match="filter range"):
                     reduce()
+
+    @pytest.mark.parametrize("seeds, cells, match", [
+        ([1.5, 2.0], [0, 1], "integers"),  # would be truncated to seed 1
+        ([1, 2], [0.7, 1.0], "integers"),  # would be truncated to cell 0, a hit
+        ([1, -1], [0, 1], "non-negative"),  # would wrap to 2**64 - 1
+    ], ids=["float-seed", "float-cell", "negative-seed"])
+    def test_malformed_reports_rejected(self, seeds, cells, match):
+        params = CollisionParams(8, 1, 1.0, 2)
+        for reduce in self._reductions(np.array(seeds), np.array(cells), params):
+            with pytest.raises(ValueError, match=match):
+                reduce()
+
+    @pytest.mark.parametrize("cols", [np.array([-1]), np.array([0, 8]), np.array([0.0, 1.0])], ids=["-1", "d", "float"])
+    def test_hit_count_columns_rejected_outside_the_domain(self, cols, rng):
+        # numpy would read -1 as coordinate d - 1
+        params = CollisionParams(8, 1, 1.0, 2)
+        seeds, cells = collision_encode_batch(np.array([3]), params, rng, 5)
+        with pytest.raises(ValueError, match="column"):
+            collision_hit_counts(seeds, cells, params, (slice(None), cols))
+
+    def test_hash_buffers_start_on_64_bytes(self):
+        import privlabel.local as local_mod
+
+        for shape, dtype in (((6, 10_000), np.uint64), ((16, 4096), np.uint32), ((3, 7), bool), ((0, 5), np.uint64)):
+            for _ in range(5):
+                a = local_mod._aligned_empty(shape, dtype)
+                assert a.shape == shape and a.dtype == dtype and a.flags.c_contiguous and a.flags.writeable
+                assert a.ctypes.data % 64 == 0
 
     def test_hit_bytes_are_reduced_before_they_wrap(self, rng, monkeypatch):
         # one report per block at d = 2, and every report hits coordinate 0:
@@ -911,6 +952,36 @@ class TestEncoderStreams:
             lambda rng: gse_encode_batch(support, params, rng, n),
             lambda rng: reference.gse_encode_batch(support, params, rng, n),
         )
+
+    # the one-record shape (c = 1) over both sides of a 4,096-report chunk
+    REPORTS = (0, 1, 2, 4095, 4097, 60_000)
+
+    @staticmethod
+    def _one_record_supports(d, n, per_report):
+        return np.random.default_rng(5).integers(0, d, size=(n, 1)) if per_report else np.array([d // 2])
+
+    @pytest.mark.parametrize("l", [2, 3, 4, 8, 16, 19])
+    @pytest.mark.parametrize("d", [1, 2, 100, 2000])
+    @pytest.mark.parametrize("per_report", [False, True], ids=["shared", "per-report"])
+    def test_collision_estimate(self, d, l, per_report):
+        params = CollisionParams(d, 1, 1.0, l)
+        for n in self.REPORTS[:-1] if d == 2000 else self.REPORTS:
+            support = self._one_record_supports(d, n, per_report)
+            self._same(
+                lambda rng: collision_indicator_estimates(*collision_encode_batch(support, params, rng, n), params),
+                lambda rng: reference.collision_indicator_estimates(*reference.collision_encode_batch(support, params, rng, n), params),
+            )
+
+    @pytest.mark.parametrize("d, l", [(1, 1), (2, 2)] + [(d, l) for d in (100, 2000) for l in (2, 3, 4, 8, 16, 19)])
+    @pytest.mark.parametrize("per_report", [False, True], ids=["shared", "per-report"])
+    def test_gse_encoder_one_record(self, d, l, per_report):
+        params = GseParams(d, 1, 0.4, l)
+        for n in self.REPORTS:
+            support = self._one_record_supports(d, n, per_report)
+            self._same(
+                lambda rng: gse_encode_batch(support, params, rng, n),
+                lambda rng: reference.gse_encode_batch(support, params, rng, n),
+            )
 
     @pytest.mark.parametrize("population, width, rows", [
         (5, 2, 100_000),  # sequences of 6 draws come up short: rows are redrawn
