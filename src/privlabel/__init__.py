@@ -36,7 +36,6 @@ from .local import (
     gse_estimate,
     local_laplace_accuracy_bound,
     rr_accuracy_bound,
-    rr_encode_batch,
     rr_estimate,
     verify_local_dp,
 )

@@ -160,7 +160,7 @@ def _one_trial(cfg, records, public, params, trial: int) -> dict:
         "max_error": final.empirical_eta,
         "labels": [int(v) for v in final.hard],
         "eta_exceed_rate": final.eta_exceed_rate,
-        "_ledger": result.ledger,
+        "_budget": account_budget(result.ledger, cfg.k, cfg.s),
     }
 
 
@@ -178,8 +178,7 @@ def _cmd_simulate(args) -> int:
     else:
         rows = [_one_trial(cfg, records, public, params, i) for i in trials]
 
-    ledger = rows[-1].pop("_ledger")
-    doc = results_mod.build_results(cfg.as_recorded_dict(), rows, account_budget(ledger, cfg.k, cfg.s))
+    doc = results_mod.build_results(cfg.as_recorded_dict(), rows, rows[-1]["_budget"])
     if cfg.out:
         results_mod.write_results(doc, cfg.out)
         print(f"wrote results to {cfg.out}")

@@ -143,17 +143,6 @@ def rr_flip_probability(epsilon: float, k: int, r: int) -> float:
     return p
 
 
-def rr_encode_batch(answers: np.ndarray, params: PrivacyParams, rng: np.random.Generator) -> np.ndarray:
-    """Flip every bit of an (n, s, label_count) stack of one-record vote
-    matrices independently: the per-report form of the ``rr`` table entry."""
-    answers = np.asarray(answers)
-    if not np.isin(answers, (0, 1)).all():
-        raise ValueError("randomized response expects binary vote matrices")
-    p = rr_flip_probability(params.epsilon, params.k, params.r)
-    flips = rng.random(answers.shape) < p
-    return (answers.astype(np.uint8) ^ flips.astype(np.uint8)).astype(np.uint8)
-
-
 def rr_estimate(bit_sums: np.ndarray, params: PrivacyParams, n: int) -> np.ndarray:
     """Unbiased count estimate (sums - n*p) / (1 - 2p) from observed bit sums."""
     if n < 1:

@@ -8,12 +8,12 @@ Laplace(4kr/eps).  Messages are (index, increment mod M) pairs; increments
 deviate from a unary "+1 per message" format because negative shares cannot
 be expressed as unit increments -- the aggregate distribution and accuracy
 are unchanged.  The analyzer only sums the messages mod M per coordinate,
-and that sum depends on the multiset of messages, never on the order the
-shuffler delivers them in, so the release adds each cell's vote count and
-its noise shares mod M directly: no pool is built, permuted or decoded.
-Almost every share is zero, so ``sample_noise_messages`` draws only the
-nonzero ones, per cell, from the exact law of n independent shares: a
-release costs O(d + messages) instead of O(n * d).
+and that sum depends on each cell's vote count and noise total alone, never
+on how the total splits into shares or on the order the shuffler delivers
+them in.  So the release draws each cell's total from its exact law, the
+difference of two geometric counts, and builds no share or message pool: a
+release costs O(d), whatever n.  ``sample_noise_share`` is one client's
+share, the reference the summed law is checked against.
 
 Single-message mode: each client runs any local randomizer of
 ``local.MECHANISMS`` at an enlarged budget eps0 and anonymity does the rest;
@@ -83,55 +83,6 @@ def sample_noise_share(
     return plus - minus
 
 
-def _positive_negative_binomial(
-    q: float, lam: float, a: float, size: int, rng: np.random.Generator
-) -> np.ndarray:
-    """``size`` draws of NB(1/n, q) conditioned to be positive.
-
-    NB(1/n, q) is a Poisson(lam) count of logseries(q) terms, lam =
-    -ln(1-q)/n, and it is positive exactly when the first arrival of the
-    rate-lam process on [0, 1) falls inside it (probability ``a``).  That
-    arrival is drawn by inverse CDF conditioned below 1; the remaining
-    terms are Poisson over what is left of the interval.
-    """
-    rest = np.maximum(lam + np.log1p(-rng.random(size) * a), 0.0)  # lam * (1 - first arrival)
-    terms = 1 + rng.poisson(rest)
-    totals = np.cumsum(rng.logseries(q, size=int(terms.sum())))
-    return np.diff(totals[np.cumsum(terms) - 1], prepend=0)
-
-
-def sample_noise_messages(
-    n: int, d: int, epsilon: float, k: int, r: int, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """(cells, shares) of every nonzero share n clients send over d cells.
-
-    The pooled multiset has the law of n independent ``sample_noise_share``
-    vectors with their zeros dropped, at cost O(d + messages).  Per cell, a
-    client's (plus > 0, minus > 0) pair is two Bernoulli(a) draws, so one
-    multinomial gives how many clients fall in the plus-only, minus-only and
-    both-positive classes; their nonzero parts are zero-truncated
-    NB(1/n, q) values, and a both-positive share is zero when its two
-    values tie.  None are sent when q is 0 (eps = inf, or so large that q
-    underflows): DLap(0) is the point mass at 0.
-    """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    q = discrete_laplace_parameter(epsilon, k, r)
-    if q == 0.0:
-        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-    lam = -math.log1p(-q) / n
-    a = -math.expm1(-lam)  # P(NB(1/n, q) > 0)
-    classes = rng.multinomial(n, [a * (1.0 - a), a * (1.0 - a), a * a, (1.0 - a) ** 2], size=d)
-    counts = classes[:, :3].T  # (plus-only, minus-only, both) clients per cell
-    cells = np.repeat(np.tile(np.arange(d, dtype=np.int64), 3), counts.ravel())
-    sizes = counts.sum(axis=1)
-    values = _positive_negative_binomial(q, lam, a, int(sizes.sum() + sizes[2]), rng)
-    plus, minus, both_plus, both_minus = np.split(values, np.cumsum(sizes))
-    shares = np.concatenate([plus, -minus, both_plus - both_minus])
-    keep = shares != 0
-    return cells[keep], shares[keep]
-
-
 # ---------------------------------------------------------------------------
 # multi-message protocol
 
@@ -187,14 +138,11 @@ def multi_message_pipeline(
     every message the n clients send, recentred to a signed integer.
 
     ``counts`` is the exact (s, label_count) aggregate and ``client_mass``
-    each client's vote total; empty clients count toward n and still send
-    noise shares.  Each vote is a (cell, 1) message and each nonzero noise
-    share (``sample_noise_messages``) a (cell, share mod M) one, none in the
-    noiseless limit.  The modular sum ignores message order, so it is taken
-    from the counts and the shares directly, without building or shuffling
-    the message pool, in int64: M is a power of two, so even a sum that
-    wraps modulo 2**64 stays exact mod M.  The cost is O(d + messages),
-    not O(n * d).
+    each client's vote total; empty clients count toward n.  Each vote is a
+    (cell, 1) message, and a cell's n noise shares sum to DLap(q), so the
+    modular sum is the cell's count plus a DLap(q) total drawn directly, as
+    the difference of two geometric counts (zero in the noiseless limit
+    q = 0).  n sets only the modulus M; the cost is O(d), not O(n * d).
     """
     if params.model is not PrivacyModel.SHUFFLE_MULTI:
         raise ValueError("multi-message pipeline requires the shuffle-multi model")
@@ -209,9 +157,8 @@ def multi_message_pipeline(
     if client_mass.sum() != flat.sum():
         raise ValueError("client vote totals must sum to the aggregate")
     modulus = choose_modulus(n * max(int(client_mass.max()), 1), params.k, params.r, params.epsilon)
-    noise_idx, shares = sample_noise_messages(n, d, params.epsilon, params.k, params.r, rng)
-    totals = flat  # a fresh array: one (cell, 1) message per vote
-    np.add.at(totals, noise_idx, np.mod(shares, modulus))
+    q = discrete_laplace_parameter(params.epsilon, params.k, params.r)
+    totals = flat + rng.geometric(1.0 - q, d) - rng.geometric(1.0 - q, d)
     totals %= modulus
     totals = np.where(totals > modulus // 2, totals - modulus, totals)
     return totals.reshape(counts.shape).astype(np.float64)

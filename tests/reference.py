@@ -12,8 +12,9 @@ Two kinds live here:
   and return the same bytes; ``tests/test_local.py`` compares them.
 - Exact or per-report forms the package's results are checked against:
   per-report collision estimate rows, the separation and concatenation
-  products' exact per-entry MSE and whole-matrix randomized response for
-  the DP verifier.
+  products' exact per-entry MSE, per-report randomized response, whose
+  summed bits the ``rr`` entry draws directly, and whole-matrix randomized
+  response for the DP verifier.
 """
 from __future__ import annotations
 
@@ -206,6 +207,17 @@ def concatenation_entry_mse(params: CollisionParams, in_bucket: bool, in_label: 
     second = p_hh * hit ** 2 + (p_x + p_y) * cross ** 2 + p_none * both_miss ** 2
     truth = float(in_bucket and in_label)
     return second - 2.0 * truth * mean + truth * truth
+
+
+def rr_encode_batch(answers: np.ndarray, params: PrivacyParams, rng: np.random.Generator) -> np.ndarray:
+    """Flip every bit of an (n, s, label_count) stack of one-record vote
+    matrices independently: the per-report form of the ``rr`` table entry."""
+    answers = np.asarray(answers)
+    if not np.isin(answers, (0, 1)).all():
+        raise ValueError("randomized response expects binary vote matrices")
+    p = rr_flip_probability(params.epsilon, params.k, params.r)
+    flips = rng.random(answers.shape) < p
+    return (answers.astype(np.uint8) ^ flips.astype(np.uint8)).astype(np.uint8)
 
 
 def rr_matrix_pmfs(params: PrivacyParams) -> tuple[list[tuple], Callable[[tuple], np.ndarray]]:

@@ -143,6 +143,25 @@ class TestGenAndSimulate:
         assert doc["budget_ledger_summary"]["total_epsilon"] == "inf"
         assert doc["summary"]["mean"]["max_error"] == 0.0
 
+    def test_trial_rows_hold_no_per_record_arrays(self, capsys, monkeypatch):
+        # every row lives until the last trial ends, so it keeps the small
+        # budget summary, never the run's per-record ledger
+        kept, build = [], privlabel.results.build_results
+
+        def keep(config, rows, budget):
+            kept.append(rows)
+            return build(config, rows, budget)
+
+        monkeypatch.setattr(privlabel.results, "build_results", keep)
+        code, _, _ = run_cli(
+            capsys, "simulate", "--seed", "3", "--classes", "2", "--per-class", "20", "--dim", "2",
+            "--pub-per-class", "8", "--s", "2", "--trials", "3",
+        )
+        assert code == 0
+        ((first, second, last),) = kept
+        json.dumps([first, second, last])  # no numpy array or ledger object in any row
+        assert first["_budget"]["iterations"] == last["_budget"]["iterations"] == 1
+
     def test_config_file_with_flag_override(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(

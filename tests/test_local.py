@@ -28,14 +28,19 @@ from privlabel.local import (
     local_laplace_accuracy_bound,
     rr_accuracy_bound,
     rr_bit_pmfs,
-    rr_encode_batch,
     rr_estimate,
     rr_flip_probability,
     separation_params,
     verify_local_dp,
 )
 import reference
-from reference import collision_report_estimates, concatenation_entry_mse, rr_matrix_pmfs, separation_entry_mse
+from reference import (
+    collision_report_estimates,
+    concatenation_entry_mse,
+    rr_encode_batch,
+    rr_matrix_pmfs,
+    separation_entry_mse,
+)
 
 
 def local_params(epsilon, k=1, r=1, s=2, labels=2):

@@ -18,7 +18,6 @@ from privlabel.shuffle import (
     expected_noise_messages,
     multi_message_accuracy_bound,
     multi_message_pipeline,
-    sample_noise_messages,
     sample_noise_share,
     single_message_params,
 )
@@ -85,34 +84,21 @@ class TestNoiseShares:
 
 
 class TestMultiMessage:
-    def test_zero_noise_gives_exactly_kr_messages(self, rng, monkeypatch):
-        drawn = []
-        sample = shuffle_mod.sample_noise_messages
-
-        def spy(n, d, *args):
-            cells, shares = sample(n, d, *args)
-            drawn.append((n, d, cells, shares))
-            return cells, shares
-
-        monkeypatch.setattr(shuffle_mod, "sample_noise_messages", spy)
+    def test_zero_noise_gives_exactly_kr_messages(self, rng):
         params = shuffle_params(epsilon=math.inf, k=2, r=1, s=3, labels=2)
         answer = np.zeros((3, 2), dtype=int)
         answer[0, 1] = 1
         answer[2, 0] = 1  # one record, k=2, r=1 -> two unit votes; four empty clients
         decoded = multi_message_pipeline(answer, [2, 0, 0, 0, 0], params, rng)
-        ((n, d, cells, shares),) = drawn
-        assert (n, d) == (5, 6)
-        assert cells.size == shares.size == 0  # no noise messages, only the two votes
-        assert decoded.sum() == 2
+        assert np.array_equal(decoded, answer)  # no noise, only the two votes
         assert np.flatnonzero(decoded).tolist() == [1, 4]
-        assert (decoded[decoded != 0] == 1).all()
 
     @pytest.mark.parametrize("n", (1, 40))
     def test_expected_message_count(self, n):
         params = shuffle_params(epsilon=1.0, s=2, labels=2)
         d = 20_000
-        cells, _ = sample_noise_messages(n, d, 1.0, 1, 1, np.random.default_rng(n))
-        extra = cells.size / n  # nonzero shares per client
+        shares = sample_noise_share(n, 1.0, 1, 1, np.random.default_rng(n), size=(n, d))
+        extra = np.count_nonzero(shares) / n  # nonzero shares per client
         predicted = expected_noise_messages(n, d, 1.0, 1, 1)
         assert extra == pytest.approx(predicted, rel=0.02)
         # stays within a constant factor of the d k^2 r^2 log^2(1/delta)/(eps^2 n) envelope
@@ -204,16 +190,18 @@ class TestMultiMessage:
 
 
 def pooled_release(counts, client_mass, params, rng):
-    """The message-pool protocol, written out: one (cell, 1) message per
-    vote and one (cell, share mod M) per nonzero noise share, permuted,
-    summed mod M per cell and recentred."""
+    """The message-pool protocol, written out: every client draws a dense
+    noise share per cell (``sample_noise_share``) and sends one (cell, 1)
+    message per vote and one (cell, share mod M) per nonzero share; the pool
+    is permuted, summed mod M per cell and recentred."""
     flat = np.asarray(counts, dtype=np.int64).ravel()
     n, d = len(client_mass), flat.size
     modulus = shuffle_mod.choose_modulus(n * max(int(np.max(client_mass)), 1), params.k, params.r, params.epsilon)
-    cells, shares = sample_noise_messages(n, d, params.epsilon, params.k, params.r, rng)
+    shares = sample_noise_share(n, params.epsilon, params.k, params.r, rng, size=(n, d))
+    clients, cells = np.nonzero(shares)
     pool = np.concatenate([
         np.column_stack([np.repeat(np.arange(d), flat), np.ones(flat.sum(), dtype=np.int64)]),
-        np.column_stack([cells, np.mod(shares, modulus)]),
+        np.column_stack([cells, np.mod(shares[clients, cells], modulus)]),
     ])
     pool = pool[rng.permutation(len(pool))]
     totals = np.zeros(d, dtype=np.int64)
@@ -223,17 +211,25 @@ def pooled_release(counts, client_mass, params, rng):
     return totals.reshape(np.shape(counts)).astype(np.float64)
 
 
-def assert_matches_pool(counts, client_mass, params, seed):
-    got = multi_message_pipeline(counts, client_mass, params, np.random.default_rng(seed))
-    want = pooled_release(counts, client_mass, params, np.random.default_rng(seed))
-    assert got.dtype == want.dtype and got.shape == want.shape
-    assert got.tobytes() == want.tobytes()
-    return got
+def same_law_pvalue(x, y, bins):
+    """Chi-square p-value that integer samples x and y share one law, over
+    at most ``bins`` bins cut at the pooled sample's quantiles; bins with
+    fewer than 10 draws of the two together are left out."""
+    edges = np.unique(np.quantile(np.concatenate([x, y]), np.linspace(0, 1, bins + 1)[1:-1]))
+    table = np.stack([np.bincount(np.searchsorted(edges, v, side="right"), minlength=edges.size + 1) for v in (x, y)])
+    table = table[:, table.sum(axis=0) >= 10]
+    return stats.chi2_contingency(table)[1] if table.shape[1] > 1 else 1.0
+
+
+def releases(release, counts, client_mass, params, seed, trials):
+    """(trials, cells) released counts of ``trials`` runs of ``release``."""
+    rng = np.random.default_rng(seed)
+    return np.stack([release(counts, client_mass, params, rng).ravel() for _ in range(trials)])
 
 
 class TestPooledReference:
-    """The release equals the shuffled message pool's decode, byte for byte,
-    at the same generator seed."""
+    """The release has the law of the shuffled message pool's decode, built
+    from every client's dense noise shares."""
 
     @pytest.mark.parametrize("seed", range(8))
     def test_random_shapes(self, seed):
@@ -245,13 +241,11 @@ class TestPooledReference:
         client_mass = np.bincount(rng.integers(0, max(1, n // 3), size=counts.sum()), minlength=n)
         eps = float(rng.choice([0.05, 0.5, 2.0, 8.0]))
         params = shuffle_params(epsilon=eps, k=k, r=r, s=s, labels=labels)
-        assert_matches_pool(counts, client_mass, params, seed)
-
-    def test_noiseless(self):
-        params = shuffle_params(epsilon=math.inf, k=2, r=1, s=3, labels=4)
-        counts = np.random.default_rng(5).integers(0, 9, size=(3, 4))
-        client_mass = np.array([counts.sum(), 0, 0])
-        assert np.array_equal(assert_matches_pool(counts, client_mass, params, 5), counts)
+        got = releases(multi_message_pipeline, counts, client_mass, params, seed, 300)
+        want = releases(pooled_release, counts, client_mass, params, 1000 + seed, 300)
+        # the errors over every cell: a vote in the wrong cell shifts them
+        errors = [(v - counts.ravel()).ravel() for v in (got, want)]
+        assert same_law_pvalue(*errors, bins=10) > 0.001
 
     def test_wraparound(self, monkeypatch):
         # at M = 8 the exact counts and the noise totals both wrap
@@ -260,49 +254,22 @@ class TestPooledReference:
         counts = np.random.default_rng(6).integers(0, 40, size=(4, 3))
         assert (counts > 4).any()
         client_mass = np.bincount(np.arange(counts.sum()) % 7, minlength=10)
-        got = assert_matches_pool(counts, client_mass, params, 6)
+        got = releases(multi_message_pipeline, counts, client_mass, params, 6, 400)
+        want = releases(pooled_release, counts, client_mass, params, 7, 400)
         assert ((got >= -3) & (got <= 4)).all()
+        # each (cell, released value) pair is its own bin
+        keys = [(v + 3 + 8 * np.arange(counts.size)).ravel() for v in (got, want)]
+        assert same_law_pvalue(*keys, bins=8 * counts.size) > 0.001
 
 
-def share_histogram(cells, shares, d, span):
-    """Pooled counts of (cell, share) messages, shares clipped to +-span."""
-    return np.bincount(cells * (2 * span + 1) + np.clip(shares, -span, span) + span, minlength=d * (2 * span + 1))
-
-
-class TestSparseNoiseMessages:
-    @pytest.mark.parametrize("n", (1, 3, 50))
-    def test_pool_matches_dense_shares(self, n):
-        # the sparse pool against n clients' dense shares with zeros dropped,
-        # pooled over the same number of (client, cell) slots: equal-mean
-        # Poisson-like counts per bin, so sum (x - y)^2 / (x + y) is chi-square
-        rng = np.random.default_rng(100 + n)
-        d, cells_drawn, span = 3, 2_000_000 // n, 12
-        dense = sample_noise_share(n, 1.0, 1, 1, rng, size=(n, cells_drawn)).ravel()
-        nz = np.flatnonzero(dense)
-        x = share_histogram(nz % cells_drawn % d, dense[nz], d, span)
-        cells, shares = sample_noise_messages(n, cells_drawn, 1.0, 1, 1, rng)
-        y = share_histogram(cells % d, shares, d, span)
-        assert x[span::2 * span + 1].sum() == y[span::2 * span + 1].sum() == 0  # no zero shares sent
-        used = x + y >= 10
-        stat = ((x - y)[used] ** 2 / (x + y)[used]).sum()
-        assert stats.chi2.sf(stat, used.sum()) > 0.01
-
-    @pytest.mark.parametrize("n", (1, 3, 50, 60_000))
-    def test_cell_totals_are_discrete_laplace(self, n):
-        rng = np.random.default_rng(200 + n)
-        d = 40_000
-        q = discrete_laplace_parameter(1.0, 1, 1)
-        cells, shares = sample_noise_messages(n, d, 1.0, 1, 1, rng)
-        totals = np.zeros(d, dtype=np.int64)
-        np.add.at(totals, cells, shares)
-        assert dlap_chisquare(totals, q) > 0.01
-
-    def test_noiseless_limits_send_nothing(self, rng):
+class TestNoiseLimits:
+    def test_noiseless_limits_add_no_noise(self, rng):
         # eps = inf, and a finite eps whose q underflows to 0: DLap(0) is 0
         assert discrete_laplace_parameter(5000.0, 1, 1) == 0.0
+        counts = np.array([[3, 0, 1], [0, 2, 0]])
         for eps in (math.inf, 5000.0):
-            cells, shares = sample_noise_messages(4, 6, eps, 1, 1, rng)
-            assert cells.size == shares.size == 0
+            params = shuffle_params(epsilon=eps, s=2, labels=3)
+            assert np.array_equal(multi_message_pipeline(counts, [4, 2, 0, 0], params, rng), counts)
 
     def test_q_rounding_to_one_rejected(self):
         with pytest.raises(ValueError, match="rounds to 1"):

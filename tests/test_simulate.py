@@ -434,12 +434,12 @@ class TestPartitionInvariance:
         assert outcome.pre_noise_equal
         assert peak < m * s * labels * 8 / 4
 
-    def test_central_run_ignores_the_partition(self):
+    @staticmethod
+    def assert_run_ignores_the_partition(params):
         # the whole run, not one aggregate: each iteration's queries, exact
         # counts and noisy counts are the same bytes under every split
         spec = SyntheticSpec(classes=4, per_class=60, dim=3, separation=4.0, std=1.0, pub_per_class=15)
         records, public = generate_synthetic(spec, 31)
-        params = PrivacyParams(1.0, PrivacyModel.CENTRAL, 2, 1, 5, 4)
         runs = [
             run_algorithm1(
                 records, public.embeddings, params, T=3, s=5, k=2, master_seed=23,
@@ -458,6 +458,13 @@ class TestPartitionInvariance:
                 assert same.query_embeddings.tobytes() == outcome.query_embeddings.tobytes(), t
                 assert same.exact.tobytes() == outcome.exact.tobytes(), t
                 assert same.report.noisy_counts.tobytes() == outcome.report.noisy_counts.tobytes(), t
+
+    def test_central_run_ignores_the_partition(self):
+        self.assert_run_ignores_the_partition(PrivacyParams(1.0, PrivacyModel.CENTRAL, 2, 1, 5, 4))
+
+    def test_shuffle_multi_run_ignores_the_partition(self):
+        # n sets only the modulus, and the noise totals are drawn per cell
+        self.assert_run_ignores_the_partition(PrivacyParams(1.0, PrivacyModel.SHUFFLE_MULTI, 2, 1, 5, 4, delta=1e-6))
 
     def test_local_model_reports_inapplicable(self):
         records, queries = four_point_fixture()
