@@ -193,11 +193,15 @@ def pooled_release(counts, client_mass, params, rng):
     """The message-pool protocol, written out: every client draws a dense
     noise share per cell (``sample_noise_share``) and sends one (cell, 1)
     message per vote and one (cell, share mod M) per nonzero share; the pool
-    is permuted, summed mod M per cell and recentred."""
+    is permuted, summed mod M per cell and recentred.  In the noiseless limit
+    q = 0 every share is 0 and no noise message is sent."""
     flat = np.asarray(counts, dtype=np.int64).ravel()
     n, d = len(client_mass), flat.size
     modulus = shuffle_mod.choose_modulus(n * max(int(np.max(client_mass)), 1), params.k, params.r, params.epsilon)
-    shares = sample_noise_share(n, params.epsilon, params.k, params.r, rng, size=(n, d))
+    if discrete_laplace_parameter(params.epsilon, params.k, params.r) == 0.0:
+        shares = np.zeros((n, d), dtype=np.int64)
+    else:
+        shares = sample_noise_share(n, params.epsilon, params.k, params.r, rng, size=(n, d))
     clients, cells = np.nonzero(shares)
     pool = np.concatenate([
         np.column_stack([np.repeat(np.arange(d), flat), np.ones(flat.sum(), dtype=np.int64)]),
@@ -247,6 +251,16 @@ class TestPooledReference:
         errors = [(v - counts.ravel()).ravel() for v in (got, want)]
         assert same_law_pvalue(*errors, bins=10) > 0.001
 
+    def test_noiseless(self):
+        params = shuffle_params(epsilon=math.inf, k=2, r=1, s=3, labels=4)
+        counts = np.random.default_rng(5).integers(0, 9, size=(3, 4))
+        client_mass = np.array([counts.sum(), 0, 0])
+        got = multi_message_pipeline(counts, client_mass, params, np.random.default_rng(5))
+        want = pooled_release(counts, client_mass, params, np.random.default_rng(5))
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        assert np.array_equal(got, counts)
+
     def test_wraparound(self, monkeypatch):
         # at M = 8 the exact counts and the noise totals both wrap
         monkeypatch.setattr(shuffle_mod, "choose_modulus", lambda *args: 8)
@@ -262,8 +276,37 @@ class TestPooledReference:
         assert same_law_pvalue(*keys, bins=8 * counts.size) > 0.001
 
 
-class TestNoiseLimits:
-    def test_noiseless_limits_add_no_noise(self, rng):
+def noise_release(n, d, rng):
+    """The release's noise at eps = 1, k = r = 1: d empty cells, n empty clients."""
+    params = shuffle_params(epsilon=1.0, s=d // 2, labels=2)
+    zeros = np.zeros((d // 2, 2), dtype=np.int64)
+    return multi_message_pipeline(zeros, np.zeros(n, dtype=np.int64), params, rng).ravel().astype(np.int64)
+
+
+class TestSparseNoiseMessages:
+    """The noise messages: each client sends its nonzero dense shares, and
+    the release adds their per-cell sum, drawn directly from its law."""
+
+    @pytest.mark.parametrize("n", (1, 3, 50))
+    def test_pool_matches_dense_shares(self, n):
+        # the per-cell sums of n clients' nonzero dense shares against the
+        # release's noise: the law must not depend on n
+        rng = np.random.default_rng(100 + n)
+        d = 20_000
+        shares = sample_noise_share(n, 1.0, 1, 1, rng, size=(n, d))
+        clients, cells = np.nonzero(shares)
+        assert (shares[clients, cells] != 0).all()  # no zero shares sent
+        pooled = np.zeros(d, dtype=np.int64)
+        np.add.at(pooled, cells, shares[clients, cells])
+        assert same_law_pvalue(pooled, noise_release(n, d, rng), bins=20) > 0.01
+
+    @pytest.mark.parametrize("n", (1, 3, 50, 60_000))
+    def test_cell_totals_are_discrete_laplace(self, n):
+        rng = np.random.default_rng(200 + n)
+        q = discrete_laplace_parameter(1.0, 1, 1)
+        assert dlap_chisquare(noise_release(n, 40_000, rng), q) > 0.01
+
+    def test_noiseless_limits_send_nothing(self, rng):
         # eps = inf, and a finite eps whose q underflows to 0: DLap(0) is 0
         assert discrete_laplace_parameter(5000.0, 1, 1) == 0.0
         counts = np.array([[3, 0, 1], [0, 2, 0]])
