@@ -10,6 +10,9 @@ that moves a digest changes an output: it names the moved digests and why.
 
 Cases:
 
+- ``world/<name>``: the record embeddings and labels, the public embeddings
+  and their true classes of the benchmark world and of a small multi-label
+  world with r = 2, whose class centres are means of two class means.
 - ``trial/<kind>/seed=<seed>``: one labeling trial of every benchmark kind
   on the benchmark world, the same shapes as the benchmark's workloads: the
   queries, exact and noisy counts, hard labels and η of every iteration, the
@@ -77,6 +80,7 @@ TRIAL_KINDS = {
 }
 TRIAL_SEEDS = (1_000_000, 1_000_001)
 MIXED_WORLD = dict(WORLD, per_class=200, pub_per_class=50)
+MULTI_LABEL_WORLD = dict(MIXED_WORLD, multilabel_r=2)
 MIXED_CLIENTS = dict(s=10, k=1, T=1, epsilon=1.0, scheme="iid", n_clients=1500)
 KMEANS_S = (10, 40, 200)
 NEAR_TIES = dict(seeds=range(8), s=8, dim=2, per_bisector=200)
@@ -128,6 +132,15 @@ def digest(value) -> str:
 
     feed(value)
     return h.hexdigest()
+
+
+def _world(records, public) -> dict:
+    return {
+        "record_embeddings": digest(records.embeddings),
+        "record_labels": digest(records.labels),
+        "public_embeddings": digest(public.embeddings),
+        "public_truth": digest(public.true_labels),
+    }
 
 
 def _trial(records, public, model_name: str, mechanism: str, shape: dict, seed: int) -> dict:
@@ -222,7 +235,8 @@ def _encode_cases() -> dict:
 def compute() -> dict:
     """{case: {field: digest}} of every case, in a fixed order."""
     records, public = data.generate_synthetic(data.SyntheticSpec(**WORLD), seed=WORLD_SEED)
-    cases = {}
+    multi_records, multi_public = data.generate_synthetic(data.SyntheticSpec(**MULTI_LABEL_WORLD), seed=WORLD_SEED)
+    cases = {"world/bench": _world(records, public), "world/multi-label-r=2": _world(multi_records, multi_public)}
     for kind in TRIAL_KINDS:
         for seed in TRIAL_SEEDS:
             fields = _trial(records, public, *TRIAL_KINDS[kind], seed)
