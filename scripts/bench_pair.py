@@ -8,11 +8,13 @@ Run from inside a git checkout:
 Each pair runs ``bench/run.py --trace 0`` once per revision, both at the
 pair's seed.  Each side runs in a fresh ``git archive`` copy of its
 revision, extracted into one directory name per pair, the same name for both
-sides, since the path can move the process's memory layout.  Even pairs run
-BASE first, odd pairs CHANGE first.  The script prints every pair's values,
-then each metric's median and quartiles per revision, the median's relative
-change, and in how many pairs CHANGE read lower.  Only the standard library
-is used.
+sides, since the path can move the process's memory layout.  The runs
+alternate between the revisions across the whole session, BASE CHANGE BASE
+CHANGE and so on, so no revision ever runs twice in a row and one slow window
+of a shared host cannot land on two runs of one side.  The script prints the
+run order, every pair's values, then each metric's median and quartiles per
+revision, the median's relative change, and in how many pairs CHANGE read
+lower.  Only the standard library is used.
 """
 import argparse
 import json
@@ -68,17 +70,17 @@ def compare(argv=None) -> int:
     sides = (args.base, args.change)
     values = {side: {} for side in range(2)}
     bad = []
+    print(f"run order: {' '.join(['base change'] * args.pairs)}", flush=True)
     for i in range(args.pairs):
         args.seed_now = args.seed + i
-        order = (0, 1) if i % 2 == 0 else (1, 0)
-        for side in order:
+        for side in range(2):
             result = run_side(sides[side], work / f"pair{i:03d}", args)
             if not result["correct"] or result["failed"]:
                 bad.append(f"pair {i} {sides[side]}: correct={result['correct']} failed={result['failed']}")
             for name, metric in result["metrics"].items():
                 values[side].setdefault(name, []).append(metric["value"])
         line = "  ".join(f"{name} {values[0][name][-1]:.5g} -> {values[1][name][-1]:.5g}" for name in values[0])
-        print(f"pair {i} seed {args.seed_now} ({'base' if order[0] == 0 else 'change'} first): {line}", flush=True)
+        print(f"pair {i} seed {args.seed_now} (runs {2 * i}, {2 * i + 1}): {line}", flush=True)
     work.rmdir()
     print(f"\n{args.workload}, {args.pairs} pairs, {args.seconds:g} s runs: {args.base} -> {args.change}")
     for name in values[0]:

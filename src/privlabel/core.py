@@ -14,6 +14,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from typing import Iterable
 
@@ -58,6 +59,9 @@ class PrivacyParams:
             raise ValueError(f"{self.model.value} model is pure DP and requires delta = 0")
         if self.model not in _PURE_DP_MODELS and not self.delta > 0.0:
             raise ValueError(f"{self.model.value} model requires delta > 0")
+        for name in ("k", "r", "s", "label_count"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         for name in ("k", "r", "s"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be a positive integer")
@@ -82,6 +86,15 @@ class PrivacyParams:
         return replace(self, epsilon=self.epsilon / iterations)
 
 
+def integer_array(values, name: str) -> np.ndarray:
+    """``values`` as an int64 array.  A nonempty input must hold integers
+    already: a cast would truncate 0.5 and 1.7 into other, valid indices."""
+    values = np.asarray(values)
+    if values.size and not np.issubdtype(values.dtype, np.integer):
+        raise ValueError(f"{name} must be integers, got {values.dtype}")
+    return values.astype(np.int64, copy=False)
+
+
 def label_vector(indices: Iterable[int], label_count: int) -> np.ndarray:
     """Build a multi-hot label vector with ones at ``indices``."""
     bits = np.zeros(label_count, dtype=np.uint8)
@@ -96,11 +109,20 @@ def label_vector(indices: Iterable[int], label_count: int) -> np.ndarray:
 
 def validate_label_matrix(labels: np.ndarray) -> int:
     """Check a stacked (m, label_count) multi-hot matrix; return the shared
-    cardinality r.  All rows must have the same number of ones."""
+    cardinality r.  Every entry must equal 0 or 1 exactly (NaN does not), in
+    any bool, integer or float dtype, and all rows must have the same number
+    of ones.  No temporary is larger than a boolean mask of the matrix."""
     labels = np.asarray(labels)
     if labels.ndim != 2:
         raise ValueError("labels must be a 2-D multi-hot matrix")
-    if not np.isin(labels, (0, 1)).all():
+    if labels.dtype.kind in "iu":
+        binary = labels.size == 0 or (labels.min() >= 0 and labels.max() <= 1)
+    elif labels.dtype.kind == "b":
+        binary = True
+    else:
+        ones = labels == 1
+        binary = np.logical_or(labels == 0, ones, out=ones).all()
+    if not binary:
         raise ValueError("label entries must be 0 or 1")
     cards = labels.sum(axis=1)
     if labels.shape[0] == 0:
@@ -118,7 +140,9 @@ class RecordSet:
     """Column-stacked private dataset.
 
     ``embeddings`` is (m, dim) float64, ``labels`` is (m, label_count)
-    multi-hot with a uniform cardinality ``r`` across rows.  A record set is
+    multi-hot uint8 with a uniform cardinality ``r`` across rows.  Labels
+    are validated in the dtype given, before the cast to uint8, so that an
+    entry such as 256 or 0.5 is rejected rather than cast.  A record set is
     immutable: its fields are validated once and cannot be reassigned, and
     ``dataclasses.replace`` builds a revalidated copy.  So it keeps two
     read-only per-record arrays, computed at first use and shared by every
@@ -133,14 +157,15 @@ class RecordSet:
 
     def __post_init__(self):
         embeddings = np.asarray(self.embeddings, dtype=np.float64)
-        labels = np.asarray(self.labels, dtype=np.uint8)
+        labels = np.asarray(self.labels)
         if embeddings.ndim != 2:
             raise ValueError("embeddings must be (m, dim)")
         if not np.isfinite(embeddings).all():
             raise ValueError("record embeddings must be finite")
+        validate_label_matrix(labels)
         if labels.shape[0] != embeddings.shape[0]:
             raise ValueError("embeddings and labels disagree on record count")
-        validate_label_matrix(labels)
+        labels = labels.astype(np.uint8, copy=False)
         if self.ids is None:
             ids = np.arange(embeddings.shape[0])
         else:
@@ -228,7 +253,7 @@ class ConnectionMap:
     k: int
 
     def __post_init__(self):
-        idx = np.asarray(self.indices, dtype=np.int64)
+        idx = integer_array(self.indices, "bucket indices")
         if idx.ndim != 2:
             raise ValueError("connection indices must be (m, degree)")
         if idx.size:
@@ -291,7 +316,7 @@ def record_votes(records: RecordSet, connections: ConnectionMap) -> np.ndarray:
 
 def vote_counts(votes: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Count array of ``shape``: how many votes fall on each flat cell."""
-    votes = np.asarray(votes, dtype=np.int64).ravel()
+    votes = integer_array(votes, "vote indices").ravel()
     size = math.prod(shape)
     if votes.size and (votes.min() < 0 or votes.max() >= size):
         raise ValueError(f"vote index out of range [0, {size})")

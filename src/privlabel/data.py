@@ -85,6 +85,9 @@ def _label_set(base_class: int, spec: SyntheticSpec) -> list[int]:
 def generate_synthetic(spec: SyntheticSpec, seed: int) -> tuple[RecordSet, PublicSet]:
     """Private records plus a disjoint public split from the same mixture.
 
+    Each split is drawn class by class: per_class standard normal rows,
+    scaled by ``std`` and shifted by the mean of the class's label set's
+    class means, written in place into the one array the split returns.
     The public split keeps its ground-truth classes for scoring only; they
     are never fed to any mechanism.
     """
@@ -93,11 +96,12 @@ def generate_synthetic(spec: SyntheticSpec, seed: int) -> tuple[RecordSet, Publi
     label_sets = [_label_set(c, spec) for c in range(spec.classes)]
 
     def draw(per_class: int) -> np.ndarray:
-        # class by class, per_class samples around the mean of its label set's class means
-        return np.concatenate([
-            means[classes].mean(axis=0) + spec.std * rng.standard_normal((per_class, spec.dim))
-            for classes in label_sets
-        ])
+        out = np.empty((spec.classes * per_class, spec.dim))
+        for block, classes in zip(np.split(out, spec.classes), label_sets):
+            rng.standard_normal(out=block)
+            block *= spec.std
+            block += means[classes].mean(axis=0)
+        return out
 
     bits = np.stack([label_vector(classes, spec.classes) for classes in label_sets])
     records = RecordSet(draw(spec.per_class), np.repeat(bits, spec.per_class, axis=0))

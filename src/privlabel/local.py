@@ -32,7 +32,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .central import noise_scale
-from .core import PrivacyParams, vote_counts
+from .core import PrivacyParams, integer_array, vote_counts
 
 _U64 = np.uint64
 
@@ -840,10 +840,7 @@ def _check_support(support: np.ndarray, params, n_reports: int | None = None) ->
     vector, returned sorted and deduplicated, or an (n_reports, c) array
     giving each report its own support of c distinct indices.  Indices must
     be integers: a float support would be truncated into another support."""
-    support = np.asarray(support)
-    if support.size and not np.issubdtype(support.dtype, np.integer):
-        raise ValueError(f"support indices must be integers, got {support.dtype}")
-    support = support.astype(np.int64, copy=False)
+    support = integer_array(support, "support indices")
     if support.ndim == 1:
         support = np.unique(support)
     if support.shape[-1] != params.support_size:

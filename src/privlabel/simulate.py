@@ -27,6 +27,7 @@ from .core import (
     RecordSet,
     degenerate_buckets,
     hard_labels,
+    integer_array,
     record_votes,
     soft_labels,
     vote_counts,
@@ -56,7 +57,7 @@ class Partition:
     scheme: PartitionScheme
 
     def __post_init__(self):
-        ids = np.asarray(self.client_of, dtype=np.int64)
+        ids = integer_array(self.client_of, "client ids")
         if ids.size and (ids.min() < 0 or ids.max() >= self.n_clients):
             raise ValueError("client id out of range")
         object.__setattr__(self, "client_of", ids)

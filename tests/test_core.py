@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -139,6 +140,18 @@ class TestPrivacyParams:
         with pytest.raises(ValueError):
             PrivacyParams(1.0, PrivacyModel.CENTRAL, 1, 3, 2, 2)
 
+    @pytest.mark.parametrize("name", ["k", "r", "s", "label_count"])
+    def test_rejects_non_integer_shapes(self, name):
+        # label_count = 10.5 would give a flat domain of 105.0 cells
+        shape = dict(k=2, r=1, s=10, label_count=10)
+        shape[name] += 0.5
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            PrivacyParams(1.0, PrivacyModel.CENTRAL, **shape)
+
+    def test_accepts_numpy_integers(self):
+        params = PrivacyParams(1.0, PrivacyModel.CENTRAL, np.int64(2), np.int32(1), np.uint8(10), np.int64(10))
+        assert params.flat_domain_size == 100 and params.sensitivity == 4
+
 
 class TestLabelVector:
     def test_multi_hot(self):
@@ -177,6 +190,39 @@ class TestAccuracySpecAndRecords:
         labels = np.array([[1, 0, 0], [1, 1, 0]], dtype=np.uint8)
         with pytest.raises(ValueError, match="cardinality"):
             RecordSet(np.zeros((2, 2)), labels)
+
+    @pytest.mark.parametrize("bad", [256, 0.5, np.nan, -1])
+    def test_non_binary_labels_rejected_before_the_cast(self, bad):
+        # a uint8 cast would store 256 and 0.5 as 0
+        labels = np.array([[1.0, 0.0], [bad, 1.0]])
+        with pytest.raises(ValueError, match="0 or 1"):
+            RecordSet(np.zeros((2, 2)), labels)
+        if float(bad).is_integer():
+            with pytest.raises(ValueError, match="0 or 1"):
+                RecordSet(np.zeros((2, 2)), labels.astype(np.int64))
+
+    @pytest.mark.parametrize("dtype", [bool, np.int8, np.int64, np.uint64, np.float32, np.float64])
+    def test_binary_labels_of_any_dtype_are_stored_as_uint8(self, dtype):
+        labels = np.array([[1, 0, 0], [0, 0, 1]], dtype=dtype)
+        records = RecordSet(np.zeros((2, 2)), labels)
+        assert records.labels.dtype == np.uint8
+        assert records.labels.tolist() == [[1, 0, 0], [0, 0, 1]] and records.r == 1
+
+    def test_construction_memory_beyond_its_inputs(self):
+        # 60,000 x 10 labels: the label check allocates no more than a boolean
+        # mask of the embeddings and a per-row label count (0.5 MiB); a
+        # per-cell membership test allocated 6.9 MiB
+        gen = np.random.default_rng(5)
+        embeddings = gen.normal(size=(60_000, 8))
+        labels = np.zeros((60_000, 10), dtype=np.uint8)
+        labels[np.arange(60_000), gen.integers(0, 10, 60_000)] = 1
+        tracemalloc.start()
+        try:
+            RecordSet(embeddings, labels)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * 2**20
 
 
 class TestRecordSet:
@@ -261,6 +307,17 @@ class TestVotes:
     def test_out_of_range_votes_rejected(self, votes):
         with pytest.raises(ValueError, match="out of range"):
             vote_counts(votes, (2, 2))
+
+    def test_fractional_votes_rejected(self):
+        # a cast would count 0.5 and 1.5 as cells 0 and 1
+        with pytest.raises(ValueError, match="integers"):
+            vote_counts(np.array([0.5, 1.5]), (2, 2))
+
+    def test_fractional_bucket_indices_rejected(self):
+        # a cast would turn [[0.2], [1.9]] into buckets 0 and 1
+        with pytest.raises(ValueError, match="integers"):
+            ConnectionMap(np.array([[0.2], [1.9]]), s=3, k=1)
+        assert ConnectionMap(np.zeros((0, 1)), s=3, k=1).indices.dtype == np.int64
 
     def test_empty_votes_give_zeros(self):
         assert vote_counts(np.zeros((0, 3), dtype=np.int64), (2, 2)).tolist() == [[0, 0], [0, 0]]

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,6 +26,18 @@ def spec(**overrides):
 
 
 class TestSynthetic:
+    def test_bench_world_memory_is_its_output_and_one_mask(self):
+        # each split is drawn into the one array it returns; the world is 4.6
+        # MiB, and the record set's finiteness mask adds 0.5 MiB
+        world = spec(classes=10, per_class=6000, dim=8, separation=12.0, pub_per_class=500)
+        tracemalloc.start()
+        try:
+            generate_synthetic(world, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6.5 * 2**20
+
     def test_well_separated_mixture_is_nearest_neighbor_learnable(self):
         records, public = generate_synthetic(spec(separation=10.0), seed=3)
         # 1-NN against the private records classifies nearly every pub sample

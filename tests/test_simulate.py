@@ -82,6 +82,11 @@ class TestPartition:
         chosen = simulate_mod._one_record_per_client(partition, np.random.default_rng(3))
         assert chosen.tobytes() == perm[first].tobytes()
 
+    def test_fractional_client_ids_rejected(self):
+        # a cast would assign the records to clients 0 and 1
+        with pytest.raises(ValueError, match="integers"):
+            Partition(np.array([0.5, 1.7]), 3, PartitionScheme.IID)
+
     @pytest.mark.parametrize("n_clients, m", [(50, 50), (80, 50)])
     def test_one_record_clients_report_without_a_draw(self, n_clients, m):
         client_of = np.random.default_rng(m).permutation(n_clients)[:m]
