@@ -115,10 +115,8 @@ def validate_label_matrix(labels: np.ndarray) -> int:
     labels = np.asarray(labels)
     if labels.ndim != 2:
         raise ValueError("labels must be a 2-D multi-hot matrix")
-    if labels.dtype.kind in "iu":
+    if labels.dtype.kind in "biu":
         binary = labels.size == 0 or (labels.min() >= 0 and labels.max() <= 1)
-    elif labels.dtype.kind == "b":
-        binary = True
     else:
         ones = labels == 1
         binary = np.logical_or(labels == 0, ones, out=ones).all()
