@@ -111,16 +111,12 @@ def validate_label_matrix(labels: np.ndarray) -> int:
     """Check a stacked (m, label_count) multi-hot matrix; return the shared
     cardinality r.  Every entry must equal 0 or 1 exactly (NaN does not), in
     any bool, integer or float dtype, and all rows must have the same number
-    of ones.  No temporary is larger than a boolean mask of the matrix."""
+    of ones.  The check allocates two boolean masks of the matrix."""
     labels = np.asarray(labels)
     if labels.ndim != 2:
         raise ValueError("labels must be a 2-D multi-hot matrix")
-    if labels.dtype.kind in "biu":
-        binary = labels.size == 0 or (labels.min() >= 0 and labels.max() <= 1)
-    else:
-        ones = labels == 1
-        binary = np.logical_or(labels == 0, ones, out=ones).all()
-    if not binary:
+    ones = labels == 1
+    if not np.logical_or(labels == 0, ones, out=ones).all():
         raise ValueError("label entries must be 0 or 1")
     cards = labels.sum(axis=1)
     if labels.shape[0] == 0:

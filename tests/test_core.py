@@ -209,9 +209,8 @@ class TestAccuracySpecAndRecords:
         assert records.labels.tolist() == [[1, 0, 0], [0, 0, 1]] and records.r == 1
 
     def test_construction_memory_beyond_its_inputs(self):
-        # 60,000 x 10 labels: the label check allocates no more than a boolean
-        # mask of the embeddings and a per-row label count (0.5 MiB); a
-        # per-cell membership test allocated 6.9 MiB
+        # 60,000 x 10 labels: the label check allocates two boolean masks of
+        # the labels (1.1 MiB); a per-cell membership test allocated 6.9 MiB
         gen = np.random.default_rng(5)
         embeddings = gen.normal(size=(60_000, 8))
         labels = np.zeros((60_000, 10), dtype=np.uint8)

@@ -26,9 +26,10 @@ def spec(**overrides):
 
 
 class TestSynthetic:
-    def test_bench_world_memory_is_its_output_and_one_mask(self):
-        # each split is drawn into the one array it returns; the world is 4.6
-        # MiB, and the record set's finiteness mask adds 0.5 MiB
+    def test_bench_world_memory_is_its_output_and_the_label_masks(self):
+        # each split is drawn into the one array it returns; the peak is the
+        # 4.2 MiB of record arrays and the label check's two boolean masks
+        # (1.1 MiB)
         world = spec(classes=10, per_class=6000, dim=8, separation=12.0, pub_per_class=500)
         tracemalloc.start()
         try:
