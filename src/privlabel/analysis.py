@@ -4,7 +4,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import local as local_mod
-from .core import PrivacyModel, PrivacyParams
+from .core import PrivacyModel, PrivacyParams, integer_array
 from .simulate import MODEL_MECHANISMS, eta_bound, randomizer_params
 
 # the prefix of a per-report model's rows; the other models have one row each, named after the model
@@ -81,8 +81,8 @@ def predict_labeling_accuracy(
     exact = np.asarray(exact_counts, dtype=np.float64)
     entry_std = np.broadcast_to(np.asarray(entry_std, dtype=np.float64), exact.shape)
     s, label_count = exact.shape
-    assignment = np.asarray(assignment, dtype=np.int64)
-    pub_truth = np.asarray(pub_truth, dtype=np.int64)
+    assignment = integer_array(assignment, "cluster assignment", s)
+    pub_truth = integer_array(pub_truth, "true labels", label_count)
     # frac[t, c]: share of public samples sitting in bucket t with true class c
     cells = np.ravel_multi_index((assignment, pub_truth), (s, label_count))
     frac = np.bincount(cells, weights=np.ones(cells.size), minlength=s * label_count).reshape(s, label_count)

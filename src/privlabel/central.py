@@ -12,7 +12,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import PrivacyModel, PrivacyParams, QuerySet, RecordSet, record_votes, vote_counts
+from .core import PrivacyModel, PrivacyParams, QuerySet, RecordSet, check_beta, record_votes, vote_counts
 from .geometry import reverse_knn_connect
 
 
@@ -64,8 +64,7 @@ def central_laplace_mechanism(
 
 def laplace_accuracy_bound(params: PrivacyParams, beta: float) -> float:
     """Per-bucket max-error bound eta = 2kr * ln(label_count/beta) / eps."""
-    if not 0.0 < beta < 1.0:
-        raise ValueError("beta must lie in (0, 1)")
+    check_beta(beta)
     if math.isinf(params.epsilon):
         return 0.0
     return params.sensitivity * math.log(params.label_count / beta) / params.epsilon

@@ -14,7 +14,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 
-from .core import PrivacyModel, PrivacyParams
+from .core import PrivacyModel, PrivacyParams, check_beta
 from .simulate import PartitionScheme, check_label_mode, resolve_mechanism
 
 
@@ -92,8 +92,7 @@ class ExperimentConfig:
             raise ValueError("t must be at least 1")
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
-        if not 0.0 < self.beta < 1.0:
-            raise ValueError("beta must lie in (0, 1)")
+        check_beta(self.beta)
 
     def as_dict(self) -> dict:
         return dataclasses.asdict(self)

@@ -59,9 +59,7 @@ class PrivacyParams:
             raise ValueError(f"{self.model.value} model is pure DP and requires delta = 0")
         if self.model not in _PURE_DP_MODELS and not self.delta > 0.0:
             raise ValueError(f"{self.model.value} model requires delta > 0")
-        for name in ("k", "r", "s", "label_count"):
-            if not isinstance(getattr(self, name), numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        check_integers(self, "k", "r", "s", "label_count")
         for name in ("k", "r", "s"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be a positive integer")
@@ -86,23 +84,39 @@ class PrivacyParams:
         return replace(self, epsilon=self.epsilon / iterations)
 
 
-def integer_array(values, name: str) -> np.ndarray:
+def check_integers(obj, *names: str) -> None:
+    """Reject any named field of ``obj`` that is not an integer: a shape of
+    2.5 would be used as 2 by one computation and as 2.5 by another."""
+    for name in names:
+        if not isinstance(getattr(obj, name), numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {getattr(obj, name)!r}")
+
+
+def check_beta(beta: float) -> None:
+    if not 0.0 < beta < 1.0:
+        raise ValueError("beta must lie in (0, 1)")
+
+
+def integer_array(values, name: str, size: int | None = None) -> np.ndarray:
     """``values`` as an int64 array.  A nonempty input must hold integers
-    already: a cast would truncate 0.5 and 1.7 into other, valid indices."""
+    already: a cast would truncate 0.5 and 1.7 into other, valid indices.
+    Given ``size``, every value must also lie in [0, size), since numpy reads
+    -1 as the last index."""
     values = np.asarray(values)
     if values.size and not np.issubdtype(values.dtype, np.integer):
         raise ValueError(f"{name} must be integers, got {values.dtype}")
-    return values.astype(np.int64, copy=False)
+    values = values.astype(np.int64, copy=False)
+    if size is not None and values.size and (values.min() < 0 or values.max() >= size):
+        raise ValueError(f"{name} out of range [0, {size})")
+    return values
 
 
 def label_vector(indices: Iterable[int], label_count: int) -> np.ndarray:
     """Build a multi-hot label vector with ones at ``indices``."""
     bits = np.zeros(label_count, dtype=np.uint8)
-    idx = np.asarray(sorted(set(int(i) for i in indices)), dtype=np.int64)
+    idx = integer_array(list(indices), "label indices", label_count)
     if idx.size == 0:
         raise ValueError("a label vector needs at least one class index")
-    if idx.min() < 0 or idx.max() >= label_count:
-        raise ValueError(f"label index out of range [0, {label_count})")
     bits[idx] = 1
     return bits
 
@@ -247,14 +261,11 @@ class ConnectionMap:
     k: int
 
     def __post_init__(self):
-        idx = integer_array(self.indices, "bucket indices")
+        idx = integer_array(self.indices, "bucket indices", self.s)
         if idx.ndim != 2:
             raise ValueError("connection indices must be (m, degree)")
-        if idx.size:
-            if idx.min() < 0 or idx.max() >= self.s:
-                raise ValueError("bucket index out of range")
-            if idx.shape[1] > 1 and not (np.diff(idx, axis=1) > 0).all():
-                raise ValueError("each record's bucket set must be strictly increasing")
+        if idx.shape[1] > 1 and not (np.diff(idx, axis=1) > 0).all():
+            raise ValueError("each record's bucket set must be strictly increasing")
         if idx.shape[1] > min(self.k, self.s):
             raise ValueError("record degree exceeds min(k, s)")
         object.__setattr__(self, "indices", idx)
@@ -294,8 +305,8 @@ def flatten_support(buckets, labels, label_count: int) -> np.ndarray:
     (..., degree * r), bucket-major, so it increases along each row when both
     inputs do.  1-D inputs give one record's votes.
     """
-    buckets = np.asarray(buckets, dtype=np.int64)
-    labels = np.asarray(labels, dtype=np.int64)
+    buckets = integer_array(buckets, "bucket indices")
+    labels = integer_array(labels, "label indices", label_count)
     flat = buckets[..., :, None] * label_count + labels[..., None, :]
     return flat.reshape(flat.shape[:-2] + (flat.shape[-2] * flat.shape[-1],))
 
@@ -310,11 +321,8 @@ def record_votes(records: RecordSet, connections: ConnectionMap) -> np.ndarray:
 
 def vote_counts(votes: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Count array of ``shape``: how many votes fall on each flat cell."""
-    votes = integer_array(votes, "vote indices").ravel()
     size = math.prod(shape)
-    if votes.size and (votes.min() < 0 or votes.max() >= size):
-        raise ValueError(f"vote index out of range [0, {size})")
-    return np.bincount(votes, minlength=size).reshape(shape)
+    return np.bincount(integer_array(votes, "vote indices", size).ravel(), minlength=size).reshape(shape)
 
 
 def hard_labels(counts: np.ndarray) -> np.ndarray:

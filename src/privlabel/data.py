@@ -40,11 +40,6 @@ class SyntheticSpec:
         if not 1 <= self.multilabel_r <= self.classes:
             raise ValueError("multilabel_r must lie in [1, classes]")
 
-    @property
-    def separability(self) -> float:
-        """Recorded distance-to-noise ratio of the mixture."""
-        return self.separation / self.std
-
 
 @dataclass
 class PublicSet:

@@ -30,7 +30,7 @@ import itertools
 
 import numpy as np
 
-from .core import ConnectionMap, QuerySet
+from .core import ConnectionMap, QuerySet, integer_array
 
 
 class ConnectionObjective(enum.Enum):
@@ -391,8 +391,8 @@ def select_queries_uncertainty(
     """
     gap = margins(soft)
     eligible = np.ones(gap.shape[0], dtype=bool)
-    if exclude is not None and len(exclude):
-        eligible[np.asarray(exclude, dtype=np.int64)] = False
+    if exclude is not None:
+        eligible[integer_array(exclude, "excluded samples", gap.shape[0])] = False
     candidates = np.flatnonzero(eligible)
     if candidates.size <= s:
         return candidates
@@ -420,10 +420,8 @@ def _squared_blocks(points: np.ndarray, cols: np.ndarray):
         yield start, _squared(points[start : start + n], cols, rows[:n], out[:n])[:, 0]
 
 
-# rows shorter than this many cells read their next value by column minima.
-# On a 2^16-cell block (numpy 2.4, x86-64 Xeon, one thread) a row argmin over
-# float64 rows below 32 cells runs 2.4-36 times slower than a loop of
-# np.minimum over the strided columns, and from 32 cells on 1.1-5 times faster
+# rows shorter than this many cells read their next value by column minima,
+# which beats an argmin pass there
 _SHORT_ROW = 32
 
 
@@ -636,11 +634,8 @@ def brute_force_best_connection(
 
 def propagate_labels(assignment: np.ndarray, query_labels: np.ndarray) -> np.ndarray:
     """Give every public sample the label of its cluster center."""
-    assignment = np.asarray(assignment, dtype=np.int64)
     query_labels = np.asarray(query_labels)
-    if assignment.size and (assignment.min() < 0 or assignment.max() >= query_labels.shape[0]):
-        raise ValueError("assignment refers to an unknown cluster")
-    return query_labels[assignment]
+    return query_labels[integer_array(assignment, "cluster assignment", query_labels.shape[0])]
 
 
 def propagation_accuracy(propagated: np.ndarray, true_labels: np.ndarray) -> float:

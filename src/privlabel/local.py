@@ -32,7 +32,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .central import noise_scale
-from .core import PrivacyParams, integer_array, vote_counts
+from .core import PrivacyParams, check_beta, check_integers, integer_array, vote_counts
 
 _U64 = np.uint64
 
@@ -158,7 +158,7 @@ def rr_accuracy_bound(params: PrivacyParams, n: int, beta: float) -> float:
     bound is a vanishing e^(-eps'/2) tail anyway.  A budget
     ``rr_flip_probability`` rejects has no bound.
     """
-    _check_beta(beta)
+    check_beta(beta)
     rr_flip_probability(params.epsilon, params.k, params.r)
     e = math.exp(min(params.epsilon / (2.0 * params.k * params.r), 700.0))
     return (e + 1.0) / (e - 1.0) * math.sqrt(
@@ -174,7 +174,7 @@ def local_laplace_accuracy_bound(params: PrivacyParams, n: int, beta: float) -> 
     """Sub-exponential tail bound: the gaussian-like branch and the pure tail
     branch, whichever dominates.  An eps so small that the bound overflows
     (or eps^2 underflows to 0) is rejected."""
-    _check_beta(beta)
+    check_beta(beta)
     load = math.log(params.label_count / beta)
     kr = params.k * params.r
     eps_squared = params.epsilon ** 2
@@ -208,6 +208,7 @@ class CollisionParams:
     filter_length: int
 
     def __post_init__(self):
+        check_integers(self, "domain_size", "support_size", "filter_length")
         if self.domain_size < 1 or self.support_size < 1:
             raise ValueError("domain and support sizes must be positive")
         if self.support_size > self.domain_size:
@@ -309,14 +310,13 @@ def _hash_inputs(seeds: np.ndarray, cells: np.ndarray, params: CollisionParams):
     seeds, cells = np.asarray(seeds), np.asarray(cells)
     if seeds.ndim != 1 or seeds.shape != cells.shape:
         raise ValueError(f"expected one cell per seed, got seeds {seeds.shape} and cells {cells.shape}")
-    if seeds.size and not (np.issubdtype(seeds.dtype, np.integer) and np.issubdtype(cells.dtype, np.integer)):
-        raise ValueError(f"report seeds and cells must be integers, got {seeds.dtype} and {cells.dtype}")
+    if seeds.size and not np.issubdtype(seeds.dtype, np.integer):
+        raise ValueError(f"report seeds must be integers, got {seeds.dtype}")
     if seeds.size and seeds.min() < 0:
         raise ValueError("report seeds must be non-negative")
-    if cells.size and (cells.min() < 0 or cells.max() >= params.filter_length):
-        raise ValueError(f"report cell out of filter range [0, {params.filter_length})")
+    cells = integer_array(cells, "report cells (filter range)", params.filter_length)
     mixed_coords = _mix64(np.arange(1, params.domain_size + 1, dtype=_U64)).astype(_hash_width(params.filter_length))
-    return seeds.astype(_U64, copy=False), cells.astype(np.int64, copy=False).view(_U64), mixed_coords
+    return seeds.astype(_U64, copy=False), cells.view(_U64), mixed_coords
 
 
 def _hit_blocks(seeds: np.ndarray, cells: np.ndarray, params: CollisionParams):
@@ -377,10 +377,7 @@ def collision_hit_counts(
     number of coordinates v in ``columns[j]`` (a slice, or an array of
     indices in [0, d)) with H_i(v) = z_i.  Blocks stay report-major, since
     mse-figure's 10,000-coordinate domains give each block only 6 reports."""
-    d = params.domain_size
-    for cols in (np.asarray(c) for c in columns if not isinstance(c, slice)):
-        if cols.size and not (np.issubdtype(cols.dtype, np.integer) and 0 <= cols.min() and cols.max() < d):
-            raise ValueError(f"column indices must be integers in [0, {d})")
+    columns = [c if isinstance(c, slice) else integer_array(c, "column indices", params.domain_size) for c in columns]
     counts = np.empty((len(columns), np.size(seeds)), dtype=np.int64)
     for start, block in _hit_blocks(seeds, cells, params):
         for j, cols in enumerate(columns):
@@ -395,7 +392,7 @@ def collision_accuracy_bound(params: CollisionParams, n: int, label_count: int, 
     Evaluated at the parameters' actual filter length; requires the tilt to
     dominate the collision rate (true for the default filter length).
     """
-    _check_beta(beta)
+    check_beta(beta)
     kr = params.support_size
     e = math.exp(min(params.epsilon, 300.0))
     denominator = kr * (e * e - 1.0) - (e - 1.0)
@@ -441,6 +438,7 @@ class GseParams:
     alpha_min: int = 1
 
     def __post_init__(self):
+        check_integers(self, "domain_size", "support_size", "output_size", "alpha_min")
         if self.output_size > self.domain_size:
             raise ValueError("output size cannot exceed the domain")
         if self.output_size < 1 or self.support_size < 1:
@@ -632,8 +630,7 @@ def gse_estimate(cells: np.ndarray, params: GseParams) -> np.ndarray:
     d, l = params.domain_size, params.output_size
     if cells.ndim != 2 or cells.shape[1] != l or not np.issubdtype(cells.dtype, np.integer):
         raise ValueError(f"expected an (n, {l}) integer cell stack, got {cells.dtype} {cells.shape}")
-    if cells.size and (cells.min() < 0 or cells.max() >= d):
-        raise ValueError(f"cell index out of domain range [0, {d})")
+    cells = integer_array(cells, "released cells", d)
     denom = params.estimator_denominator
     if denom <= 0:
         raise ValueError("p_true must exceed p_false for estimation")
@@ -830,25 +827,18 @@ def gse_pmfs(params: GseParams) -> tuple[list[tuple], Callable[[tuple], np.ndarr
 # shared checks
 
 
-def _check_beta(beta: float) -> None:
-    if not 0.0 < beta < 1.0:
-        raise ValueError("beta must lie in (0, 1)")
-
-
 def _check_support(support: np.ndarray, params, n_reports: int | None = None) -> np.ndarray:
     """Validate supports against ``params`` (collision or GSE): one index
     vector, returned sorted and deduplicated, or an (n_reports, c) array
     giving each report its own support of c distinct indices.  Indices must
     be integers: a float support would be truncated into another support."""
-    support = integer_array(support, "support indices")
+    support = integer_array(support, "support indices", params.domain_size)
     if support.ndim == 1:
         support = np.unique(support)
     if support.shape[-1] != params.support_size:
         raise ValueError(
             f"support has {support.shape[-1]} distinct indices, expected {params.support_size}"
         )
-    if support.size and (support.min() < 0 or support.max() >= params.domain_size):
-        raise ValueError("support index out of domain range")
     if support.ndim == 2:
         if support.shape[0] != n_reports:
             raise ValueError("per-report supports must be (n_reports, c)")

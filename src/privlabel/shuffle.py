@@ -27,7 +27,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .core import PrivacyModel, PrivacyParams
+from .core import PrivacyModel, PrivacyParams, check_beta, integer_array
 
 
 # ---------------------------------------------------------------------------
@@ -101,8 +101,7 @@ def choose_modulus(total_mass: int, k: int, r: int, epsilon: float) -> int:
 
 def multi_message_accuracy_bound(params: PrivacyParams, beta: float) -> float:
     """eta = 4kr * ln(label_count/beta) / eps for the distributed-noise protocol."""
-    if not 0.0 < beta < 1.0:
-        raise ValueError("beta must lie in (0, 1)")
+    check_beta(beta)
     return 4.0 * params.k * params.r * math.log(params.label_count / beta) / params.epsilon
 
 
@@ -148,7 +147,7 @@ def multi_message_pipeline(
         raise ValueError("multi-message pipeline requires the shuffle-multi model")
     counts = np.asarray(counts)
     flat = counts.astype(np.int64).ravel()
-    client_mass = np.asarray(client_mass, dtype=np.int64)
+    client_mass = integer_array(client_mass, "client vote totals")
     if (flat < 0).any() or (client_mass < 0).any() or not np.array_equal(flat, counts.ravel()):
         raise ValueError("vote counts must be nonnegative integers")
     n, d = client_mass.size, flat.size

@@ -57,10 +57,7 @@ class Partition:
     scheme: PartitionScheme
 
     def __post_init__(self):
-        ids = integer_array(self.client_of, "client ids")
-        if ids.size and (ids.min() < 0 or ids.max() >= self.n_clients):
-            raise ValueError("client id out of range")
-        object.__setattr__(self, "client_of", ids)
+        object.__setattr__(self, "client_of", integer_array(self.client_of, "client ids", self.n_clients))
 
     @property
     def m(self) -> int:
@@ -163,7 +160,7 @@ class ProxyStudent:
     @classmethod
     def fit(cls, embeddings: np.ndarray, labels: np.ndarray, label_count: int) -> "ProxyStudent":
         embeddings = np.asarray(embeddings, dtype=np.float64)
-        labels = np.asarray(labels, dtype=np.int64)
+        labels = integer_array(labels, "labels", label_count)
         classes = np.unique(labels)
         centroids = np.stack([embeddings[labels == c].mean(axis=0) for c in classes])
         return cls(centroids, classes, label_count)

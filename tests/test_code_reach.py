@@ -1,13 +1,16 @@
-"""Every top-level function and class of the package is reached from code
-outside the tests, unless the allowlist below gives a reason.
+"""Every top-level function and class of the package, and every method and
+property of a top-level class, is reached from code outside the tests,
+unless the allowlist below gives a reason.
 
 The roots are the scripts, the bench files other than its tests, and the
 module-level statements of the package (its tables, and ``cli``'s
 ``__main__`` call); ``__init__`` re-exports are not roots.  A definition is
 reached when a root or an already reached definition names it: as a name, an
 attribute, an imported name or a dotted string such as the bench tracer's
-``"local.bucket_hash"``.  Names are matched by their last component, so a
-local variable of the same name also counts: the check can miss a test-only
+``"local.bucket_hash"``.  A class member is a definition of its own, named
+``module.Class.member``; dunder methods run implicitly, so they belong to
+their class.  Names are matched by their last component, so a local
+variable of the same name also counts: the check can miss a test-only
 definition, never flag a reached one.  A twin that only tests call fails
 here, so it is deleted rather than kept beside the code path runs use.
 """
@@ -68,8 +71,15 @@ def _roots_and_definitions() -> tuple[set[str], dict[str, set[str]]]:
         if path.name == "__init__.py":
             continue
         for node in ast.parse(path.read_text(encoding="utf-8")).body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            if isinstance(node, ast.FunctionDef):
                 definitions[f"{path.stem}.{node.name}"] = _names(node) - {node.name}
+            elif isinstance(node, ast.ClassDef):
+                key = f"{path.stem}.{node.name}"
+                members = [m for m in node.body if isinstance(m, ast.FunctionDef) and not m.name.startswith("__")]
+                for member in members:
+                    definitions[f"{key}.{member.name}"] = _names(member) - {member.name}
+                rest = node.bases + node.keywords + node.decorator_list + [m for m in node.body if m not in members]
+                definitions[key] = set().union(*map(_names, rest)) - {node.name}
             else:
                 roots |= _names(node)
     return roots, definitions
@@ -79,7 +89,7 @@ def _test_only() -> set[str]:
     roots, definitions = _roots_and_definitions()
     reached, named = set(), roots
     while named:
-        new = {name for name in definitions.keys() - reached if name.split(".", 1)[1] in named}
+        new = {name for name in definitions.keys() - reached if name.rsplit(".", 1)[1] in named}
         reached |= new
         named = set().union(*(definitions[name] for name in new))
     return definitions.keys() - reached

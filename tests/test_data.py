@@ -65,9 +65,6 @@ class TestSynthetic:
         records, _ = generate_synthetic(spec(classes=4, multilabel_r=2), seed=2)
         assert records.r == 2
 
-    def test_separation_recorded(self):
-        assert spec(separation=8.0, std=2.0).separability == pytest.approx(4.0)
-
     def test_class_means_pairwise_distance(self):
         means = class_means(spec(classes=3, dim=5, separation=6.0))
         d = pairwise_distances(means, means)
