@@ -4,11 +4,8 @@ from __future__ import annotations
 import numpy as np
 
 from . import local as local_mod
-from .core import PrivacyModel, PrivacyParams, integer_array
-from .simulate import MODEL_MECHANISMS, eta_bound, randomizer_params
-
-# the prefix of a per-report model's rows; the other models have one row each, named after the model
-_ROW_PREFIX = {PrivacyModel.LOCAL: "", PrivacyModel.SHUFFLE_SINGLE: "shuffled-"}
+from .core import PrivacyModel, PrivacyParams, check_beta, integer_array
+from .simulate import RELEASES
 
 
 def bounds_table(
@@ -22,42 +19,40 @@ def bounds_table(
     beta: float,
     n: int | None = None,
 ) -> dict[str, float]:
-    """Max-error bounds eta(beta) of every mechanism the inputs allow, as runs report them.
+    """Max-error bounds eta(beta) of every release the inputs allow, as runs report them.
 
-    Local and shuffle-single rows need the client count n and shuffle rows a
-    delta > 0: rows lacking them are skipped, or an error if ``model`` asks for
-    them.  A mechanism whose run shape or budget the inputs reject (as
-    ``eta_bound`` rejects it before a run) has no row, but a model left with no
-    row at all, as every per-report mechanism is at a budget too small for
-    its noise, raises its first rejection.  Per-report rows are named as a run
-    names its mechanism (``laplace``, ``shuffled-laplace``), the others after
-    their model.
+    Per-client rows (local and shuffle-single) need the client count n and
+    shuffle rows a delta > 0: rows lacking them are skipped, or an error if
+    ``model`` asks for them.  A release whose run shape or budget the inputs
+    reject (as its bound rejects it before a run) has no row, but a model
+    left with no row at all, as every per-report mechanism is at a budget
+    too small for its noise, raises its first rejection.  Per-client rows
+    are named as a run names its release (``laplace``, ``shuffled-laplace``),
+    the others after their model.
     """
     if n is not None and n < 1:
         raise ValueError(f"--n must be at least 1, got {n}")
-    if not 0.0 < beta < 1.0:
-        raise ValueError(f"--beta must lie in (0, 1), got {beta}")
+    check_beta(beta, "--beta")
     rows: dict[str, float] = {}
-    for privacy_model in [PrivacyModel(model)] if model else MODEL_MECHANISMS:
-        prefix = _ROW_PREFIX.get(privacy_model)
+    for privacy_model in [PrivacyModel(model)] if model else dict.fromkeys(m for m, _ in RELEASES):
+        releases = [release for (m, _), release in RELEASES.items() if m is privacy_model]
         shuffled = privacy_model in (PrivacyModel.SHUFFLE_MULTI, PrivacyModel.SHUFFLE_SINGLE)
-        lacking = {"--n": prefix is not None and n is None, "--delta": shuffled and delta <= 0}
+        lacking = {"--n": releases[0].per_client and n is None, "--delta": shuffled and delta <= 0}
         missing = [flag for flag, absent in lacking.items() if absent]
         if missing:
             if model:
                 raise ValueError(f"{privacy_model.value} bounds need {' and '.join(missing)}")
             continue
         params = PrivacyParams(epsilon, privacy_model, k, r, s, label_count, delta if shuffled else 0.0)
-        randomizer = randomizer_params(params, n)
         rejections, row_count = [], len(rows)
-        for mechanism in MODEL_MECHANISMS[privacy_model]:
+        for release in releases:
             try:
-                eta = eta_bound(randomizer, mechanism, n, beta)
+                eta = release.bound(release.params(params, n), n, beta)
             except ValueError as exc:
                 rejections.append(exc)
                 continue
             if eta is not None:
-                rows[privacy_model.value if prefix is None else prefix + mechanism] = eta
+                rows[release.name if release.per_client else privacy_model.value] = eta
         if rejections and len(rows) == row_count:
             raise rejections[0]
     return rows

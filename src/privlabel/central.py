@@ -63,7 +63,9 @@ def central_laplace_mechanism(
 
 
 def laplace_accuracy_bound(params: PrivacyParams, beta: float) -> float:
-    """Per-bucket max-error bound eta = 2kr * ln(label_count/beta) / eps."""
+    """Per-bucket max-error bound eta = 2kr * ln(label_count/beta) / eps; a
+    budget ``noise_scale`` rejects has no bound."""
+    noise_scale(params)
     check_beta(beta)
     if math.isinf(params.epsilon):
         return 0.0

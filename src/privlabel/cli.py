@@ -22,7 +22,7 @@ import numpy as np
 from . import analysis, config as config_mod, data as data_mod, local as local_mod
 from . import mse as mse_mod, results as results_mod, seeds as seeds_mod, shuffle as shuffle_mod
 from .core import PrivacyModel
-from .simulate import MODEL_MECHANISMS, account_budget, run_algorithm1
+from .simulate import RELEASES, account_budget, run_algorithm1
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -57,7 +57,7 @@ def build_parser() -> argparse.ArgumentParser:
     # one flag per config field; an unset flag leaves the file's or the default value
     sim = sub.add_parser("simulate", help="run the labeling pipeline over trials")
     sim.add_argument("--config", type=str, default=None, help="flat key=value config file")
-    mechanisms = sorted({"auto"}.union(*MODEL_MECHANISMS.values()))
+    mechanisms = sorted({"auto"}.union(mechanism for _, mechanism in RELEASES))
     for name, kind in config_mod.FIELD_TYPES.items():
         if name == "seed":
             sim.add_argument("--seed", type=int, required=True)

@@ -92,9 +92,9 @@ def check_integers(obj, *names: str) -> None:
             raise ValueError(f"{name} must be an integer, got {getattr(obj, name)!r}")
 
 
-def check_beta(beta: float) -> None:
+def check_beta(beta: float, name: str = "beta") -> None:
     if not 0.0 < beta < 1.0:
-        raise ValueError("beta must lie in (0, 1)")
+        raise ValueError(f"{name} must lie in (0, 1), got {beta}")
 
 
 def integer_array(values, name: str, size: int | None = None) -> np.ndarray:

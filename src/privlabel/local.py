@@ -107,13 +107,15 @@ def bucket_hash(hash_seed: int | np.ndarray, values: np.ndarray, filter_length: 
     value row, yielding a (n_seeds, n_values) int64 matrix.  Seeds and values
     are mixed separately, before broadcasting; ``_hash_mixed`` then runs every
     later pass in place, since fresh matrices cost more memory traffic than
-    the arithmetic.  The collision hit kernels call it directly.
+    the arithmetic.  The collision hit kernels call it directly.  Seeds and
+    values must be integers >= 0 and the length an integer >= 1: a cast
+    would hash 0.5 as 0, -1 as 2**64 - 1 and a length of 2.5 into 2 cells.
     """
-    if filter_length < 1:
+    if integer_array(filter_length, "filter length") < 1:
         raise ValueError(f"filter length must be at least 1, got {filter_length}")
     t = _hash_width(filter_length)
-    seeds = _mix64(np.asarray(hash_seed, dtype=_U64)).astype(t, copy=False)
-    vals = _mix64(np.asarray(values, dtype=_U64) + _U64(1)).astype(t, copy=False)
+    seeds = _mix64(_unsigned(hash_seed, "hash seeds")).astype(t, copy=False)
+    vals = _mix64(_unsigned(values, "hashed values") + _U64(1)).astype(t, copy=False)
     x = np.empty(np.broadcast_shapes(seeds.shape, vals.shape), dtype=t)
     hashed = _hash_mixed(seeds, vals, filter_length, x, np.empty_like(x))
     return hashed.view(np.int64) if t is _U64 else hashed.astype(np.int64)
@@ -310,13 +312,10 @@ def _hash_inputs(seeds: np.ndarray, cells: np.ndarray, params: CollisionParams):
     seeds, cells = np.asarray(seeds), np.asarray(cells)
     if seeds.ndim != 1 or seeds.shape != cells.shape:
         raise ValueError(f"expected one cell per seed, got seeds {seeds.shape} and cells {cells.shape}")
-    if seeds.size and not np.issubdtype(seeds.dtype, np.integer):
-        raise ValueError(f"report seeds must be integers, got {seeds.dtype}")
-    if seeds.size and seeds.min() < 0:
-        raise ValueError("report seeds must be non-negative")
+    seeds = _unsigned(seeds, "report seeds")
     cells = integer_array(cells, "report cells (filter range)", params.filter_length)
     mixed_coords = _mix64(np.arange(1, params.domain_size + 1, dtype=_U64)).astype(_hash_width(params.filter_length))
-    return seeds.astype(_U64, copy=False), cells.view(_U64), mixed_coords
+    return seeds, cells.view(_U64), mixed_coords
 
 
 def _hit_blocks(seeds: np.ndarray, cells: np.ndarray, params: CollisionParams):
@@ -825,6 +824,15 @@ def gse_pmfs(params: GseParams) -> tuple[list[tuple], Callable[[tuple], np.ndarr
 
 # ---------------------------------------------------------------------------
 # shared checks
+
+
+def _unsigned(values, name: str) -> np.ndarray:
+    """``values`` as uint64, after ``core.integer_array``'s integer test and a
+    test for a value below 0, which would wrap to 2**64 - 1."""
+    values = np.asarray(values)
+    if values.dtype.kind != "u" and integer_array(values, name).min(initial=0) < 0:
+        raise ValueError(f"{name} must be non-negative")
+    return values.astype(_U64, copy=False)
 
 
 def _check_support(support: np.ndarray, params, n_reports: int | None = None) -> np.ndarray:

@@ -100,7 +100,9 @@ def choose_modulus(total_mass: int, k: int, r: int, epsilon: float) -> int:
 
 
 def multi_message_accuracy_bound(params: PrivacyParams, beta: float) -> float:
-    """eta = 4kr * ln(label_count/beta) / eps for the distributed-noise protocol."""
+    """eta = 4kr * ln(label_count/beta) / eps for the distributed-noise
+    protocol; a budget ``discrete_laplace_parameter`` rejects has no bound."""
+    discrete_laplace_parameter(params.epsilon, params.k, params.r)
     check_beta(beta)
     return 4.0 * params.k * params.r * math.log(params.label_count / beta) / params.epsilon
 

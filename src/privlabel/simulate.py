@@ -12,6 +12,7 @@ from __future__ import annotations
 import enum
 import functools
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -232,77 +233,72 @@ def check_label_mode(label_mode: str) -> None:
         raise ValueError(f"label_mode must be 'hard' or 'soft', got {label_mode!r}")
 
 
-# the mechanisms each model runs; "auto" picks the first
-MODEL_MECHANISMS = {
-    PrivacyModel.CENTRAL: ("laplace",),
-    PrivacyModel.SHUFFLE_MULTI: ("distributed-laplace",),
-    PrivacyModel.LOCAL: tuple(local_mod.MECHANISMS),
-    PrivacyModel.SHUFFLE_SINGLE: tuple(local_mod.MECHANISMS),
+class Release(NamedTuple):
+    """One (model, mechanism) release of the noisy (s, |Y|) counts: ``params``
+    maps (per-iteration params, n reporting clients) to the params it runs at,
+    ``release`` maps (exact counts, ``record_votes``, partition, those params,
+    rng) to the noisy counts and ``bound`` (params, n, beta) to eta(beta) or
+    None.  A per-client release's noise depends on the partition.  Entries
+    look up the functions they call at call time, so a patched one is used."""
+
+    name: str
+    params: Callable[[PrivacyParams, int | None], PrivacyParams]
+    release: Callable[[np.ndarray, np.ndarray, Partition, PrivacyParams, np.random.Generator], np.ndarray]
+    bound: Callable[[PrivacyParams, int | None, float], float | None]
+    per_client: bool
+
+
+def _same_params(params: PrivacyParams, n: int | None) -> PrivacyParams:
+    return params
+
+
+def _per_report(name: str, mechanism: str, params: Callable) -> Release:
+    """``local.MECHANISMS[mechanism]``, run by every client that holds a record
+    on one of them."""
+
+    def release(exact, votes, partition, params, rng):
+        flat = local_mod.MECHANISMS[mechanism].release(votes[_one_record_per_client(partition, rng)], params, rng)
+        return flat.reshape(params.s, params.label_count)
+
+    def bound(params, n, beta):
+        return local_mod.MECHANISMS[mechanism].bound(params, n, beta)
+
+    return Release(name, params, release, bound, per_client=True)
+
+
+# every release a run can make; "auto" picks a model's first mechanism
+RELEASES: dict[tuple[PrivacyModel, str], Release] = {
+    (PrivacyModel.CENTRAL, "laplace"): Release(
+        "laplace", _same_params,
+        lambda exact, votes, partition, params, rng: central_mod.central_laplace_mechanism(exact, params, rng),
+        lambda params, n, beta: central_mod.laplace_accuracy_bound(params, beta), per_client=False,
+    ),
+    (PrivacyModel.SHUFFLE_MULTI, "distributed-laplace"): Release(
+        "distributed-laplace", _same_params,
+        lambda exact, votes, partition, params, rng: shuffle_mod.multi_message_pipeline(
+            exact, partition.records_per_client * votes.shape[1], params, rng
+        ),
+        lambda params, n, beta: shuffle_mod.multi_message_accuracy_bound(params, beta), per_client=False,
+    ),
+    **{(PrivacyModel.LOCAL, name): _per_report(name, name, _same_params) for name in local_mod.MECHANISMS},
+    # each local randomizer at the budget eps0 that amplifies to eps over the n clients
+    **{
+        (PrivacyModel.SHUFFLE_SINGLE, name): _per_report(
+            f"shuffled-{name}", name, lambda params, n: shuffle_mod.single_message_params(params, n)
+        )
+        for name in local_mod.MECHANISMS
+    },
 }
 
 
-def resolve_mechanism(model: PrivacyModel, mechanism: str) -> str:
-    """The mechanism a run uses: ``auto`` resolved, anything the model lacks rejected."""
-    allowed = MODEL_MECHANISMS[model]
+def resolve_mechanism(model: PrivacyModel, mechanism: str) -> Release:
+    """The release a run makes: ``auto`` resolved, anything the model lacks rejected."""
+    allowed = [name for release_model, name in RELEASES if release_model is model]
     if mechanism not in ("auto", *allowed):
         raise ValueError(
             f"the {model.value} model has no mechanism {mechanism!r}; choose auto or {', '.join(allowed)}"
         )
-    return mechanism if mechanism in allowed else allowed[0]
-
-
-def randomizer_params(params: PrivacyParams, n: int | None) -> PrivacyParams:
-    """The parameters a release runs at: shuffle-single's are amplified to
-    eps0 over its n reporting clients, every other model's are ``params``.
-
-    A budget too small for a model-wide noise is rejected here, before any
-    stage: the central Laplace scale 2kr/eps must be finite and shuffle-multi's
-    noise parameter q must stay below 1.  A per-report mechanism rejects a
-    budget too small for it in its ``eta_bound``, which also runs before any
-    stage.
-    """
-    if params.model is PrivacyModel.SHUFFLE_SINGLE:
-        return shuffle_mod.single_message_params(params, n)
-    if params.model is PrivacyModel.CENTRAL:
-        central_mod.noise_scale(params)
-    elif params.model is PrivacyModel.SHUFFLE_MULTI:
-        shuffle_mod.discrete_laplace_parameter(params.epsilon, params.k, params.r)
-    return params
-
-
-def eta_bound(params: PrivacyParams, mechanism: str, n: int | None, beta: float) -> float | None:
-    """Max-error bound eta(beta) of one release at ``params`` (from
-    ``randomizer_params``) over n reporting clients; None for a mechanism
-    without a bound.  Runs report it and ``analysis.bounds_table`` prints it."""
-    if params.model is PrivacyModel.CENTRAL:
-        return central_mod.laplace_accuracy_bound(params, beta)
-    if params.model is PrivacyModel.SHUFFLE_MULTI:
-        return shuffle_mod.multi_message_accuracy_bound(params, beta)
-    return local_mod.MECHANISMS[mechanism].bound(params, n, beta)
-
-
-def _privatize(
-    exact: np.ndarray,
-    votes: np.ndarray,
-    partition: Partition,
-    params: PrivacyParams,
-    mechanism: str,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Noisy counts under the configured model, from the exact counts and
-    every record's flat votes (``record_votes``).
-
-    For the local and shuffle-single models ``params`` is the randomizer's
-    own (local-model) budget, which shuffle-single has already amplified.
-    """
-    if params.model is PrivacyModel.CENTRAL:
-        return central_mod.central_laplace_mechanism(exact, params, rng)
-    if params.model is PrivacyModel.SHUFFLE_MULTI:
-        client_mass = partition.records_per_client * votes.shape[1]
-        return shuffle_mod.multi_message_pipeline(exact, client_mass, params, rng)
-    chosen = _one_record_per_client(partition, rng)
-    flat = local_mod.MECHANISMS[mechanism].release(votes[chosen], params, rng)
-    return flat.reshape(params.s, params.label_count)
+    return RELEASES[model, mechanism if mechanism in allowed else allowed[0]]
 
 
 def run_algorithm1(
@@ -346,7 +342,7 @@ def run_algorithm1(
             f"max(1, T - 1) * s = {max(1, T - 1) * s}, got {pub_embeddings.shape[0]}"
         )
     check_label_mode(label_mode)
-    mechanism = resolve_mechanism(params.model, mechanism)
+    release = resolve_mechanism(params.model, mechanism)
 
     if partition_scheme is PartitionScheme.SINGLE_RECORD:
         n_clients = records.m
@@ -362,9 +358,9 @@ def run_algorithm1(
 
     iter_params = params.per_iteration(T)
     reporting = np.count_nonzero(partition.records_per_client)  # clients holding a record
-    mech_params = randomizer_params(iter_params, reporting)
-    eta = eta_bound(mech_params, mechanism, reporting, beta)
-    mech_name = f"shuffled-{mechanism}" if params.model is PrivacyModel.SHUFFLE_SINGLE else mechanism
+    # a budget or run shape the release rejects stops the run here, before any stage
+    mech_params = release.params(iter_params, reporting)
+    eta = release.bound(mech_params, reporting, beta)
 
     ledger = BudgetLedger.empty(records.m)
     iterations: list[IterationOutcome] = []
@@ -389,18 +385,11 @@ def run_algorithm1(
         exact = vote_counts(votes, (s, records.label_count))
         ledger.charge(iter_params.epsilon, connections.degree)
 
-        noisy = _privatize(
-            exact,
-            votes,
-            partition,
-            mech_params,
-            mechanism,
-            seeds_mod.generator(master_seed, "mechanism", t),
-        )
+        noisy = release.release(exact, votes, partition, mech_params, seeds_mod.generator(master_seed, "mechanism", t))
         bucket_error = np.abs(noisy - exact).max(axis=1)
         report = MechanismReport(
             model=params.model.value,
-            mechanism=mech_name,
+            mechanism=release.name,
             noisy_counts=noisy,
             hard=hard_labels(noisy),
             soft=soft_labels(noisy),
@@ -467,29 +456,28 @@ def verify_partition_invariance(
     Local models add noise per client, so the check does not apply there and
     says so instead of failing.
     """
-    if params is not None and params.model in (PrivacyModel.LOCAL, PrivacyModel.SHUFFLE_SINGLE):
+    release = None if params is None else resolve_mechanism(params.model, "auto")
+    if release is not None and release.per_client:
         return InvarianceResult(False, None, None, "per-client noise depends on the partition")
     connections = reverse_knn_connect(records.embeddings, queries, k, squares=records.squared_norms)
     votes = record_votes(records, connections)
     shape = (queries.s, records.label_count)
-    aggregates = []
+    partitions, aggregates = [], []
     for i, scheme in enumerate(schemes):
         n = records.m if scheme is PartitionScheme.SINGLE_RECORD else n_clients
         # Partition validates every client id; summed cell by cell, the
         # clients' answers count each vote in its own cell whichever client
         # holds it, in O(s * |Y|) memory
-        partition_records(
-            records, scheme, n, seeds_mod.generator(master_seed, "partition", i), dirichlet_alpha
+        partitions.append(
+            partition_records(records, scheme, n, seeds_mod.generator(master_seed, "partition", i), dirichlet_alpha)
         )
         aggregates.append(vote_counts(votes, shape))
     equal = all(np.array_equal(aggregates[0], agg) for agg in aggregates[1:])
     noisy_identical = None
-    if params is not None and params.model is PrivacyModel.CENTRAL:
+    if release is not None:  # an aggregate-stage release runs at the given params
         noisy = [
-            central_mod.central_laplace_mechanism(
-                agg, params, seeds_mod.generator(master_seed, "noise")
-            )
-            for agg in aggregates
+            release.release(agg, votes, partition, params, seeds_mod.generator(master_seed, "noise"))
+            for agg, partition in zip(aggregates, partitions)
         ]
         noisy_identical = all(np.array_equal(noisy[0], z) for z in noisy[1:])
     return InvarianceResult(True, equal, noisy_identical, "")

@@ -16,7 +16,7 @@ from privlabel.cli import build_parser, main
 from privlabel.config import ExperimentConfig
 from privlabel.data import SyntheticSpec
 from privlabel.results import read_results
-from privlabel.simulate import MODEL_MECHANISMS
+from privlabel.simulate import RELEASES
 
 
 def run_cli(capsys, *argv):
@@ -236,7 +236,7 @@ class TestFlagsFromFields:
             assert action.type.__name__ == field.type
             assert action.required == (name == "seed")
             assert action.default is None
-        assert options["mechanism"].choices == sorted({"auto"}.union(*MODEL_MECHANISMS.values()))
+        assert options["mechanism"].choices == sorted({"auto"}.union(mechanism for _, mechanism in RELEASES))
 
     def test_gen_has_one_flag_per_spec_field_with_config_defaults(self):
         options = subcommand_options("gen")
@@ -356,9 +356,7 @@ class TestMechanismChecks:
         assert "p_true must exceed p_false" in err
         assert selections == []
 
-    @pytest.mark.parametrize("model, mechanism", [
-        (model.value, mechanism) for model, mechanisms in MODEL_MECHANISMS.items() for mechanism in mechanisms
-    ])
+    @pytest.mark.parametrize("model, mechanism", [(model.value, mechanism) for model, mechanism in RELEASES])
     def test_every_pair_exits_0_or_3(self, capsys, model, mechanism):
         # 500 records, 200 public samples, 10 labels: s = 200 gives d = 2000
         # cells, where gse at eps = 5 releases l = 300 of them

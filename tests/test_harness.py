@@ -5,12 +5,14 @@ import numpy as np
 import pytest
 
 from privlabel.analysis import bounds_table, collision_entry_std, predict_labeling_accuracy
+from privlabel.central import laplace_accuracy_bound
 from privlabel.config import ExperimentConfig, build_config, load_config_file, parse_config_text
 from privlabel.core import PrivacyModel, PrivacyParams
 from privlabel.local import CollisionParams
 from privlabel.mse import mse_comparison, parse_grid
 from privlabel.results import build_results, read_results, write_results
-from privlabel.simulate import MODEL_MECHANISMS, PartitionScheme, eta_bound, run_algorithm1
+from privlabel.shuffle import multi_message_accuracy_bound
+from privlabel.simulate import RELEASES, PartitionScheme, run_algorithm1
 from conftest import random_record_set
 
 
@@ -260,10 +262,7 @@ def test_bounds_table_is_same_code_path():
     assert rows["collision"] == run_eta
 
 
-@pytest.mark.parametrize(
-    "model, mechanism",
-    [(model, mech) for model, mechs in MODEL_MECHANISMS.items() for mech in mechs],
-)
+@pytest.mark.parametrize("model, mechanism", list(RELEASES))
 def test_run_reports_the_bounds_table_row(model, mechanism):
     # a T = 1 run reports the eta that `privlabel bounds` prints for its inputs,
     # with n the number of clients that hold a record
@@ -311,7 +310,19 @@ class TestBoundsRules:
         rows = bounds_table("local", 1.7, 0.0, 2, 1, 4, 3, 0.05, n=100)
         assert set(rows) == {"rr", "laplace", "collision"}
         with pytest.raises(ValueError, match="p_true must exceed p_false"):
-            eta_bound(PrivacyParams(1.7, PrivacyModel.LOCAL, 2, 1, 4, 3), "gse", 100, 0.05)
+            RELEASES[PrivacyModel.LOCAL, "gse"].bound(PrivacyParams(1.7, PrivacyModel.LOCAL, 2, 1, 4, 3), 100, 0.05)
+
+    @pytest.mark.parametrize("bound, message", [
+        (lambda: laplace_accuracy_bound(PrivacyParams(1e-310, PrivacyModel.CENTRAL, 1, 1, 2, 2), 0.05),
+         "the Laplace scale 2kr/eps overflows"),
+        (lambda: multi_message_accuracy_bound(PrivacyParams(1e-300, PrivacyModel.SHUFFLE_MULTI, 1, 1, 2, 2, 1e-6), 0.05),
+         "rounds to 1"),
+    ], ids=["central", "shuffle-multi"])
+    def test_aggregate_bound_rejects_a_budget_its_noise_rejects(self, bound, message):
+        # called directly, not only through a run or the table: no inf or
+        # finite eta for a noise the release cannot draw
+        with pytest.raises(ValueError, match=message):
+            bound()
 
     @pytest.mark.parametrize("beta", [0.0, 1.0])
     def test_beta_outside_the_unit_interval_rejected(self, beta):

@@ -26,6 +26,7 @@ from privlabel.geometry import propagate_labels, select_queries_uncertainty
 from privlabel.local import (
     CollisionParams,
     GseParams,
+    bucket_hash,
     collision_encode_batch,
     collision_hit_counts,
     collision_indicator_estimates,
@@ -133,3 +134,17 @@ def test_fractional_report_shape_rejected(make, field):
 def test_every_bound_checks_beta_alike(bound, beta):
     with pytest.raises(ValueError, match=re.escape("beta must lie in (0, 1)")):
         bound(beta)
+
+
+@pytest.mark.parametrize("seed, values, length, message", [
+    # a cast would hash into 2 cells, read 0.5 as 0 and wrap -1 to 2**64 - 1
+    (3, np.arange(10), 2.5, "filter length must be integers, got float64"),
+    (3, np.arange(10), 0, "filter length must be at least 1"),
+    (3, np.array([0.5, -1.0]), 8, "hashed values must be integers, got float64"),
+    (3, np.array([-1, 1]), 8, "hashed values must be non-negative"),
+    (0.5, np.arange(2), 8, "hash seeds must be integers, got float64"),
+    (np.array([[1], [-1]]), np.arange(2), 8, "hash seeds must be non-negative"),
+], ids=["fractional-length", "empty-filter", "fractional-values", "negative-values", "fractional-seed", "negative-seed"])
+def test_bucket_hash_rejects_what_a_cast_would_change(seed, values, length, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        bucket_hash(seed, values, length)

@@ -1,6 +1,8 @@
+import ast
 import itertools
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +14,7 @@ from privlabel.core import PrivacyModel, PrivacyParams, QuerySet, RecordSet, rec
 from privlabel.data import SyntheticSpec, generate_synthetic
 from privlabel.geometry import reverse_knn_connect
 from privlabel.simulate import (
-    MODEL_MECHANISMS,
+    RELEASES,
     BudgetLedger,
     Partition,
     PartitionScheme,
@@ -410,6 +412,21 @@ class TestPartitionInvariance:
         assert result.pre_noise_equal
         assert result.noisy_identical
 
+    def test_shuffle_multi_noise_identical_across_schemes(self):
+        # the release reads each scheme's partition, which sets only the modulus
+        records, queries = four_point_fixture()
+        result = verify_partition_invariance(
+            records,
+            queries,
+            k=1,
+            schemes=[PartitionScheme.IID, PartitionScheme.DIRICHLET, PartitionScheme.SINGLE_RECORD],
+            n_clients=2,
+            master_seed=17,
+            params=make_params(PrivacyModel.SHUFFLE_MULTI, 1.0, delta=1e-6),
+        )
+        assert result.applicable and result.pre_noise_equal
+        assert result.noisy_identical is True
+
     def test_random_datasets_agree(self, rng):
         for trial in range(5):
             records = random_record_set(rng, m=200, dim=3, label_count=4, r=2)
@@ -479,6 +496,22 @@ class TestPartitionInvariance:
         )
         assert not outcome.applicable
         assert "partition" in outcome.reason
+
+
+def test_only_the_release_table_names_a_privacy_model():
+    # every per-model decision of simulate.py is an entry of RELEASES
+    tree = ast.parse(Path(simulate_mod.__file__).read_text(encoding="utf-8"))
+    table = next(
+        node for node in tree.body
+        if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name) and node.target.id == "RELEASES"
+    )
+    inside = {id(node) for node in ast.walk(table)}
+    members = [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "PrivacyModel"
+    ]
+    assert {node.attr for node in members} == {model.name for model in PrivacyModel}
+    assert [(node.lineno, node.attr) for node in members if id(node) not in inside] == []
 
 
 class TestBudget:
@@ -562,10 +595,7 @@ def test_local_model_multi_record_clients_sample_one_record():
     assert result.iterations[0].exact.sum() == 9  # the exact pipeline still counts all
 
 
-@pytest.mark.parametrize(
-    "model, mechanism",
-    [(model, mech) for model, mechs in MODEL_MECHANISMS.items() for mech in mechs],
-)
+@pytest.mark.parametrize("model, mechanism", list(RELEASES))
 def test_every_model_mechanism_pair_runs(model, mechanism):
     rng = np.random.default_rng(12)
     records = random_record_set(rng, m=3000, dim=2, label_count=3)
